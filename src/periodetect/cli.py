@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -69,9 +70,12 @@ def read_observations_csv(path) -> np.ndarray:
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([float(c) for c in row[1:]])
+                values = [float(c) for c in row[1:]]
             except ValueError:
                 raise ValueError(f"line {lineno}: cannot parse observation values") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {lineno}: observation values must be finite")
+            rows.append(values)
     data = np.asarray(rows, dtype=float)
     if data.size == 0:
         return np.empty(0) if value_cols == ["value"] else np.empty((0, len(value_cols)))
@@ -413,7 +417,7 @@ def _dump_trials(count, dump_dir, metric, detector, pre, post, prior, scenario, 
         stream = [float(v) for v in obs]
         trajectory = detectors.run(detector.fresh(), stream, stop_on_alarm=True)
         detectors.write_trajectory_csv(
-            f"{dump_dir}/trial_{i:04d}.csv", trajectory, stream, detector.period
+            f"{dump_dir}/trial_{i:04d}.csv", trajectory, stream[:len(trajectory)], detector.period
         )
 
 

@@ -5,7 +5,8 @@ observation, advances the internal clock, and reports the updated statistic
 together with the alarm decision.  Time indices are 1-based and global; the
 slot governing observation ``n`` is ``(n - 1) mod T``, so the per-sample
 log-likelihood-ratio function used at time ``n`` equals the one used at
-``n + T``.
+``n + T``.  Every detector alarms when its statistic reaches the threshold
+(``statistic >= threshold``, with per-slot thresholds where supported).
 
 Statistics and post-alarm behavior:
 
@@ -18,7 +19,7 @@ Statistics and post-alarm behavior:
   log-likelihood ratios; the positive part is applied before the add, so the
   score itself may go negative.
 * :class:`MixtureShiryaev` runs one posterior recursion per candidate changed
-  slot subset and alarms when the weighted posterior odds exceed a threshold.
+  slot subset and alarms when the weighted posterior odds reach a threshold.
   The recursion requires a geometric change-point prior.
 * :class:`MultistreamMixture` is the same mixture over candidate changed
   stream subsets; each component's per-sample score sums log-likelihood
@@ -26,7 +27,12 @@ Statistics and post-alarm behavior:
 * :class:`ClassifierBankDetector` maintains cumulative pairwise
   log-likelihood-ratio sums ``C_lm`` and, per class ``l``, the statistic
   ``max_k min_{m != l} (C_lm(n) - C_lm(k-1))`` over window start points; it
-  alarms and names a class when any such statistic clears the threshold.
+  alarms and names a class when any such statistic reaches the threshold.
+
+The first three share one posterior-odds core: per component ``k`` the odds
+follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
+statistic is ``sum_k w_k R_k`` (one component of weight 1 for the Shiryaev
+rule), and the alarm compares its logarithm with the log threshold.
 
 With ``reset_on_alarm`` detectors zero their statistic after each alarm and
 keep monitoring, which is the continuous-monitoring mode used for repeated
@@ -46,6 +52,11 @@ from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, Perio
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+
+# Rows per block of the batch posterior-odds scan.  Cumulative sums restart at
+# each block, so their magnitude, and with it the cancellation error of the
+# closed form, stays bounded on arbitrarily long streams.
+_SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,22 @@ def _safe_exp(x: float) -> float:
         return _POS_INF
 
 
+def _logaddexp(x: float, y: float) -> float:
+    if x == _NEG_INF:
+        return y
+    if y == _NEG_INF:
+        return x
+    m = x if x > y else y
+    return m + math.log(math.exp(x - m) + math.exp(y - m))
+
+
 class _SlotLlr:
     """Per-slot log-likelihood-ratio evaluators for a (numerator, denominator) law pair.
 
     Within-family slot pairs reduce to ``c0 + c1 x + c2 x^2`` (Poisson factorials
     cancel), which both the scalar and the vectorized paths exploit; mixed-family
-    slots fall back to direct log-density differences.
+    slots fall back to direct log-density differences.  Poisson-Poisson slots
+    reject observations outside the nonnegative integers, as the densities do.
     """
 
     def __init__(self, num_slots, den_slots):
@@ -102,6 +123,7 @@ class _SlotLlr:
         c1 = np.zeros(self.period)
         c2 = np.zeros(self.period)
         poly = np.ones(self.period, dtype=bool)
+        count = np.zeros(self.period, dtype=bool)
         for i, (g, f) in enumerate(zip(num_slots, den_slots)):
             if isinstance(g, Gaussian) and isinstance(f, Gaussian):
                 c0[i] = 0.5 * (math.log(f.variance / g.variance)
@@ -111,22 +133,29 @@ class _SlotLlr:
             elif isinstance(g, Poisson) and isinstance(f, Poisson):
                 c0[i] = f.rate - g.rate
                 c1[i] = math.log(g.rate / f.rate)
+                count[i] = True
             else:
                 poly[i] = False
         self._c0 = c0
         self._c1 = c1
         self._c2 = c2
         self._poly = poly
+        self._count = count
+        self._all_poly = bool(poly.all())
+        self._any_count = bool(count.any())
         self._c0l = c0.tolist()
         self._c1l = c1.tolist()
         self._c2l = c2.tolist()
         self._polyl = poly.tolist()
+        self._countl = count.tolist()
 
     def value(self, slot: int, x: float) -> float:
         if self._polyl[slot]:
             x = float(x)
             if not math.isfinite(x):
                 raise ValueError(f"observation must be finite, got {x}")
+            if self._countl[slot] and (x < 0.0 or not x.is_integer()):
+                raise ValueError(f"Poisson support is the nonnegative integers, got {x}")
             return self._c0l[slot] + x * (self._c1l[slot] + x * self._c2l[slot])
         return llr(self._num[slot], self._den[slot], x)
 
@@ -136,8 +165,13 @@ class _SlotLlr:
         if xs.size and not np.all(np.isfinite(xs)):
             raise ValueError("observations must be finite")
         slots = (start_slot + np.arange(xs.size)) % self.period
+        if self._any_count:
+            outside = self._count[slots] & ((xs < 0.0) | (xs != np.floor(xs)))
+            if outside.any():
+                raise ValueError(
+                    f"Poisson support is the nonnegative integers, got {xs[outside][0]}")
         z = self._c0[slots] + xs * (self._c1[slots] + xs * self._c2[slots])
-        if not self._poly.all():
+        if not self._all_poly:
             bad = ~self._poly[slots]
             for j in np.nonzero(bad)[0]:
                 s = int(slots[j])
@@ -153,7 +187,127 @@ def _threshold_logits(threshold, period: int) -> list[float]:
     return [_logit(threshold.for_slot(s)) for s in range(period)]
 
 
-class ShiryaevDetector:
+class _Detector:
+    """Clock and cloning shared by every detector.
+
+    A detector's compiled tables are built once in ``__init__`` and never
+    mutated; ``reset`` replaces the per-run state.  So ``fresh`` is a shallow
+    copy that shares the tables and restarts state and clock.
+    """
+
+    def __init__(self, period: int, reset_on_alarm: bool, start_time: int):
+        self.period = period
+        self.reset_on_alarm = bool(reset_on_alarm)
+        self.start_time = int(start_time)
+        self._time = self.start_time
+        self.reset()
+
+    def __init_subclass__(cls, **kwargs):
+        # Every public detector carries its own entries for these methods, so a
+        # wrapper installed on one class (as perfbench's tracer does through
+        # ``cls.__dict__``) leaves the other classes alone.
+        super().__init_subclass__(**kwargs)
+        for name in ("fresh", "step", "run_to_alarm"):
+            if name not in cls.__dict__:
+                setattr(cls, name, getattr(cls, name))
+
+    def fresh(self, start_time: int | None = None):
+        """A copy at its start state, optionally with a new start time, sharing the tables."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        if start_time is not None:
+            clone.start_time = int(start_time)
+        clone._time = clone.start_time
+        clone.reset()
+        return clone
+
+    @property
+    def time(self) -> int:
+        return self._time
+
+
+class _PosteriorOdds(_Detector):
+    """Posterior odds of a geometric-prior change, mixed over K components.
+
+    Component ``k`` keeps its log-odds ``L_k``, updated as
+    ``L_n = logaddexp(L_{n-1}, ln rho) - ln(1 - rho) + z_n``; the log
+    statistic is ``logsumexp_k(ln w_k + L_k)`` and the rule alarms when it
+    reaches the log threshold of the observation's slot.  Subclasses supply
+    the scores (``_step_scores`` for one observation, ``_score_matrix`` for an
+    ``(n, K)`` block) and ``_display``, which maps the log statistic to the
+    reported statistic.
+    """
+
+    def __init__(self, period: int, rho: float, log_weights, log_thresholds,
+                 reset_on_alarm: bool, start_time: int):
+        self.rho = float(rho)
+        self._ln_rho = math.log(rho) if rho > 0.0 else _NEG_INF
+        self._ln_1m_rho = math.log1p(-rho)
+        self._log_weights = list(log_weights)
+        self._log_thresholds = list(log_thresholds)
+        # log thresholds of _SCAN_CHUNK consecutive observations from any start slot
+        self._log_threshold_run = np.resize(self._log_thresholds, _SCAN_CHUNK + period)
+        super().__init__(period, reset_on_alarm, start_time)
+
+    def reset(self) -> None:
+        """Zero the odds of every component; the clock keeps running."""
+        self._log_odds = [_NEG_INF] * len(self._log_weights)
+
+    def _log_stat(self, log_odds) -> float:
+        total = _NEG_INF
+        for lw, lo in zip(self._log_weights, log_odds):
+            total = _logaddexp(total, lw + lo)
+        return total
+
+    def _decide(self, log_stat: float) -> StepResult:
+        """Result for the observation just consumed, which sits in slot ``time - 1``."""
+        alarm = log_stat >= self._log_thresholds[(self._time - 1) % self.period]
+        result = StepResult(self._time, self._display(log_stat), alarm)
+        if alarm and self.reset_on_alarm:
+            self.reset()
+        return result
+
+    def step(self, x) -> StepResult:
+        zs = self._step_scores(self._time % self.period, x)
+        ln_rho, ln_1m_rho = self._ln_rho, self._ln_1m_rho
+        log_odds = []
+        for lo, z in zip(self._log_odds, zs):
+            log_odds.append(_logaddexp(lo, ln_rho) - ln_1m_rho + z)
+        self._log_odds = log_odds
+        self._time += 1
+        return self._decide(self._log_stat(log_odds))
+
+    def run_to_alarm(self, xs) -> StepResult | None:
+        """Consume observations until the first alarm; return it, or None if none fires.
+
+        Each block of rows is scanned in closed form: with ``S_0 = 0`` and
+        ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
+        ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``.
+        """
+        z = self._score_matrix(xs, self._time % self.period)
+        for start in range(0, z.shape[0], _SCAN_CHUNK):
+            s = np.cumsum(z[start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=0)
+            entry = self._ln_rho - s
+            entry[1:] = entry[:-1]
+            entry[0] = np.logaddexp(self._log_odds, self._ln_rho)
+            log_odds = s + np.logaddexp.accumulate(entry, axis=0)
+            if log_odds.shape[1] == 1:
+                log_stat = log_odds[:, 0] + self._log_weights[0]
+            else:
+                log_stat = np.logaddexp.reduce(log_odds + self._log_weights, axis=1)
+            offset = self._time % self.period
+            crossed = log_stat >= self._log_threshold_run[offset:offset + len(log_stat)]
+            k = int(crossed.argmax())  # the first alarm, or 0 when there is none
+            if not crossed[k]:
+                k = len(log_stat) - 1
+            self._log_odds = log_odds[k].tolist()
+            self._time += k + 1
+            if crossed[k]:
+                return self._decide(float(log_stat[k]))
+        return None
+
+
+class ShiryaevDetector(_PosteriorOdds):
     """Posterior-probability rule for a known pre/post law pair.
 
     ``threshold`` is a belief-scale value in [0, 1] or a
@@ -163,6 +317,8 @@ class ShiryaevDetector:
     starting value of zero, which is occasionally useful for diagnostics).
     """
 
+    _display = staticmethod(_expit)
+
     def __init__(self, pre: IpidLaw, post: IpidLaw, rho: float, threshold,
                  *, reset_on_alarm: bool = False, start_time: int = 0):
         if pre.period != post.period:
@@ -171,86 +327,20 @@ class ShiryaevDetector:
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
         self.pre = pre
         self.post = post
-        self.rho = float(rho)
         self.threshold = threshold
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.start_time = int(start_time)
-        self.period = pre.period
         self._llr = _SlotLlr(post.slots, pre.slots)
-        self._logit_thresholds = _threshold_logits(threshold, pre.period)
-        self._ln_rho = math.log(rho) if rho > 0.0 else _NEG_INF
-        self._ln_1m_rho = math.log1p(-rho)
-        self._log_odds = _NEG_INF
-        self._time = self.start_time
-
-    def fresh(self, start_time: int | None = None) -> "ShiryaevDetector":
-        return ShiryaevDetector(
-            self.pre, self.post, self.rho, self.threshold,
-            reset_on_alarm=self.reset_on_alarm,
-            start_time=self.start_time if start_time is None else start_time,
-        )
-
-    def reset(self) -> None:
-        """Zero the belief; the clock keeps running."""
-        self._log_odds = _NEG_INF
-
-    @property
-    def time(self) -> int:
-        return self._time
+        super().__init__(pre.period, rho, [0.0], _threshold_logits(threshold, pre.period),
+                         reset_on_alarm, start_time)
 
     @property
     def belief(self) -> float:
-        return _expit(self._log_odds)
+        return _expit(self._log_odds[0])
 
-    def _mixed_log_odds(self) -> float:
-        lo = self._log_odds
-        if self._ln_rho == _NEG_INF:
-            return lo
-        if lo == _NEG_INF:
-            return self._ln_rho - self._ln_1m_rho
-        m = lo if lo > self._ln_rho else self._ln_rho
-        return m + math.log(math.exp(lo - m) + math.exp(self._ln_rho - m)) - self._ln_1m_rho
+    def _step_scores(self, slot: int, x) -> list[float]:
+        return [self._llr.value(slot, x)]
 
-    def step(self, x: float) -> StepResult:
-        lo = self._mixed_log_odds() + self._llr.value(self._time % self.period, x)
-        self._time += 1
-        slot = (self._time - 1) % self.period
-        self._log_odds = lo
-        alarm = lo >= self._logit_thresholds[slot]
-        result = StepResult(time_index=self._time, statistic=_expit(lo), alarm=alarm)
-        if alarm and self.reset_on_alarm:
-            self.reset()
-        return result
-
-    def run_to_alarm(self, xs) -> StepResult | None:
-        """Consume observations until the first alarm; return it, or None if none fires."""
-        z = self._llr.profile(np.asarray(xs, dtype=float), self._time % self.period)
-        thr = self._logit_thresholds
-        period = self.period
-        ln_rho = self._ln_rho
-        ln_1m_rho = self._ln_1m_rho
-        lo = self._log_odds
-        t = self._time
-        for zi in z.tolist():
-            if ln_rho == _NEG_INF:
-                lt = lo
-            elif lo == _NEG_INF:
-                lt = ln_rho - ln_1m_rho
-            else:
-                m = lo if lo > ln_rho else ln_rho
-                lt = m + math.log(math.exp(lo - m) + math.exp(ln_rho - m)) - ln_1m_rho
-            lo = lt + zi
-            t += 1
-            if lo >= thr[(t - 1) % period]:
-                self._time = t
-                self._log_odds = lo
-                result = StepResult(time_index=t, statistic=_expit(lo), alarm=True)
-                if self.reset_on_alarm:
-                    self.reset()
-                return result
-        self._time = t
-        self._log_odds = lo
-        return None
+    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
+        return self._llr.profile(xs, start_slot)[:, None]
 
 
 def robust_shiryaev(pre: IpidLaw, least_favorable: IpidLaw, rho: float, threshold,
@@ -265,7 +355,7 @@ def robust_shiryaev(pre: IpidLaw, least_favorable: IpidLaw, rho: float, threshol
     return ShiryaevDetector(pre, least_favorable, rho, threshold, **kwargs)
 
 
-class CusumDetector:
+class CusumDetector(_Detector):
     """Cumulative-sum score test between a baseline law and one alternative law."""
 
     def __init__(self, baseline: IpidLaw, alternative: IpidLaw, threshold: float,
@@ -275,26 +365,11 @@ class CusumDetector:
         self.baseline = baseline
         self.alternative = alternative
         self.threshold = float(threshold)
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.start_time = int(start_time)
-        self.period = baseline.period
         self._llr = _SlotLlr(alternative.slots, baseline.slots)
-        self._score = 0.0
-        self._time = self.start_time
-
-    def fresh(self, start_time: int | None = None) -> "CusumDetector":
-        return CusumDetector(
-            self.baseline, self.alternative, self.threshold,
-            reset_on_alarm=self.reset_on_alarm,
-            start_time=self.start_time if start_time is None else start_time,
-        )
+        super().__init__(baseline.period, reset_on_alarm, start_time)
 
     def reset(self) -> None:
         self._score = 0.0
-
-    @property
-    def time(self) -> int:
-        return self._time
 
     @property
     def score(self) -> float:
@@ -335,99 +410,57 @@ class CusumDetector:
         return None
 
 
-class MixtureShiryaev:
+class _OddsMixture(_PosteriorOdds):
+    """Posterior-odds mixture whose statistic is the weighted odds ``sum_k w_k R_k``."""
+
+    _display = staticmethod(_safe_exp)
+
+    def __init__(self, period: int, rho: float, threshold: float, weights,
+                 reset_on_alarm: bool, start_time: int):
+        if not (0.0 < rho < 1.0):
+            raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        self.threshold = float(threshold)
+        log_threshold = math.log(self.threshold) if self.threshold > 0.0 else _NEG_INF
+        super().__init__(period, rho, [math.log(w) for w in weights], [log_threshold] * period,
+                         reset_on_alarm, start_time)
+
+    @property
+    def statistic(self) -> float:
+        return _safe_exp(self._log_stat(self._log_odds))
+
+
+class MixtureShiryaev(_OddsMixture):
     """Weighted mixture of posterior-odds recursions over candidate changed-slot subsets.
 
     The reported statistic is the mixture of per-candidate posterior odds; it
     equals the prior-weighted double sum over change times and candidates of
     likelihood-ratio products, but is computed with one recursion per
     candidate.  A geometric prior is required for that recursion to be exact;
-    tabulated priors are not supported.  When a component's odds overflow the
-    statistic is reported as ``inf`` and the alarm is forced.
+    tabulated priors are not supported.  The alarm compares log odds with the
+    log threshold, so it still fires when the odds overflow; the reported
+    statistic is then ``inf``.
     """
 
     def __init__(self, family: MultislotFamily, rho: float, threshold: float,
                  *, reset_on_alarm: bool = False, start_time: int = 0):
-        if not (0.0 < rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {rho}")
         self.family = family
-        self.rho = float(rho)
-        self.threshold = float(threshold)
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.start_time = int(start_time)
-        self.period = family.period
         pre = family.base_pre
-        self._tables = []
-        for s in family.candidates:
-            num = tuple(family.base_post.slots[i] if i in s else pre.slots[i] for i in range(self.period))
-            self._tables.append(_SlotLlr(num, pre.slots))
-        self._weights = list(family.weights)
-        self._ln_rho = math.log(rho)
-        self._ln_1m_rho = math.log1p(-rho)
-        self._log_odds = [_NEG_INF] * len(self._tables)
-        self._time = self.start_time
+        self._tables = [
+            _SlotLlr(tuple(family.base_post.slots[i] if i in s else pre.slots[i]
+                           for i in range(family.period)), pre.slots)
+            for s in family.candidates
+        ]
+        super().__init__(family.period, rho, threshold, family.weights, reset_on_alarm, start_time)
 
-    def fresh(self, start_time: int | None = None) -> "MixtureShiryaev":
-        return MixtureShiryaev(
-            self.family, self.rho, self.threshold,
-            reset_on_alarm=self.reset_on_alarm,
-            start_time=self.start_time if start_time is None else start_time,
-        )
+    def _step_scores(self, slot: int, x) -> list[float]:
+        return [t.value(slot, x) for t in self._tables]
 
-    def reset(self) -> None:
-        self._log_odds = [_NEG_INF] * len(self._tables)
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def statistic(self) -> float:
-        return math.fsum(w * _safe_exp(lo) for w, lo in zip(self._weights, self._log_odds))
-
-    def _advance(self, zs) -> None:
-        ln_rho = self._ln_rho
-        ln_1m_rho = self._ln_1m_rho
-        los = self._log_odds
-        for j, zj in enumerate(zs):
-            lo = los[j]
-            if lo == _NEG_INF:
-                lt = ln_rho - ln_1m_rho
-            else:
-                m = lo if lo > ln_rho else ln_rho
-                lt = m + math.log(math.exp(lo - m) + math.exp(ln_rho - m)) - ln_1m_rho
-            los[j] = lt + zj
-
-    def step(self, x: float) -> StepResult:
-        slot = self._time % self.period
-        self._advance([t.value(slot, x) for t in self._tables])
-        self._time += 1
-        stat = self.statistic
-        alarm = stat > self.threshold
-        result = StepResult(time_index=self._time, statistic=stat, alarm=alarm)
-        if alarm and self.reset_on_alarm:
-            self.reset()
-        return result
-
-    def run_to_alarm(self, xs) -> StepResult | None:
+    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return None
-        start_slot = self._time % self.period
-        z = np.stack([t.profile(xs, start_slot) for t in self._tables], axis=1)
-        for row in z:
-            self._advance(row.tolist())
-            self._time += 1
-            stat = self.statistic
-            if stat > self.threshold:
-                result = StepResult(time_index=self._time, statistic=stat, alarm=True)
-                if self.reset_on_alarm:
-                    self.reset()
-                return result
-        return None
+        return np.stack([t.profile(xs, start_slot) for t in self._tables], axis=1)
 
 
-class MultistreamMixture:
+class MultistreamMixture(_OddsMixture):
     """Mixture rule over candidate changed-stream subsets.
 
     Each observation is a vector with one entry per stream; a candidate's
@@ -436,96 +469,30 @@ class MultistreamMixture:
 
     def __init__(self, config: MultistreamConfig, rho: float, threshold: float,
                  *, reset_on_alarm: bool = False, start_time: int = 0):
-        if not (0.0 < rho < 1.0):
-            raise ValueError(f"rho must lie in (0, 1), got {rho}")
         self.config = config
-        self.rho = float(rho)
-        self.threshold = float(threshold)
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.start_time = int(start_time)
-        self.period = config.period
         self.num_streams = config.num_streams
         self._stream_tables = [_SlotLlr(post.slots, pre.slots) for pre, post in config.streams]
         self._members = [sorted(b) for b in config.candidates]
-        self._weights = list(config.weights)
-        self._ln_rho = math.log(rho)
-        self._ln_1m_rho = math.log1p(-rho)
-        self._log_odds = [_NEG_INF] * len(self._members)
-        self._time = self.start_time
+        super().__init__(config.period, rho, threshold, config.weights, reset_on_alarm, start_time)
 
-    def fresh(self, start_time: int | None = None) -> "MultistreamMixture":
-        return MultistreamMixture(
-            self.config, self.rho, self.threshold,
-            reset_on_alarm=self.reset_on_alarm,
-            start_time=self.start_time if start_time is None else start_time,
-        )
-
-    def reset(self) -> None:
-        self._log_odds = [_NEG_INF] * len(self._members)
-
-    @property
-    def time(self) -> int:
-        return self._time
-
-    @property
-    def statistic(self) -> float:
-        return math.fsum(w * _safe_exp(lo) for w, lo in zip(self._weights, self._log_odds))
-
-    def _advance(self, zs) -> None:
-        ln_rho = self._ln_rho
-        ln_1m_rho = self._ln_1m_rho
-        los = self._log_odds
-        for j, zj in enumerate(zs):
-            lo = los[j]
-            if lo == _NEG_INF:
-                lt = ln_rho - ln_1m_rho
-            else:
-                m = lo if lo > ln_rho else ln_rho
-                lt = m + math.log(math.exp(lo - m) + math.exp(ln_rho - m)) - ln_1m_rho
-            los[j] = lt + zj
-
-    def _scores(self, slot: int, x_vec) -> list[float]:
-        per_stream = [self._stream_tables[i].value(slot, x_vec[i]) for i in range(self.num_streams)]
-        return [math.fsum(per_stream[i] for i in members) for members in self._members]
-
-    def step(self, x_vec) -> StepResult:
+    def _step_scores(self, slot: int, x_vec) -> list[float]:
         x_vec = np.asarray(x_vec, dtype=float).reshape(-1)
         if x_vec.size != self.num_streams:
             raise ValueError(f"expected {self.num_streams} per-stream observations, got {x_vec.size}")
-        slot = self._time % self.period
-        self._advance(self._scores(slot, x_vec))
-        self._time += 1
-        stat = self.statistic
-        alarm = stat > self.threshold
-        result = StepResult(time_index=self._time, statistic=stat, alarm=alarm)
-        if alarm and self.reset_on_alarm:
-            self.reset()
-        return result
+        per_stream = [t.value(slot, x) for t, x in zip(self._stream_tables, x_vec)]
+        return [math.fsum(per_stream[i] for i in members) for members in self._members]
 
-    def run_to_alarm(self, xs) -> StepResult | None:
+    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.num_streams:
             raise ValueError(f"expected an (n, {self.num_streams}) observation matrix")
-        if xs.shape[0] == 0:
-            return None
-        start_slot = self._time % self.period
         per_stream = np.stack(
             [t.profile(xs[:, i], start_slot) for i, t in enumerate(self._stream_tables)], axis=1
         )
-        z = np.stack([per_stream[:, members].sum(axis=1) for members in self._members], axis=1)
-        for row in z:
-            self._advance(row.tolist())
-            self._time += 1
-            stat = self.statistic
-            if stat > self.threshold:
-                result = StepResult(time_index=self._time, statistic=stat, alarm=True)
-                if self.reset_on_alarm:
-                    self.reset()
-                return result
-        return None
+        return np.stack([per_stream[:, members].sum(axis=1) for members in self._members], axis=1)
 
 
-class ClassifierBankDetector:
+class ClassifierBankDetector(_Detector):
     """Joint detection and isolation against a bank of candidate post-change laws.
 
     For each class ``l`` the statistic is the best window of the running
@@ -544,9 +511,7 @@ class ClassifierBankDetector:
         self.bank = bank
         self.threshold = float(threshold)
         self.window = window
-        self.reset_on_alarm = bool(reset_on_alarm)
-        self.start_time = int(start_time)
-        self.period = bank.period
+        period = bank.period
         m = bank.num_classes
         active = bank.active_slots
         self._pairs: list[tuple[int, int]] = []
@@ -557,7 +522,7 @@ class ClassifierBankDetector:
                     continue
                 num = tuple(
                     bank.laws[ell].slots[i] if (active is None or i in active) else bank.laws[mm].slots[i]
-                    for i in range(self.period)
+                    for i in range(period)
                 )
                 self._pairs.append((ell, mm))
                 self._tables.append(_SlotLlr(num, bank.laws[mm].slots))
@@ -565,26 +530,12 @@ class ClassifierBankDetector:
             [p for p, (ell, _) in enumerate(self._pairs) if ell == label] for label in range(m + 1)
         ]
         self.num_classes = m
-        self._sums = [0.0] * len(self._pairs)
-        self._history: list[tuple[float, ...]] = [tuple(self._sums)]
-        self._last_stats = [_NEG_INF] * (m + 1)
-        self._time = self.start_time
-
-    def fresh(self, start_time: int | None = None) -> "ClassifierBankDetector":
-        return ClassifierBankDetector(
-            self.bank, self.threshold, window=self.window,
-            reset_on_alarm=self.reset_on_alarm,
-            start_time=self.start_time if start_time is None else start_time,
-        )
+        super().__init__(period, reset_on_alarm, start_time)
 
     def reset(self) -> None:
         self._sums = [0.0] * len(self._pairs)
         self._history = [tuple(self._sums)]
         self._last_stats = [_NEG_INF] * (self.num_classes + 1)
-
-    @property
-    def time(self) -> int:
-        return self._time
 
     def class_statistics(self) -> list[float]:
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
@@ -654,7 +605,14 @@ def run(detector, observations, stop_on_alarm: bool = False) -> list[StepResult]
 
 
 def write_trajectory_csv(path, trajectory: list[StepResult], observations, period: int) -> None:
-    """Dump a trajectory as CSV: time_index, slot, observation, statistic, alarm, decided_class."""
+    """Dump a trajectory as CSV: time_index, slot, observation, statistic, alarm, decided_class.
+
+    ``observations`` must hold exactly one entry per trajectory row; a length
+    mismatch raises ``ValueError`` before the file is opened.
+    """
+    if len(trajectory) != len(observations):
+        raise ValueError(f"trajectory has {len(trajectory)} rows but {len(observations)} "
+                         "observations were given")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time_index", "slot", "observation", "statistic", "alarm", "decided_class"])

@@ -305,7 +305,8 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     Only the event {alarm before nu} matters, and it is decided by pre-change
     data alone, so each trial simulates at most ``min(nu - 1, horizon)``
     baseline samples.  Trials whose change point lies beyond the horizon with
-    no alarm by then are undecidable and counted as censored.
+    no alarm by then are undecidable and counted as censored; they count as
+    "no false alarm", so with any censoring the estimate is a lower bound.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -316,7 +317,7 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     return MonteCarloReport(
         metric="pfa", trials=trials, estimate=est, std_error=_binomial_se(est, trials),
         censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
-        details={"alarm_trials": int(fa.sum())},
+        details={"alarm_trials": int(fa.sum()), "lower_bound_when_censored": bool(censored.any())},
     )
 
 

@@ -97,6 +97,22 @@ class TestSimulateAndDetect:
         assert payload["error"] == "ValueError"
         assert "line 3" in payload["message"]
 
+    def test_count_off_the_poisson_support_fails_detect(self, tmp_path, capsys):
+        pre_path, post_path = tmp_path / "pre.json", tmp_path / "post.json"
+        pre_path.write_text(json.dumps({"period": 1, "slots": [{"type": "poisson", "rate": 2.0}]}))
+        post_path.write_text(json.dumps({"period": 1, "slots": [{"type": "poisson", "rate": 4.0}]}))
+        obs_path = tmp_path / "counts.csv"
+        obs_path.write_text("time,value\n1,3\n2,-1\n3,2\n")
+        out = tmp_path / "summary.json"
+        code, _, err = run_cli(
+            ["detect", "--detector", "cusum", "--model", pre_path, "--model2", post_path,
+             "--beta", "100", "--input", obs_path, "--out", out], capsys)
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "Poisson support" in payload["message"]
+        assert not out.exists()
+
 
 class TestEvaluate:
     def make_scenario(self, tmp_path, models, metric, extra=None):
@@ -304,6 +320,13 @@ class TestObservationCsv:
         path = tmp_path / "obs.csv"
         write_observations_csv(path, obs)
         np.testing.assert_array_equal(read_observations_csv(path), obs)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "obs.csv"
+        path.write_text(f"time,value\n1,0.5\n2,1.0\n3,{value}\n")
+        with pytest.raises(ValueError, match="line 4: observation values must be finite"):
+            read_observations_csv(path)
 
     def test_module_entry_point(self, tmp_path, models):
         pre_path, post_path = models

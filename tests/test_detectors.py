@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodetect.densities import Gaussian, llr
+from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.detectors import (
+    _SCAN_CHUNK,
     ClassifierBankDetector,
     CusumDetector,
     MixtureShiryaev,
@@ -544,3 +545,157 @@ class TestRunDriver:
         assert lines[0] == "time_index,slot,observation,statistic,alarm,decided_class"
         assert len(lines) == 4
         assert lines[1].startswith("1,0,0.1,")
+
+    def test_trajectory_csv_rejects_length_mismatch(self, tmp_path):
+        pre, post = gaussian_law([0.0]), gaussian_law([1.0])
+        xs = [0.1, 2.0, -0.3]
+        traj = run(CusumDetector(pre, post, 1.0), xs)
+        path = tmp_path / "traj.csv"
+        for observations in (xs[:2], xs + [0.4]):
+            with pytest.raises(ValueError, match="3 rows"):
+                write_trajectory_csv(path, traj, observations, period=1)
+        assert not path.exists()
+
+
+# Posterior-odds detectors built on one three-slot model, so one stream drives all three.
+ODDS_PRE = gaussian_law([0.0, 0.4, -0.3])
+ODDS_POST = gaussian_law([0.8, 1.0, 0.5])
+ODDS_FAMILY = MultislotFamily(3, ODDS_PRE, ODDS_POST,
+                              (frozenset({0}), frozenset({1, 2}), frozenset({0, 1, 2})),
+                              (0.5, 0.3, 0.2))
+ODDS_STREAMS = MultistreamConfig(
+    streams=((ODDS_PRE, ODDS_POST), (gaussian_law([0.1, -0.2, 0.0]), gaussian_law([1.2, 0.8, 0.9]))),
+    candidates=(frozenset({0}), frozenset({1}), frozenset({0, 1})),
+    weights=(0.25, 0.25, 0.5),
+)
+ODDS_DETECTORS = {
+    "shiryaev": lambda **kw: ShiryaevDetector(ODDS_PRE, ODDS_POST, 0.02,
+                                              PeriodicThresholds((0.9, 0.97, 0.95)), **kw),
+    "mixture": lambda **kw: MixtureShiryaev(ODDS_FAMILY, 0.02, 20.0, **kw),
+    "multistream": lambda **kw: MultistreamMixture(ODDS_STREAMS, 0.02, 20.0, **kw),
+}
+
+
+def odds_stream(kind, n, seed, shift=0.1):
+    """Pre-change slot means plus ``shift`` and unit noise; at 0.1 alarms come and go."""
+    means = np.array([d.mean for d in ODDS_PRE.slots])[np.arange(n) % 3, None] + shift
+    xs = means + np.random.default_rng(seed).standard_normal((n, 2))
+    return xs if kind == "multistream" else xs[:, 0]
+
+
+def batch_alarms(det, xs):
+    """Every alarm ``run_to_alarm`` raises when called again after each alarm."""
+    start, alarms = det.time, []
+    while det.time - start < len(xs):
+        hit = det.run_to_alarm(xs[det.time - start:])
+        if hit is None:
+            break
+        alarms.append(hit)
+    return alarms
+
+
+def displayed(det):
+    return det.belief if isinstance(det, ShiryaevDetector) else det.statistic
+
+
+class TestPosteriorOddsCore:
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("kind", sorted(ODDS_DETECTORS))
+    def test_batch_scan_matches_stepwise_run(self, kind, reset_on_alarm):
+        # a carry-in state from earlier steps, then a stream spanning several scan chunks
+        warmup = odds_stream(kind, 18, seed=1)
+        xs = odds_stream(kind, 2 * _SCAN_CHUNK + 123, seed=2)
+        batch = ODDS_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
+        stepped = ODDS_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
+        run(batch, warmup)
+        run(stepped, warmup)
+        got = batch_alarms(batch, xs)
+        want = [r for r in run(stepped, xs) if r.alarm]
+        assert len(want) > 10
+        assert [r.time_index for r in got] == [r.time_index for r in want]
+        np.testing.assert_allclose([r.statistic for r in got], [r.statistic for r in want],
+                                   rtol=1e-9)
+        assert batch.time == stepped.time
+        assert displayed(batch) == pytest.approx(displayed(stepped), rel=1e-9)
+
+    def test_long_stream_log_odds_track_scalar_update(self):
+        # about 50 nats of evidence per sample: over 10^6 samples an unblocked
+        # cumulative sum reaches 5e7, where its rounding alone exceeds 1e-9
+        pre, post = gaussian_law([0.0, 0.4, -0.3], 0.0025), gaussian_law([0.5, 0.9, 0.2], 0.0025)
+        n = 10**6
+        xs = np.array([0.0, 0.4, -0.3])[np.arange(n) % 3] \
+            + 0.05 * np.random.default_rng(3).standard_normal(n)
+        stepped = ShiryaevDetector(pre, post, 0.01, 1.0)
+        chunk_ends = []
+        for lo in range(0, n, _SCAN_CHUNK):
+            for x in xs[lo:lo + _SCAN_CHUNK].tolist():
+                stepped.step(x)
+            chunk_ends.append(stepped._log_odds[0])
+        # fed one chunk per call, so every chunk end is observable
+        chunked = ShiryaevDetector(pre, post, 0.01, 1.0)
+        for lo, want in zip(range(0, n, _SCAN_CHUNK), chunk_ends):
+            assert chunked.run_to_alarm(xs[lo:lo + _SCAN_CHUNK]) is None
+            assert abs(chunked._log_odds[0] - want) <= 1e-9
+        # fed whole, so the chunking inside one call carries the state
+        whole = ShiryaevDetector(pre, post, 0.01, 1.0)
+        assert whole.run_to_alarm(xs) is None
+        assert whole.time == stepped.time == n
+        assert abs(whole._log_odds[0] - chunk_ends[-1]) <= 1e-9
+
+
+FIVE_DETECTORS = {
+    **ODDS_DETECTORS,
+    "cusum": lambda **kw: CusumDetector(ODDS_PRE, ODDS_POST, 3.0, **kw),
+    "classifier": lambda **kw: ClassifierBankDetector(
+        ClassBank(3, (ODDS_PRE, ODDS_POST, gaussian_law([-0.8, -0.4, -1.1]))), 3.0, window=20, **kw),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIVE_DETECTORS))
+def test_fresh_copy_behaves_like_new_detector(kind):
+    make = FIVE_DETECTORS[kind]
+    head, body, tail = (odds_stream(kind, n, seed) for n, seed in ((25, 4), (60, 5), (40, 6)))
+    proto, twin = make(reset_on_alarm=True), make(reset_on_alarm=True)
+    run(proto, head)
+    run(twin, head)
+    for start_time in (None, 7):
+        copy = proto.fresh() if start_time is None else proto.fresh(start_time=start_time)
+        new = make(reset_on_alarm=True, start_time=start_time or 0)
+        assert copy.time == new.time
+        assert run(copy, body) == run(new, body)
+    # running the copies left the prototype where it was
+    assert proto.time == twin.time
+    assert run(proto, tail) == run(twin, tail)
+
+
+POISSON_PRE = IpidLaw(2, (Poisson(2.0), Poisson(3.0)))
+POISSON_POST = IpidLaw(2, (Poisson(4.0), Poisson(5.0)))
+POISSON_DETECTORS = {
+    "shiryaev": lambda: ShiryaevDetector(POISSON_PRE, POISSON_POST, 0.05, 0.99),
+    "cusum": lambda: CusumDetector(POISSON_PRE, POISSON_POST, 5.0),
+    "mixture": lambda: MixtureShiryaev(
+        MultislotFamily(2, POISSON_PRE, POISSON_POST, (frozenset({0}), frozenset({1})), (0.5, 0.5)),
+        0.05, 100.0),
+    "multistream": lambda: MultistreamMixture(
+        MultistreamConfig(((POISSON_PRE, POISSON_POST), (POISSON_PRE, POISSON_POST)),
+                          (frozenset({0}), frozenset({1})), (0.5, 0.5)),
+        0.05, 100.0),
+    "classifier": lambda: ClassifierBankDetector(
+        ClassBank(2, (POISSON_PRE, POISSON_POST, IpidLaw(2, (Poisson(0.5), Poisson(1.0))))), 5.0),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, 1.5])
+@pytest.mark.parametrize("kind", sorted(POISSON_DETECTORS))
+def test_poisson_slots_reject_observations_off_the_support(kind, bad):
+    def obs(value):
+        return (3.0, value) if kind == "multistream" else value
+
+    with pytest.raises(ValueError, match="Poisson support"):
+        POISSON_DETECTORS[kind]().step(obs(bad))
+    # the bad count follows two valid ones
+    xs = np.array([obs(2.0), obs(0.0), obs(bad)])
+    with pytest.raises(ValueError, match="Poisson support"):
+        POISSON_DETECTORS[kind]().run_to_alarm(xs)
+    det = POISSON_DETECTORS[kind]()
+    assert not det.step(obs(3.0)).alarm

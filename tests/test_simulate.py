@@ -155,6 +155,13 @@ class TestEstimatePfa:
         det = ShiryaevDetector(PRE, POST, 0.001, 1.0)
         rep = estimate_pfa(det, PRE, GeometricPrior(0.001), 200, 10, master_seed=23)
         assert rep.censored_trials > 0
+        assert rep.details["lower_bound_when_censored"]
+
+    def test_uncensored_estimate_is_not_flagged_as_bound(self):
+        det = ShiryaevDetector(PRE, POST, 0.3, 0.0)
+        rep = estimate_pfa(det, PRE, GeometricPrior(0.3), 200, 50, master_seed=21)
+        assert rep.censored_trials == 0
+        assert rep.details["lower_bound_when_censored"] is False
 
     def test_workers_do_not_change_the_report(self):
         det = ShiryaevDetector(PRE, POST, 0.05, 0.95)
