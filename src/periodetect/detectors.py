@@ -28,6 +28,11 @@ Statistics and post-alarm behavior:
   log-likelihood-ratio sums ``C_lm`` and, per class ``l``, the statistic
   ``max_k min_{m != l} (C_lm(n) - C_lm(k-1))`` over window start points; it
   alarms and names a class when any such statistic reaches the threshold.
+  The checkpoints ``C(k-1)`` form one numpy matrix, and ``step`` and
+  ``run_to_alarm`` evaluate the statistic with one blocked scan over it.
+
+Every ``run_to_alarm`` scores its whole input before it changes any state, so
+an invalid observation raises and leaves the detector as it was.
 
 The first three share one posterior-odds core: per component ``k`` the odds
 follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +58,23 @@ from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, Perio
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Rows per block of the batch posterior-odds scan.  Cumulative sums restart at
+# Observations per block of the batch posterior-odds scan.  Cumulative sums restart at
 # each block, so their magnitude, and with it the cancellation error of the
 # closed form, stays bounded on arbitrarily long streams.
 _SCAN_CHUNK = 4096
 
+# Observations scored per piece by _SlotLlr.profile, which tiles its tables to
+# this length (plus one period) once, at construction.
+_PROFILE_RUN = 1024
 
-@dataclass(frozen=True)
-class StepResult:
+# Observations in the first block of the classifier scan, which doubles from there:
+# typical runs alarm within a few dozen samples.  Each block's difference
+# tensor is capped at _BLOCK_ELEMENTS float64 entries (1 MiB).
+_FIRST_BLOCK = 64
+_BLOCK_ELEMENTS = 1 << 17
+
+
+class StepResult(NamedTuple):
     """One detector transition: statistic after the update plus the decision."""
 
     time_index: int
@@ -105,77 +119,95 @@ def _logaddexp(x: float, y: float) -> float:
 
 
 class _SlotLlr:
-    """Per-slot log-likelihood-ratio evaluators for a (numerator, denominator) law pair.
+    """Per-slot log-likelihood-ratio tables for K (numerator, denominator) law pairs.
 
-    Within-family slot pairs reduce to ``c0 + c1 x + c2 x^2`` (Poisson factorials
-    cancel), which both the scalar and the vectorized paths exploit; mixed-family
-    slots fall back to direct log-density differences.  Poisson-Poisson slots
-    reject observations outside the nonnegative integers, as the densities do.
+    ``pairs`` holds K pairs of slot vectors; row ``k`` scores
+    ``log g_k(x) - log f_k(x)``.  Within-family slot pairs reduce to
+    ``c0 + c1 x + c2 x^2`` (Poisson factorials cancel), which both the scalar
+    and the vectorized paths exploit; mixed-family slots fall back to direct
+    log-density differences.  A slot where any row pairs two Poisson laws
+    rejects observations outside the nonnegative integers, as the densities do.
     """
 
-    def __init__(self, num_slots, den_slots):
-        if len(num_slots) != len(den_slots):
+    def __init__(self, pairs):
+        self._pairs = [(tuple(num), tuple(den)) for num, den in pairs]
+        self.period = len(self._pairs[0][0])
+        if any(len(num) != self.period or len(den) != self.period for num, den in self._pairs):
             raise ValueError("slot vectors must have equal length")
-        self.period = len(num_slots)
-        self._num = tuple(num_slots)
-        self._den = tuple(den_slots)
-        c0 = np.zeros(self.period)
-        c1 = np.zeros(self.period)
-        c2 = np.zeros(self.period)
-        poly = np.ones(self.period, dtype=bool)
-        count = np.zeros(self.period, dtype=bool)
-        for i, (g, f) in enumerate(zip(num_slots, den_slots)):
-            if isinstance(g, Gaussian) and isinstance(f, Gaussian):
-                c0[i] = 0.5 * (math.log(f.variance / g.variance)
-                               + f.mean * f.mean / f.variance - g.mean * g.mean / g.variance)
-                c1[i] = g.mean / g.variance - f.mean / f.variance
-                c2[i] = 0.5 * (1.0 / f.variance - 1.0 / g.variance)
-            elif isinstance(g, Poisson) and isinstance(f, Poisson):
-                c0[i] = f.rate - g.rate
-                c1[i] = math.log(g.rate / f.rate)
-                count[i] = True
-            else:
-                poly[i] = False
-        self._c0 = c0
-        self._c1 = c1
-        self._c2 = c2
-        self._poly = poly
-        self._count = count
-        self._all_poly = bool(poly.all())
+        shape = (len(self._pairs), self.period)
+        c0, c1, c2 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        count = np.zeros(shape, dtype=bool)
+        self._fallback = []  # (row, slot) cells scored by the densities themselves
+        for k, (num, den) in enumerate(self._pairs):
+            for i, (g, f) in enumerate(zip(num, den)):
+                if isinstance(g, Gaussian) and isinstance(f, Gaussian):
+                    c0[k, i] = 0.5 * (math.log(f.variance / g.variance)
+                                      + f.mean * f.mean / f.variance - g.mean * g.mean / g.variance)
+                    c1[k, i] = g.mean / g.variance - f.mean / f.variance
+                    c2[k, i] = 0.5 * (1.0 / f.variance - 1.0 / g.variance)
+                elif isinstance(g, Poisson) and isinstance(f, Poisson):
+                    c0[k, i] = f.rate - g.rate
+                    c1[k, i] = math.log(g.rate / f.rate)
+                    count[k, i] = True
+                else:
+                    self._fallback.append((k, i))
+        # the tables tiled so that any slot can start a run of _PROFILE_RUN observations
+        reps = -(-(_PROFILE_RUN + self.period) // self.period)
+        self._runs = [np.tile(c, reps) for c in (c0, c1, c2)]
+        count = count.any(axis=0)
         self._any_count = bool(count.any())
-        self._c0l = c0.tolist()
-        self._c1l = c1.tolist()
-        self._c2l = c2.tolist()
-        self._polyl = poly.tolist()
+        self._count_run = np.tile(count, reps)
         self._countl = count.tolist()
+        # per slot, the (c0, c1, c2) of every row (zeros where the row falls back)
+        self._coef = [list(zip(c0[:, i].tolist(), c1[:, i].tolist(), c2[:, i].tolist()))
+                      for i in range(self.period)]
 
-    def value(self, slot: int, x: float) -> float:
-        if self._polyl[slot]:
-            x = float(x)
-            if not math.isfinite(x):
-                raise ValueError(f"observation must be finite, got {x}")
-            if self._countl[slot] and (x < 0.0 or not x.is_integer()):
-                raise ValueError(f"Poisson support is the nonnegative integers, got {x}")
-            return self._c0l[slot] + x * (self._c1l[slot] + x * self._c2l[slot])
-        return llr(self._num[slot], self._den[slot], x)
+    def values(self, slot: int, x) -> list[float]:
+        """The K scores of one observation that sits in ``slot``."""
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"observation must be finite, got {x}")
+        if self._countl[slot] and (x < 0.0 or not x.is_integer()):
+            raise ValueError(f"Poisson support is the nonnegative integers, got {x}")
+        scores = [c0 + x * (c1 + x * c2) for c0, c1, c2 in self._coef[slot]]
+        for k, i in self._fallback:
+            if i == slot:
+                num, den = self._pairs[k]
+                scores[k] = llr(num[i], den[i], x)
+        return scores
 
     def profile(self, xs: np.ndarray, start_slot: int) -> np.ndarray:
-        """Scores for a run of observations whose first element sits in ``start_slot``."""
+        """``(K, n)`` scores of a run of observations whose first element sits in ``start_slot``.
+
+        Each row is contiguous, so a scan reads one component at a time.  Pieces
+        of up to ``_PROFILE_RUN`` observations are scored from contiguous slices
+        of the tiled tables, with no gather by slot.
+        """
         xs = np.asarray(xs, dtype=float)
-        if xs.size and not np.all(np.isfinite(xs)):
+        if not np.isfinite(xs).all():
             raise ValueError("observations must be finite")
-        slots = (start_slot + np.arange(xs.size)) % self.period
-        if self._any_count:
-            outside = self._count[slots] & ((xs < 0.0) | (xs != np.floor(xs)))
-            if outside.any():
-                raise ValueError(
-                    f"Poisson support is the nonnegative integers, got {xs[outside][0]}")
-        z = self._c0[slots] + xs * (self._c1[slots] + xs * self._c2[slots])
-        if not self._all_poly:
-            bad = ~self._poly[slots]
-            for j in np.nonzero(bad)[0]:
-                s = int(slots[j])
-                z[j] = llr(self._num[s], self._den[s], float(xs[j]))
+        z = np.empty((len(self._pairs), xs.size))
+        c0, c1, c2 = self._runs
+        for lo in range(0, xs.size, _PROFILE_RUN):
+            x = xs[lo:lo + _PROFILE_RUN]
+            a = (start_slot + lo) % self.period
+            b = a + x.size
+            if self._any_count:
+                outside = self._count_run[a:b] & ((x < 0.0) | (x != np.floor(x)))
+                if outside.any():
+                    raise ValueError(
+                        f"Poisson support is the nonnegative integers, got {x[outside][0]}")
+            w = z[:, lo:lo + x.size]
+            # c0 + x (c1 + x c2), in place: the same operations as the scalar path
+            np.multiply(x, c2[:, a:b], out=w)
+            w += c1[:, a:b]
+            w *= x
+            w += c0[:, a:b]
+        for k, i in self._fallback:
+            num, den = self._pairs[k]
+            first = (i - start_slot) % self.period
+            z[k, first::self.period] = [llr(num[i], den[i], x)
+                                        for x in xs[first::self.period].tolist()]
         return z
 
 
@@ -234,7 +266,7 @@ class _PosteriorOdds(_Detector):
     statistic is ``logsumexp_k(ln w_k + L_k)`` and the rule alarms when it
     reaches the log threshold of the observation's slot.  Subclasses supply
     the scores (``_step_scores`` for one observation, ``_score_matrix`` for an
-    ``(n, K)`` block) and ``_display``, which maps the log statistic to the
+    ``(K, n)`` block) and ``_display``, which maps the log statistic to the
     reported statistic.
     """
 
@@ -280,27 +312,29 @@ class _PosteriorOdds(_Detector):
     def run_to_alarm(self, xs) -> StepResult | None:
         """Consume observations until the first alarm; return it, or None if none fires.
 
-        Each block of rows is scanned in closed form: with ``S_0 = 0`` and
+        Each block of observations is scanned in closed form: with ``S_0 = 0`` and
         ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
         ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``.
         """
         z = self._score_matrix(xs, self._time % self.period)
-        for start in range(0, z.shape[0], _SCAN_CHUNK):
-            s = np.cumsum(z[start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=0)
+        for start in range(0, z.shape[1], _SCAN_CHUNK):
+            s = np.cumsum(z[:, start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=1)
             entry = self._ln_rho - s
-            entry[1:] = entry[:-1]
-            entry[0] = np.logaddexp(self._log_odds, self._ln_rho)
-            log_odds = s + np.logaddexp.accumulate(entry, axis=0)
-            if log_odds.shape[1] == 1:
-                log_stat = log_odds[:, 0] + self._log_weights[0]
+            entry[:, 1:] = entry[:, :-1]
+            entry[:, 0] = np.logaddexp(self._log_odds, self._ln_rho)
+            log_odds = s + np.logaddexp.accumulate(entry, axis=1)
+            if log_odds.shape[0] == 1:
+                log_stat = log_odds[0] + self._log_weights[0]
             else:
-                log_stat = np.logaddexp.reduce(log_odds + self._log_weights, axis=1)
+                # components in order, each row contiguous
+                log_stat = np.logaddexp.reduce(
+                    log_odds + np.reshape(self._log_weights, (-1, 1)), axis=0)
             offset = self._time % self.period
             crossed = log_stat >= self._log_threshold_run[offset:offset + len(log_stat)]
             k = int(crossed.argmax())  # the first alarm, or 0 when there is none
             if not crossed[k]:
                 k = len(log_stat) - 1
-            self._log_odds = log_odds[k].tolist()
+            self._log_odds = log_odds[:, k].tolist()
             self._time += k + 1
             if crossed[k]:
                 return self._decide(float(log_stat[k]))
@@ -328,7 +362,7 @@ class ShiryaevDetector(_PosteriorOdds):
         self.pre = pre
         self.post = post
         self.threshold = threshold
-        self._llr = _SlotLlr(post.slots, pre.slots)
+        self._llr = _SlotLlr([(post.slots, pre.slots)])
         super().__init__(pre.period, rho, [0.0], _threshold_logits(threshold, pre.period),
                          reset_on_alarm, start_time)
 
@@ -337,10 +371,10 @@ class ShiryaevDetector(_PosteriorOdds):
         return _expit(self._log_odds[0])
 
     def _step_scores(self, slot: int, x) -> list[float]:
-        return [self._llr.value(slot, x)]
+        return self._llr.values(slot, x)
 
     def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
-        return self._llr.profile(xs, start_slot)[:, None]
+        return self._llr.profile(xs, start_slot)
 
 
 def robust_shiryaev(pre: IpidLaw, least_favorable: IpidLaw, rho: float, threshold,
@@ -365,7 +399,7 @@ class CusumDetector(_Detector):
         self.baseline = baseline
         self.alternative = alternative
         self.threshold = float(threshold)
-        self._llr = _SlotLlr(alternative.slots, baseline.slots)
+        self._llr = _SlotLlr([(alternative.slots, baseline.slots)])
         super().__init__(baseline.period, reset_on_alarm, start_time)
 
     def reset(self) -> None:
@@ -376,7 +410,7 @@ class CusumDetector(_Detector):
         return self._score
 
     def step(self, x: float) -> StepResult:
-        z = self._llr.value(self._time % self.period, x)
+        z = self._llr.values(self._time % self.period, x)[0]
         self._time += 1
         score = (self._score if self._score > 0.0 else 0.0) + z
         self._score = score
@@ -392,7 +426,7 @@ class CusumDetector(_Detector):
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return None
-        z = self._llr.profile(xs, self._time % self.period)
+        z = self._llr.profile(xs, self._time % self.period)[0]
         s = np.concatenate(([0.0], np.cumsum(z)))
         floor = np.minimum(np.minimum.accumulate(s[:-1]), -max(self._score, 0.0))
         w = s[1:] - floor
@@ -445,19 +479,18 @@ class MixtureShiryaev(_OddsMixture):
                  *, reset_on_alarm: bool = False, start_time: int = 0):
         self.family = family
         pre = family.base_pre
-        self._tables = [
-            _SlotLlr(tuple(family.base_post.slots[i] if i in s else pre.slots[i]
-                           for i in range(family.period)), pre.slots)
+        self._llr = _SlotLlr([
+            ([family.base_post.slots[i] if i in s else pre.slots[i] for i in range(family.period)],
+             pre.slots)
             for s in family.candidates
-        ]
+        ])
         super().__init__(family.period, rho, threshold, family.weights, reset_on_alarm, start_time)
 
     def _step_scores(self, slot: int, x) -> list[float]:
-        return [t.value(slot, x) for t in self._tables]
+        return self._llr.values(slot, x)
 
     def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.stack([t.profile(xs, start_slot) for t in self._tables], axis=1)
+        return self._llr.profile(xs, start_slot)
 
 
 class MultistreamMixture(_OddsMixture):
@@ -471,7 +504,7 @@ class MultistreamMixture(_OddsMixture):
                  *, reset_on_alarm: bool = False, start_time: int = 0):
         self.config = config
         self.num_streams = config.num_streams
-        self._stream_tables = [_SlotLlr(post.slots, pre.slots) for pre, post in config.streams]
+        self._stream_tables = [_SlotLlr([(post.slots, pre.slots)]) for pre, post in config.streams]
         self._members = [sorted(b) for b in config.candidates]
         super().__init__(config.period, rho, threshold, config.weights, reset_on_alarm, start_time)
 
@@ -479,7 +512,7 @@ class MultistreamMixture(_OddsMixture):
         x_vec = np.asarray(x_vec, dtype=float).reshape(-1)
         if x_vec.size != self.num_streams:
             raise ValueError(f"expected {self.num_streams} per-stream observations, got {x_vec.size}")
-        per_stream = [t.value(slot, x) for t, x in zip(self._stream_tables, x_vec)]
+        per_stream = [t.values(slot, x)[0] for t, x in zip(self._stream_tables, x_vec)]
         return [math.fsum(per_stream[i] for i in members) for members in self._members]
 
     def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
@@ -487,9 +520,9 @@ class MultistreamMixture(_OddsMixture):
         if xs.ndim != 2 or xs.shape[1] != self.num_streams:
             raise ValueError(f"expected an (n, {self.num_streams}) observation matrix")
         per_stream = np.stack(
-            [t.profile(xs[:, i], start_slot) for i, t in enumerate(self._stream_tables)], axis=1
+            [t.profile(xs[:, i], start_slot)[0] for i, t in enumerate(self._stream_tables)], axis=1
         )
-        return np.stack([per_stream[:, members].sum(axis=1) for members in self._members], axis=1)
+        return np.stack([per_stream[:, members].sum(axis=1) for members in self._members])
 
 
 class ClassifierBankDetector(_Detector):
@@ -502,6 +535,11 @@ class ClassifierBankDetector(_Detector):
     keeps all history (the full test).  On alarm, among the classes whose
     statistic cleared the threshold, the one with the largest statistic is
     declared, ties going to the smallest class index.
+
+    The state is a ``(P, m)`` matrix of the last ``m`` checkpoints
+    ``C(k-1)``, one row per (class, rival) pair, whose last column is the
+    current sums ``C(n)``.  ``step`` and ``run_to_alarm`` both run one blocked
+    scan over a matrix of pair scores (see ``_advance``).
     """
 
     def __init__(self, bank: ClassBank, threshold: float, *, window: int | None = None,
@@ -511,83 +549,96 @@ class ClassifierBankDetector(_Detector):
         self.bank = bank
         self.threshold = float(threshold)
         self.window = window
+        # checkpoints a class statistic may start from
+        self._span = math.inf if window is None else window + 1
         period = bank.period
         m = bank.num_classes
         active = bank.active_slots
-        self._pairs: list[tuple[int, int]] = []
-        self._tables: list[_SlotLlr] = []
-        for ell in range(1, m + 1):
-            for mm in range(0, m + 1):
-                if mm == ell:
-                    continue
-                num = tuple(
-                    bank.laws[ell].slots[i] if (active is None or i in active) else bank.laws[mm].slots[i]
-                    for i in range(period)
-                )
-                self._pairs.append((ell, mm))
-                self._tables.append(_SlotLlr(num, bank.laws[mm].slots))
-        self._pairs_of = [
-            [p for p, (ell, _) in enumerate(self._pairs) if ell == label] for label in range(m + 1)
-        ]
+        # pairs (l, m) in class-major order, so each class owns a contiguous run of m rows
+        self._llr = _SlotLlr([
+            ([bank.laws[ell].slots[i] if (active is None or i in active) else bank.laws[mm].slots[i]
+              for i in range(period)],
+             bank.laws[mm].slots)
+            for ell in range(1, m + 1) for mm in range(m + 1) if mm != ell
+        ])
         self.num_classes = m
         super().__init__(period, reset_on_alarm, start_time)
 
     def reset(self) -> None:
-        self._sums = [0.0] * len(self._pairs)
-        self._history = [tuple(self._sums)]
-        self._last_stats = [_NEG_INF] * (self.num_classes + 1)
+        self._checkpoints = np.zeros((self.num_classes ** 2, 1))
+        self._stats = np.full(self.num_classes, _NEG_INF)
 
     def class_statistics(self) -> list[float]:
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
-        return list(self._last_stats)
+        return [_NEG_INF] + self._stats.tolist()
 
-    def _compute_stats(self) -> list[float]:
-        sums = self._sums
-        stats = [_NEG_INF] * (self.num_classes + 1)
-        for label in range(1, self.num_classes + 1):
-            pair_ids = self._pairs_of[label]
-            best = _NEG_INF
-            for checkpoint in self._history:
-                low = _POS_INF
-                for p in pair_ids:
-                    diff = sums[p] - checkpoint[p]
-                    if diff < low:
-                        low = diff
-                if low > best:
-                    best = low
-            stats[label] = best
-        return stats
+    def _advance(self, z: np.ndarray) -> StepResult:
+        """Consume the columns (observations) of a ``(P, n)`` score matrix up to the first alarm.
 
-    def step(self, x: float) -> StepResult:
-        slot = self._time % self.period
-        sums = self._sums
-        for p, table in enumerate(self._tables):
-            sums[p] += table.value(slot, x)
-        self._time += 1
-        stats = self._compute_stats()
-        self._last_stats = stats
-        self._history.append(tuple(sums))
-        if self.window is not None and len(self._history) > self.window + 1:
-            del self._history[0]
-        crossed = [label for label in range(1, self.num_classes + 1) if stats[label] >= self.threshold]
-        decided = None
-        if crossed:
-            best = max(stats[label] for label in crossed)
-            decided = min(label for label in crossed if stats[label] == best)
-        statistic = max(stats[1:])
-        result = StepResult(
-            time_index=self._time, statistic=statistic, alarm=bool(crossed), decided_class=decided
-        )
-        if crossed and self.reset_on_alarm:
+        Works in blocks of observations that start at ``_FIRST_BLOCK`` and
+        double, each capped so its ``(P, block, width)`` difference tensor holds
+        at most ``_BLOCK_ELEMENTS`` entries (or one observation, for a full
+        history longer than that).  In a block the running sums are a cumsum
+        whose first column is the carried-in sums, which reproduces sequential
+        addition exactly; the window of each observation is a strided view of
+        the checkpoints, padded in front with ``+inf`` (a start point that does
+        not exist yet, which never wins the max).  The state changes only here,
+        after every score is known.  Returns the result of the last observation
+        consumed.
+        """
+        m, n = self.num_classes, z.shape[1]
+        checkpoints, start, size = self._checkpoints, 0, _FIRST_BLOCK
+        while True:
+            held = checkpoints.shape[1]
+            cap = _BLOCK_ELEMENTS // (z.shape[0] * min(self._span, held + size))
+            block = min(size, n - start, max(1, cap))
+            width = min(self._span, held + block - 1)
+            # columns: width - held pads, the held checkpoints, then the new running sums;
+            # observation i's window is columns i .. i + width - 1, its sums column width + i
+            line = np.empty((z.shape[0], width + block))
+            if width > held:
+                line[:, :width - held] = _POS_INF
+            line[:, width - held:width] = checkpoints
+            line[:, width:] = z[:, start:start + block]
+            sums = line[:, width - 1:]
+            np.add.accumulate(sums, axis=1, out=sums)
+            # ufuncs and a strided view built directly: the np.cumsum, .max and
+            # as_strided wrappers cost microseconds per call, which step pays
+            windows = np.ndarray((z.shape[0], block, width), buffer=line,
+                                 strides=(line.strides[0], line.itemsize, line.itemsize))
+            diff = line[:, width:, None] - windows
+            lows = np.minimum.reduce(diff.reshape(m, m, -1), axis=1)  # rival minimum per class
+            stats = np.maximum.reduce(lows.reshape(m, block, width), axis=2)
+            crossed = np.maximum.reduce(stats, axis=0) >= self.threshold
+            k = int(crossed.argmax())  # the first alarm, or 0 when there is none
+            alarm = bool(crossed[k])
+            if not alarm:
+                k = block - 1
+            stop = width + k + 1
+            checkpoints = line[:, max(width - held, stop - self._span):stop]
+            start += k + 1
+            if alarm or start == n:
+                break
+            size *= 2
+        self._checkpoints = checkpoints.copy()
+        self._stats = stats[:, k].copy()
+        self._time += start
+        best = int(self._stats.argmax())  # ties go to the smallest class index
+        result = StepResult(self._time, self._stats[best].item(), alarm,
+                            best + 1 if alarm else None)
+        if alarm and self.reset_on_alarm:
             self.reset()
         return result
 
+    def step(self, x: float) -> StepResult:
+        return self._advance(np.array([self._llr.values(self._time % self.period, x)]).T)
+
     def run_to_alarm(self, xs) -> StepResult | None:
-        for x in np.asarray(xs, dtype=float):
-            result = self.step(float(x))
-            if result.alarm:
-                return result
-        return None
+        z = self._llr.profile(xs, self._time % self.period)
+        if z.shape[1] == 0:
+            return None
+        result = self._advance(z)
+        return result if result.alarm else None
 
 
 def run(detector, observations, stop_on_alarm: bool = False) -> list[StepResult]:

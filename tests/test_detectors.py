@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.detectors import (
+    _PROFILE_RUN,
     _SCAN_CHUNK,
     ClassifierBankDetector,
     CusumDetector,
     MixtureShiryaev,
     MultistreamMixture,
     ShiryaevDetector,
+    StepResult,
+    _SlotLlr,
     robust_shiryaev,
     run,
     write_trajectory_csv,
@@ -699,3 +702,205 @@ def test_poisson_slots_reject_observations_off_the_support(kind, bad):
         POISSON_DETECTORS[kind]().run_to_alarm(xs)
     det = POISSON_DETECTORS[kind]()
     assert not det.step(obs(3.0)).alarm
+
+
+def current_statistic(det):
+    if isinstance(det, ClassifierBankDetector):
+        return det.class_statistics()
+    return det.score if isinstance(det, CusumDetector) else displayed(det)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5])
+@pytest.mark.parametrize("kind", sorted(POISSON_DETECTORS))
+def test_rejected_batch_leaves_state_unchanged(kind, bad):
+    def obs(value):
+        return (3.0, value) if kind == "multistream" else value
+
+    det = POISSON_DETECTORS[kind]()
+    for x in (4.0, 6.0, 5.0):
+        det.step(obs(x))
+    time, statistic = det.time, current_statistic(det)
+    with pytest.raises(ValueError):
+        det.run_to_alarm(np.array([obs(2.0), obs(7.0), obs(bad)]))
+    assert det.time == time
+    assert current_statistic(det) == statistic
+
+
+def test_step_result_is_an_immutable_record():
+    result = StepResult(time_index=3, statistic=0.5, alarm=False)
+    assert result.decided_class is None
+    assert result == StepResult(3, 0.5, False, None)
+    assert result != StepResult(3, 0.5, True, None)
+    with pytest.raises(AttributeError):
+        result.alarm = True
+
+
+def test_profile_rows_equal_scalar_values():
+    # period 3; rows: two mostly Gaussian, one all Poisson, one mixed-family in every slot
+    den = (Gaussian(0.0, 1.0), Poisson(3.0), Gaussian(0.0, 1.0))
+    pairs = [
+        ((Gaussian(0.5, 1.0), Poisson(4.0), Gaussian(1.0, 2.0)), den),
+        ((Gaussian(-0.5, 0.5), Poisson(2.0), Gaussian(2.0, 1.0)), den),
+        ((Poisson(2.0), Poisson(5.0), Poisson(1.5)), (Poisson(1.0), Poisson(3.0), Poisson(2.5))),
+        ((Gaussian(1.0, 1.0), Gaussian(3.0, 2.0), Poisson(2.0)), (Poisson(2.0), Poisson(3.0), Gaussian(0.0, 1.0))),
+    ]
+    table = _SlotLlr(pairs)
+    n = 2 * _PROFILE_RUN + 57  # three pieces
+    xs = np.random.default_rng(8).poisson(3.0, n).astype(float)
+    for start_slot in (0, 2):
+        got = table.profile(xs, start_slot)
+        want = np.array([table.values((start_slot + j) % 3, x) for j, x in enumerate(xs)]).T
+        assert got.shape == (4, n)
+        assert np.array_equal(got, want)
+    assert table.profile(np.array([]), 1).shape == (4, 0)
+
+
+# A three-class period-4 bank whose classes share slots, as in the misclassification benchmark.
+SCAN_BASE = np.array([0.0, 0.5, 1.0, 0.5])
+SCAN_LAWS = tuple(gaussian_law(SCAN_BASE + shift)
+                  for shift in (0.0, 0.7, -0.7, 0.7 * np.array([1.0, 1.0, -1.0, -1.0])))
+SCAN_BANKS = {
+    "gaussian": ClassBank(4, SCAN_LAWS),
+    "active_slots": ClassBank(4, SCAN_LAWS, active_slots=frozenset({0, 2, 3})),
+    # class 2 is Gaussian where the others count, so its pairs fall back to the densities there
+    "mixed": ClassBank(2, (
+        IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(3.0))),
+        IpidLaw(2, (Gaussian(0.8, 1.0), Poisson(5.0))),
+        IpidLaw(2, (Gaussian(-0.5, 1.5), Gaussian(4.0, 2.0))),
+    )),
+}
+
+
+def scan_stream(kind, n, seed, change_at=0, first_slot=0):
+    """Class-0 data up to ``change_at`` and class-1 data after it, starting in ``first_slot``."""
+    rng = np.random.default_rng(seed)
+    slots = first_slot + np.arange(n)
+    if kind == "mixed":
+        before = np.where(slots % 2 == 0, rng.normal(0.0, 1.0, n), rng.poisson(3.0, n))
+        after = np.where(slots % 2 == 0, rng.normal(0.8, 1.0, n), rng.poisson(5.0, n))
+    else:
+        means = SCAN_BASE[slots % 4]
+        before, after = means + rng.standard_normal(n), means + 0.7 + rng.standard_normal(n)
+    return np.where(np.arange(n) < change_at, before, after).astype(float)
+
+
+def classifier_reference(det, xs):
+    """The scalar loop the blocked scan replaced, on ``det``'s own pair scores.
+
+    Running sums updated with ``+=``, a list of checkpoint tuples, and per class
+    a max over checkpoints of the min over rivals.  Starts from ``det``'s
+    clock with zero sums and returns ``(time_index, class statistics, decided
+    class or None)`` per observation.
+    """
+    m = det.num_classes
+    sums = [0.0] * (m * m)
+    history = [tuple(sums)]
+    time = det.time
+    out = []
+    for x in xs:
+        for p, z in enumerate(det._llr.values(time % det.period, x)):
+            sums[p] += z
+        time += 1
+        stats = []
+        for label in range(m):
+            best = -math.inf
+            for checkpoint in history:
+                low = math.inf
+                for p in range(label * m, label * m + m):
+                    low = min(low, sums[p] - checkpoint[p])
+                best = max(best, low)
+            stats.append(best)
+        history.append(tuple(sums))
+        if det.window is not None and len(history) > det.window + 1:
+            del history[0]
+        top = max(stats)
+        decided = stats.index(top) + 1 if top >= det.threshold else None
+        if decided is not None and det.reset_on_alarm:
+            sums = [0.0] * (m * m)
+            history = [tuple(sums)]
+        out.append((time, stats, decided))
+    return out
+
+
+def reference_after(row, reset_on_alarm):
+    """``class_statistics()`` as the reference row leaves it."""
+    _, stats, decided = row
+    if decided is not None and reset_on_alarm:
+        return [-math.inf] * (len(stats) + 1)
+    return [-math.inf] + stats
+
+
+class TestClassifierScan:
+    @pytest.mark.parametrize("start_time", [0, 5])
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("window", [50, None])
+    @pytest.mark.parametrize("kind", sorted(SCAN_BANKS))
+    def test_scan_equals_scalar_reference_and_stepping(self, kind, window, reset_on_alarm,
+                                                       start_time):
+        def make():
+            return ClassifierBankDetector(SCAN_BANKS[kind], 6.0, window=window,
+                                          reset_on_alarm=reset_on_alarm, start_time=start_time)
+
+        warmup = scan_stream(kind, 30, seed=1, first_slot=start_time)
+        xs = scan_stream(kind, 400 if window else 250, seed=2, change_at=120,
+                         first_slot=start_time + 30)
+        want = classifier_reference(make(), np.concatenate([warmup, xs]))[len(warmup):]
+        assert any(decided for _, _, decided in want)
+        # stepping: every result and every class statistic
+        stepped = make()
+        run(stepped, warmup)
+        for x, (time, stats, decided) in zip(xs, want):
+            result = stepped.step(x)
+            assert result == StepResult(time, max(stats), decided is not None, decided)
+            assert stepped.class_statistics() == reference_after((time, stats, decided),
+                                                                 reset_on_alarm)
+        # the batch scan, called again after each alarm; the state it leaves after each call
+        batch = make()
+        run(batch, warmup)
+        alarms = []
+        while batch.time - start_time - len(warmup) < len(xs):
+            hit = batch.run_to_alarm(xs[batch.time - start_time - len(warmup):])
+            row = want[batch.time - start_time - len(warmup) - 1]
+            assert batch.class_statistics() == reference_after(row, reset_on_alarm)
+            if hit is None:
+                break
+            alarms.append(hit)
+        assert alarms == [StepResult(time, max(stats), True, decided)
+                          for time, stats, decided in want if decided is not None]
+        assert batch.time == stepped.time == start_time + len(warmup) + len(xs)
+
+    @pytest.mark.parametrize("window", [50, None])
+    def test_long_stream_spans_several_block_caps(self, window):
+        # window 50: blocks of 64, 128, 256, then 285 rows (the element cap);
+        # the full history caps its blocks as the checkpoints accumulate
+        n, change_at = (3000, 2600) if window else (900, 800)
+        xs = scan_stream("gaussian", n, seed=3, change_at=change_at)
+        det = ClassifierBankDetector(SCAN_BANKS["gaussian"], 12.0, window=window)
+        want = classifier_reference(det, xs)
+        first = next(i for i, (_, _, decided) in enumerate(want) if decided is not None)
+        assert first > 600
+        time, stats, decided = want[first]
+        assert det.run_to_alarm(xs) == StepResult(time, max(stats), True, decided)
+        assert det.class_statistics() == [-math.inf] + stats
+        quiet = ClassifierBankDetector(SCAN_BANKS["gaussian"], math.inf, window=window)
+        assert quiet.run_to_alarm(xs) is None
+        assert quiet.time == n
+        assert quiet.class_statistics() == [-math.inf] + want[-1][1]
+
+    def test_scan_temporaries_do_not_grow_with_the_stream(self):
+        # beyond the (P, n) score matrix, a window-50 scan holds one capped block
+        import tracemalloc
+
+        extra = []
+        for n in (20_000, 80_000):
+            xs = scan_stream("gaussian", n, seed=4)
+            det = ClassifierBankDetector(SCAN_BANKS["gaussian"], math.inf, window=50)
+            tracemalloc.start()
+            try:
+                det.run_to_alarm(xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - 9 * n * 8)
+        assert max(extra) < 4 * 2**20
+        assert extra[1] < 1.1 * extra[0]
