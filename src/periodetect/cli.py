@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -30,6 +32,9 @@ from .model import (
     post_change_law,
     prior_from_dict,
 )
+
+# Data rows that read_observations_csv converts at a time.
+_READ_BLOCK = 4096
 
 
 def _load_json(path):
@@ -49,7 +54,10 @@ def _write_json(path, payload) -> None:
 def read_observations_csv(path) -> np.ndarray:
     """Load an observation stream: header ``time,value`` or ``time,value_0..value_{L-1}``.
 
-    Returns a 1-D array for a single stream, or an (n, L) matrix.
+    Returns a 1-D array for a single stream, or an (n, L) matrix.  Rows are
+    converted ``_READ_BLOCK`` at a time; a block that holds a blank row or
+    fails a check is read again row by row, which skips the blank rows and
+    names the line of the first bad one.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -63,37 +71,51 @@ def read_observations_csv(path) -> np.ndarray:
         value_cols = header[1:]
         if value_cols != ["value"] and value_cols != [f"value_{i}" for i in range(len(value_cols))]:
             raise ValueError(f"unexpected value columns {value_cols}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [float(c) for c in row[1:]]
-            except ValueError:
-                raise ValueError(f"line {lineno}: cannot parse observation values") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"line {lineno}: observation values must be finite")
-            rows.append(values)
-    data = np.asarray(rows, dtype=float)
-    if data.size == 0:
-        return np.empty(0) if value_cols == ["value"] else np.empty((0, len(value_cols)))
-    return data[:, 0] if value_cols == ["value"] else data
+        blocks = []
+        lineno = 2
+        while rows := list(itertools.islice(reader, _READ_BLOCK)):
+            blocks.append(_block_values(rows, lineno, len(header)))
+            lineno += len(rows)
+    data = np.concatenate(blocks) if blocks else np.empty(0)
+    return data if value_cols == ["value"] else data.reshape(-1, len(value_cols))
+
+
+def _block_values(rows: list[list[str]], first_line: int, width: int) -> np.ndarray:
+    """The values of a block of CSV rows, row after row; ``first_line`` is the line of ``rows[0]``."""
+    if set(map(len, rows)) == {width}:
+        try:
+            values = np.array(list(map(float, itertools.chain.from_iterable(
+                map(operator.itemgetter(slice(1, None)), rows)))))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    kept = []
+    for lineno, row in enumerate(rows, start=first_line):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            values = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ValueError(f"line {lineno}: cannot parse observation values") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: observation values must be finite")
+        kept.extend(values)
+    return np.array(kept, dtype=float)
 
 
 def write_observations_csv(path, obs: np.ndarray) -> None:
     obs = np.asarray(obs, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if obs.ndim == 1:
-            writer.writerow(["time", "value"])
-            for i, v in enumerate(obs, start=1):
-                writer.writerow([i, repr(float(v))])
-        else:
-            writer.writerow(["time"] + [f"value_{j}" for j in range(obs.shape[1])])
-            for i, row in enumerate(obs, start=1):
-                writer.writerow([i] + [repr(float(v)) for v in row])
+    names = ["value"] if obs.ndim == 1 else [f"value_{j}" for j in range(obs.shape[1])]
+
+    def lines(lo, hi):
+        return [f"{i},{values}\r\n"
+                for i, values in enumerate(detectors._value_fields(obs[lo:hi], ","), start=lo + 1)]
+
+    detectors._write_csv_blocks(path, ["time", *names], len(obs), lines)
 
 
 def _resolved(args: argparse.Namespace, config: dict, keys: dict) -> dict:
@@ -220,14 +242,11 @@ def _cmd_detect(args) -> int:
     if isinstance(detector, detectors.MultistreamMixture):
         if obs.ndim != 2:
             raise ValueError("multistream detection needs a multi-column observation file")
-        stream = [row for row in obs]
-    else:
-        if obs.ndim != 1:
-            raise ValueError("this detector consumes a single-column observation file")
-        stream = [float(v) for v in obs]
-    trajectory = detectors.run(detector, stream, stop_on_alarm=False)
+    elif obs.ndim != 1:
+        raise ValueError("this detector consumes a single-column observation file")
+    trajectory = detectors.run(detector, obs, stop_on_alarm=False)
     traj_path = opts["trajectory"] or (str(opts["out"]) + ".trajectory.csv")
-    detectors.write_trajectory_csv(traj_path, trajectory, stream, detector.period)
+    detectors.write_trajectory_csv(traj_path, trajectory, obs, detector.period)
     alarms = [r for r in trajectory if r.alarm]
     first = alarms[0] if alarms else None
     summary = {
@@ -414,10 +433,9 @@ def _dump_trials(count, dump_dir, metric, detector, pre, post, prior, scenario, 
             change = simulate.change_from_dict(scenario.get("change", {"type": "nochange"}))
             nu = simulate._draw_nu(rng, change)
             obs = simulate.sample_with_change(rng, pre, post, nu, horizon)
-        stream = [float(v) for v in obs]
-        trajectory = detectors.run(detector.fresh(), stream, stop_on_alarm=True)
+        trajectory = detectors.run(detector.fresh(), obs, stop_on_alarm=True)
         detectors.write_trajectory_csv(
-            f"{dump_dir}/trial_{i:04d}.csv", trajectory, stream[:len(trajectory)], detector.period
+            f"{dump_dir}/trial_{i:04d}.csv", trajectory, obs[:len(trajectory)], detector.period
         )
 
 

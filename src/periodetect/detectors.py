@@ -31,8 +31,13 @@ Statistics and post-alarm behavior:
   The checkpoints ``C(k-1)`` form one numpy matrix, and ``step`` and
   ``run_to_alarm`` evaluate the statistic with one blocked scan over it.
 
-Every ``run_to_alarm`` scores its whole input before it changes any state, so
-an invalid observation raises and leaves the detector as it was.
+Each family writes its recursion once, as ``_update`` on the scores of one
+observation: ``step(x)`` scores ``x`` and applies it, and :func:`run` scores
+its whole input with the batch scoring of ``run_to_alarm`` and then applies
+``_update`` to one column of scores after another, so ``run`` equals stepping
+bit for bit.  Every ``run_to_alarm``, and ``run``, scores its whole input
+before it changes any state, so an invalid observation raises and leaves the
+detector as it was.
 
 The first three share one posterior-odds core: per component ``k`` the odds
 follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
@@ -46,7 +51,6 @@ events.
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple
 
@@ -57,6 +61,10 @@ from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, Perio
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+
+# Rows per block where run and the CSV writers turn numpy columns into Python
+# objects, which bounds the transient objects held at once.
+_ROW_BLOCK = 4096
 
 # Observations per block of the batch posterior-odds scan.  Cumulative sums restart at
 # each block, so their magnitude, and with it the cancellation error of the
@@ -184,6 +192,8 @@ class _SlotLlr:
         of the tiled tables, with no gather by slot.
         """
         xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 1:
+            raise ValueError(f"expected a one-dimensional run of observations, got shape {xs.shape}")
         if not np.isfinite(xs).all():
             raise ValueError("observations must be finite")
         z = np.empty((len(self._pairs), xs.size))
@@ -220,11 +230,14 @@ def _threshold_logits(threshold, period: int) -> list[float]:
 
 
 class _Detector:
-    """Clock and cloning shared by every detector.
+    """Clock, cloning, scoring and ``step`` shared by every detector.
 
     A detector's compiled tables are built once in ``__init__`` and never
     mutated; ``reset`` replaces the per-run state.  So ``fresh`` is a shallow
-    copy that shares the tables and restarts state and clock.
+    copy that shares the tables and restarts state and clock.  Scores come
+    from the ``_llr`` tables unless a subclass supplies its own, and each
+    subclass supplies ``_update``, which consumes the K scores of one
+    observation, advances the clock and returns the result.
     """
 
     def __init__(self, period: int, reset_on_alarm: bool, start_time: int):
@@ -257,6 +270,17 @@ class _Detector:
     def time(self) -> int:
         return self._time
 
+    def _step_scores(self, slot: int, x) -> list[float]:
+        """The K scores of one observation that sits in ``slot``."""
+        return self._llr.values(slot, x)
+
+    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
+        """``(K, n)`` scores of a run of observations whose first element sits in ``start_slot``."""
+        return self._llr.profile(xs, start_slot)
+
+    def step(self, x) -> StepResult:
+        return self._update(self._step_scores(self._time % self.period, x))
+
 
 class _PosteriorOdds(_Detector):
     """Posterior odds of a geometric-prior change, mixed over K components.
@@ -265,9 +289,7 @@ class _PosteriorOdds(_Detector):
     ``L_n = logaddexp(L_{n-1}, ln rho) - ln(1 - rho) + z_n``; the log
     statistic is ``logsumexp_k(ln w_k + L_k)`` and the rule alarms when it
     reaches the log threshold of the observation's slot.  Subclasses supply
-    the scores (``_step_scores`` for one observation, ``_score_matrix`` for an
-    ``(K, n)`` block) and ``_display``, which maps the log statistic to the
-    reported statistic.
+    ``_display``, which maps the log statistic to the reported statistic.
     """
 
     def __init__(self, period: int, rho: float, log_weights, log_thresholds,
@@ -299,12 +321,9 @@ class _PosteriorOdds(_Detector):
             self.reset()
         return result
 
-    def step(self, x) -> StepResult:
-        zs = self._step_scores(self._time % self.period, x)
+    def _update(self, zs) -> StepResult:
         ln_rho, ln_1m_rho = self._ln_rho, self._ln_1m_rho
-        log_odds = []
-        for lo, z in zip(self._log_odds, zs):
-            log_odds.append(_logaddexp(lo, ln_rho) - ln_1m_rho + z)
+        log_odds = [_logaddexp(lo, ln_rho) - ln_1m_rho + z for lo, z in zip(self._log_odds, zs)]
         self._log_odds = log_odds
         self._time += 1
         return self._decide(self._log_stat(log_odds))
@@ -370,12 +389,6 @@ class ShiryaevDetector(_PosteriorOdds):
     def belief(self) -> float:
         return _expit(self._log_odds[0])
 
-    def _step_scores(self, slot: int, x) -> list[float]:
-        return self._llr.values(slot, x)
-
-    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
-        return self._llr.profile(xs, start_slot)
-
 
 def robust_shiryaev(pre: IpidLaw, least_favorable: IpidLaw, rho: float, threshold,
                     **kwargs) -> ShiryaevDetector:
@@ -409,13 +422,12 @@ class CusumDetector(_Detector):
     def score(self) -> float:
         return self._score
 
-    def step(self, x: float) -> StepResult:
-        z = self._llr.values(self._time % self.period, x)[0]
+    def _update(self, zs) -> StepResult:
         self._time += 1
-        score = (self._score if self._score > 0.0 else 0.0) + z
+        score = (self._score if self._score > 0.0 else 0.0) + zs[0]
         self._score = score
         alarm = score >= self.threshold
-        result = StepResult(time_index=self._time, statistic=score, alarm=alarm)
+        result = StepResult(self._time, score, alarm)
         if alarm and self.reset_on_alarm:
             self.reset()
         return result
@@ -426,7 +438,7 @@ class CusumDetector(_Detector):
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return None
-        z = self._llr.profile(xs, self._time % self.period)[0]
+        z = self._score_matrix(xs, self._time % self.period)[0]
         s = np.concatenate(([0.0], np.cumsum(z)))
         floor = np.minimum(np.minimum.accumulate(s[:-1]), -max(self._score, 0.0))
         w = s[1:] - floor
@@ -486,12 +498,6 @@ class MixtureShiryaev(_OddsMixture):
         ])
         super().__init__(family.period, rho, threshold, family.weights, reset_on_alarm, start_time)
 
-    def _step_scores(self, slot: int, x) -> list[float]:
-        return self._llr.values(slot, x)
-
-    def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
-        return self._llr.profile(xs, start_slot)
-
 
 class MultistreamMixture(_OddsMixture):
     """Mixture rule over candidate changed-stream subsets.
@@ -512,17 +518,30 @@ class MultistreamMixture(_OddsMixture):
         x_vec = np.asarray(x_vec, dtype=float).reshape(-1)
         if x_vec.size != self.num_streams:
             raise ValueError(f"expected {self.num_streams} per-stream observations, got {x_vec.size}")
-        per_stream = [t.values(slot, x)[0] for t, x in zip(self._stream_tables, x_vec)]
-        return [math.fsum(per_stream[i] for i in members) for members in self._members]
+        return self._member_sums(
+            [t.values(slot, x)[0] for t, x in zip(self._stream_tables, x_vec.tolist())])
 
     def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.num_streams:
             raise ValueError(f"expected an (n, {self.num_streams}) observation matrix")
-        per_stream = np.stack(
-            [t.profile(xs[:, i], start_slot)[0] for i, t in enumerate(self._stream_tables)], axis=1
-        )
-        return np.stack([per_stream[:, members].sum(axis=1) for members in self._members])
+        return np.array(self._member_sums(
+            [t.profile(xs[:, i], start_slot)[0] for i, t in enumerate(self._stream_tables)]))
+
+    def _member_sums(self, per_stream) -> list:
+        """Each candidate's score: the scores of its member streams, added in index order.
+
+        ``per_stream[i]`` is stream ``i``'s score of one observation (``step``)
+        or its row of scores (the batch paths); either way each candidate adds
+        the same floats in the same order, so both paths give the same sums.
+        """
+        sums = []
+        for members in self._members:
+            total = per_stream[members[0]]
+            for i in members[1:]:
+                total = total + per_stream[i]
+            sums.append(total)
+        return sums
 
 
 class ClassifierBankDetector(_Detector):
@@ -630,11 +649,11 @@ class ClassifierBankDetector(_Detector):
             self.reset()
         return result
 
-    def step(self, x: float) -> StepResult:
-        return self._advance(np.array([self._llr.values(self._time % self.period, x)]).T)
+    def _update(self, zs) -> StepResult:
+        return self._advance(np.array(zs)[:, None])
 
     def run_to_alarm(self, xs) -> StepResult | None:
-        z = self._llr.profile(xs, self._time % self.period)
+        z = self._score_matrix(xs, self._time % self.period)
         if z.shape[1] == 0:
             return None
         result = self._advance(z)
@@ -642,41 +661,69 @@ class ClassifierBankDetector(_Detector):
 
 
 def run(detector, observations, stop_on_alarm: bool = False) -> list[StepResult]:
-    """Feed observations through any detector, collecting one result per step.
+    """Feed observations through any detector, collecting one result per observation.
 
+    The whole input is scored before any state changes, so an invalid
+    observation raises and leaves the detector as it was.  The scores are
+    then walked with the same per-observation update that ``step`` applies,
+    so the trajectory equals stepping one observation at a time, bit for bit.
     With ``stop_on_alarm`` the trajectory is truncated at the first alarm.
     """
+    if not isinstance(observations, np.ndarray):
+        observations = list(observations)
+    if len(observations) == 0:
+        return []
+    z = detector._score_matrix(observations, detector.time % detector.period)
+    update = detector._update
     trajectory: list[StepResult] = []
-    for x in observations:
-        result = detector.step(x)
-        trajectory.append(result)
-        if stop_on_alarm and result.alarm:
-            break
+    # columns become tuples of Python floats a block at a time, so few are held at once
+    for lo in range(0, z.shape[1], _ROW_BLOCK):
+        for scores in zip(*z[:, lo:lo + _ROW_BLOCK].tolist()):
+            result = update(scores)
+            trajectory.append(result)
+            if stop_on_alarm and result.alarm:
+                return trajectory
     return trajectory
+
+
+def _value_fields(values: np.ndarray, sep: str) -> list[str]:
+    """One field per row of a non-empty block: the ``repr`` of each value, joined by ``sep``."""
+    rows = values.reshape(len(values), -1)
+    if rows.shape[1] == 1:
+        return list(map(repr, rows[:, 0].tolist()))
+    return [sep.join(map(repr, row)) for row in rows.tolist()]
+
+
+def _write_csv_blocks(path, header: list[str], n: int, lines) -> None:
+    """Write ``header`` and then ``lines(lo, hi)``, the CRLF-ended lines of rows ``lo:hi``, per block.
+
+    The bytes are what ``csv.writer`` writes for fields that need no quoting;
+    each block of rows is formatted into one string and written at once.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _ROW_BLOCK):
+            fh.write("".join(lines(lo, min(lo + _ROW_BLOCK, n))))
 
 
 def write_trajectory_csv(path, trajectory: list[StepResult], observations, period: int) -> None:
     """Dump a trajectory as CSV: time_index, slot, observation, statistic, alarm, decided_class.
 
     ``observations`` must hold exactly one entry per trajectory row; a length
-    mismatch raises ``ValueError`` before the file is opened.
+    mismatch raises ``ValueError`` before the file is opened.  Floats are
+    written with ``repr``, and a vector observation as its entries joined by
+    ``;``.
     """
     if len(trajectory) != len(observations):
         raise ValueError(f"trajectory has {len(trajectory)} rows but {len(observations)} "
                          "observations were given")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_index", "slot", "observation", "statistic", "alarm", "decided_class"])
-        for result, obs in zip(trajectory, observations):
-            if isinstance(obs, (list, tuple, np.ndarray)):
-                obs_repr = ";".join(repr(float(v)) for v in np.asarray(obs).reshape(-1))
-            else:
-                obs_repr = repr(float(obs))
-            writer.writerow([
-                result.time_index,
-                (result.time_index - 1) % period,
-                obs_repr,
-                repr(result.statistic),
-                int(result.alarm),
-                "" if result.decided_class is None else result.decided_class,
-            ])
+    values = np.asarray(observations, dtype=float)
+
+    def lines(lo, hi):
+        return [f"{t},{(t - 1) % period},{obs},{stat!r},{int(alarm)},"
+                f"{'' if decided is None else decided}\r\n"
+                for (t, stat, alarm, decided), obs
+                in zip(trajectory[lo:hi], _value_fields(values[lo:hi], ";"))]
+
+    _write_csv_blocks(path, ["time_index", "slot", "observation", "statistic", "alarm",
+                             "decided_class"], len(trajectory), lines)

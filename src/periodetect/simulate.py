@@ -14,7 +14,6 @@ outcome was cut off by the horizon, and the affected estimates are bounds
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -267,6 +266,9 @@ def _map_chunks(worker, common: tuple, trials: int, workers: int) -> list:
     args = [(common, chunk) for chunk in chunks]
     if len(args) == 1 or workers <= 1:
         return [worker(a) for a in args]
+    # imported only where a pool starts: it takes 7-10 ms of every import of the CLI otherwise
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=len(args)) as pool:
         return pool.map(worker, args)

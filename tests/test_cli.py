@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from periodetect.cli import main, read_observations_csv, write_observations_csv
+from periodetect.cli import _READ_BLOCK, main, read_observations_csv, write_observations_csv
 from periodetect.densities import Gaussian
 from periodetect.model import IpidLaw
 
@@ -337,3 +337,77 @@ class TestObservationCsv:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["aggregate"] == pytest.approx(0.125)
+
+
+class TestBlockedObservationCsv:
+    """Reading and writing observation CSVs in blocks of ``_READ_BLOCK`` rows."""
+
+    @staticmethod
+    def csv_writer_observations(path, obs):
+        """The per-row ``csv.writer`` dump of earlier releases, kept as the byte-level reference."""
+        import csv
+
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if obs.ndim == 1:
+                writer.writerow(["time", "value"])
+                for i, v in enumerate(obs, start=1):
+                    writer.writerow([i, repr(float(v))])
+            else:
+                writer.writerow(["time"] + [f"value_{j}" for j in range(obs.shape[1])])
+                for i, row in enumerate(obs, start=1):
+                    writer.writerow([i] + [repr(float(v)) for v in row])
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_round_trip_across_blocks_with_csv_writer_bytes(self, tmp_path, columns):
+        n = 3 * _READ_BLOCK + 17
+        obs = np.random.default_rng(5).normal(0.0, 10.0, (n, columns))
+        obs.flat[:3] = -0.0, 1e-300, 12345678.9
+        if columns == 1:
+            obs = obs[:, 0]
+        path, oracle = tmp_path / "obs.csv", tmp_path / "oracle.csv"
+        write_observations_csv(path, obs)
+        self.csv_writer_observations(oracle, obs)
+        assert path.read_bytes() == oracle.read_bytes()
+        got = read_observations_csv(path)
+        assert got.shape == obs.shape
+        assert np.array_equal(got, obs)
+
+    def test_blank_rows_are_skipped_in_every_block(self, tmp_path):
+        n = 2 * _READ_BLOCK + 9
+        lines, want = ["time,value_0,value_1"], []
+        for i in range(1, n + 1):
+            if i in (3, _READ_BLOCK + 5, 2 * _READ_BLOCK):
+                lines.append("" if i % 2 else " ,  ")
+            else:
+                lines.append(f"{i},{i},{-i}")
+                want.append((i, -i))
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(read_observations_csv(path), np.array(want, dtype=float))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("{i},oops", "cannot parse observation values"),
+        ("{i},1.0,2.0", "expected 2 fields, got 3"),
+        ("{i}", "expected 2 fields, got 1"),
+        ("{i},nan", "observation values must be finite"),
+        ("{i},-inf", "observation values must be finite"),
+    ])
+    def test_error_past_the_first_block_names_its_line(self, tmp_path, bad_row, message):
+        # blank and whitespace-only rows in both blocks, before the bad one
+        lines = ["time,value"]
+        for i in range(1, _READ_BLOCK + 40):
+            lines.append("" if i in (7, _READ_BLOCK + 3) else "  ,  " if i == _READ_BLOCK + 9
+                         else f"{i},{i % 5}")
+        bad_line = len(lines) + 1  # the header is line 1
+        lines += [bad_row.format(i=bad_line), "9999,nan", "10000,1.0,2.0"]
+        path = tmp_path / "obs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^line {bad_line}: {message}$"):
+            read_observations_csv(path)
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        code = "import sys, periodetect.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

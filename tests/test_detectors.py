@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.detectors import (
     _PROFILE_RUN,
+    _ROW_BLOCK,
     _SCAN_CHUNK,
     ClassifierBankDetector,
     CusumDetector,
@@ -904,3 +905,149 @@ class TestClassifierScan:
             extra.append(peak - 9 * n * 8)
         assert max(extra) < 4 * 2**20
         assert extra[1] < 1.1 * extra[0]
+
+
+# ``run`` against a loop over ``step``: the five families, a multistream rule whose
+# candidates sum 3 and 9 streams, and tables with Gaussian/Poisson mixed-family cells.
+MIXED_PRE = IpidLaw(3, (Gaussian(3.0, 2.0), Poisson(3.0), Poisson(2.0)))
+MIXED_POST = IpidLaw(3, (Poisson(5.0), Poisson(5.0), Gaussian(4.0, 3.0)))
+WIDE_STREAMS = MultistreamConfig(
+    streams=tuple((gaussian_law([0.0, 0.4, -0.3]), gaussian_law([0.8 - 0.05 * j, 1.0, 0.5]))
+                  for j in range(9)),
+    candidates=(frozenset({0, 1, 2}), frozenset(range(9)), frozenset({2, 4, 5, 8})),
+    weights=(0.4, 0.3, 0.3),
+)
+
+
+def mixed_counts(n, seed):
+    """Counts that every cell of the mixed tables accepts, rising half way through."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.poisson(3.0, n // 2), rng.poisson(5.0, n - n // 2)]).astype(float)
+
+
+RUN_CASES = {
+    **{kind: (make, lambda n, seed, kind=kind: odds_stream(kind, n, seed, shift=0.4))
+       for kind, make in FIVE_DETECTORS.items()},
+    "multistream_wide": (
+        lambda **kw: MultistreamMixture(WIDE_STREAMS, 0.02, 50.0, **kw),
+        lambda n, seed: np.random.default_rng(seed).normal(0.4, 1.0, (n, 9))),
+    "shiryaev_mixed": (
+        lambda **kw: ShiryaevDetector(MIXED_PRE, MIXED_POST, 0.02, 0.95, **kw), mixed_counts),
+    "cusum_mixed": (lambda **kw: CusumDetector(MIXED_PRE, MIXED_POST, 3.0, **kw), mixed_counts),
+    "mixture_mixed": (
+        lambda **kw: MixtureShiryaev(
+            MultislotFamily(3, MIXED_PRE, MIXED_POST, (frozenset({0}), frozenset({1, 2})),
+                            (0.5, 0.5)), 0.02, 20.0, **kw),
+        mixed_counts),
+    "classifier_mixed": (
+        lambda **kw: ClassifierBankDetector(
+            ClassBank(3, (MIXED_PRE, MIXED_POST, IpidLaw(3, (Poisson(1.0),) * 3))), 3.0,
+            window=20, **kw),
+        mixed_counts),
+}
+
+
+class TestRunEqualsStepping:
+    @pytest.mark.parametrize("stop_on_alarm", [False, True])
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_trajectory_and_state_equal_a_step_loop(self, case, reset_on_alarm, stop_on_alarm):
+        make, stream = RUN_CASES[case]
+        carry = stream(25, 11)
+        # long enough to cross a block of run's walk over the score columns
+        xs = stream(900 if stop_on_alarm else _ROW_BLOCK + 200, 12)
+        ran = make(reset_on_alarm=reset_on_alarm, start_time=5)
+        stepped = make(reset_on_alarm=reset_on_alarm, start_time=5)
+        run(ran, carry)
+        for x in carry:
+            stepped.step(x)
+        want = []
+        for x in xs:
+            want.append(stepped.step(x))
+            if stop_on_alarm and want[-1].alarm:
+                break
+        assert any(r.alarm for r in want)
+        got = run(ran, xs, stop_on_alarm=stop_on_alarm)
+        assert got == want
+        assert ran.time == stepped.time
+        assert current_statistic(ran) == current_statistic(stepped)
+
+    def test_single_observation_runs_equal_stepping(self):
+        # one row per call, where a reduction that sums a lone row pairwise would differ
+        make, stream = RUN_CASES["multistream_wide"]
+        xs = stream(300, 15)
+        ran, stepped = make(), make()
+        assert [run(ran, xs[i:i + 1])[0] for i in range(len(xs))] == [stepped.step(x) for x in xs]
+
+    def test_any_iterable_is_accepted(self):
+        xs = odds_stream("cusum", 50, 13, shift=0.4)
+        want = run(FIVE_DETECTORS["cusum"](), xs)
+        assert run(FIVE_DETECTORS["cusum"](), (x for x in xs.tolist())) == want
+        assert run(FIVE_DETECTORS["cusum"](), tuple(xs.tolist())) == want
+        rows = odds_stream("multistream", 50, 13, shift=0.4)
+        want = run(FIVE_DETECTORS["multistream"](), rows)
+        assert run(FIVE_DETECTORS["multistream"](), [tuple(r) for r in rows.tolist()]) == want
+
+    def test_scalar_detector_refuses_a_matrix(self):
+        det = FIVE_DETECTORS["cusum"]()
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run(det, np.zeros((4, 1)))
+        assert det.time == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5])
+@pytest.mark.parametrize("kind", sorted(POISSON_DETECTORS))
+def test_rejected_run_leaves_state_unchanged(kind, bad):
+    def obs(value):
+        return (3.0, value) if kind == "multistream" else value
+
+    det = POISSON_DETECTORS[kind]()
+    for x in (4.0, 6.0, 5.0):
+        det.step(obs(x))
+    time, statistic = det.time, current_statistic(det)
+    with pytest.raises(ValueError):
+        run(det, [obs(2.0), obs(7.0), obs(bad)])
+    assert det.time == time
+    assert current_statistic(det) == statistic
+
+
+def csv_writer_trajectory(path, trajectory, observations, period):
+    """The per-row ``csv.writer`` dump of earlier releases, kept as the byte-level reference."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time_index", "slot", "observation", "statistic", "alarm", "decided_class"])
+        for result, obs in zip(trajectory, observations):
+            if isinstance(obs, (list, tuple, np.ndarray)):
+                obs_repr = ";".join(repr(float(v)) for v in np.asarray(obs).reshape(-1))
+            else:
+                obs_repr = repr(float(obs))
+            writer.writerow([
+                result.time_index,
+                (result.time_index - 1) % period,
+                obs_repr,
+                repr(result.statistic),
+                int(result.alarm),
+                "" if result.decided_class is None else result.decided_class,
+            ])
+
+
+@pytest.mark.parametrize("kind", ["cusum", "multistream", "classifier"])
+def test_trajectory_csv_bytes_equal_the_csv_writer_dump(tmp_path, kind):
+    xs = odds_stream(kind, 2 * _ROW_BLOCK + 77, 14, shift=0.4)
+    xs.flat[:3] = -0.0, 1e-300, 12345678.9  # signed zero, tiny and wide reprs
+    det = FIVE_DETECTORS[kind](reset_on_alarm=True, start_time=2)
+    trajectory = run(det, xs)
+    assert sum(r.alarm for r in trajectory) > 5
+    if kind == "classifier":
+        assert {r.decided_class for r in trajectory if r.alarm} >= {1}
+    oracle = tmp_path / "oracle.csv"
+    csv_writer_trajectory(oracle, trajectory, xs, det.period)
+    for observations in (xs, xs.tolist()):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, trajectory, observations, det.period)
+        assert path.read_bytes() == oracle.read_bytes()
+    empty = tmp_path / "empty.csv"
+    write_trajectory_csv(empty, [], [], 3)
+    assert empty.read_bytes() == b"time_index,slot,observation,statistic,alarm,decided_class\r\n"
