@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 
 import numpy as np
@@ -132,65 +133,43 @@ def _resolved(args: argparse.Namespace, config: dict, keys: dict) -> dict:
     return out
 
 
+# kind: (models, their flags, needs rho, budget, constructor of (models, rho, threshold, window, reset))
+_DETECTORS = {
+    "shiryaev": (("pre", "post"), "--model (pre) and --model2 (post)", True, "alpha",
+                 lambda m, rho, h, w, r: detectors.ShiryaevDetector(*m, rho, h, reset_on_alarm=r)),
+    "cusum": (("pre", "post"), "--model (baseline) and --model2 (alternative)", False, "beta",
+              lambda m, rho, h, w, r: detectors.CusumDetector(*m, h, reset_on_alarm=r)),
+    "mixture": (("family",), "--family (multislot family JSON)", True, "alpha",
+                lambda m, rho, h, w, r: detectors.MixtureShiryaev(*m, rho, h, reset_on_alarm=r)),
+    "multistream": (("family",), "--family (multistream config JSON)", True, "alpha",
+                    lambda m, rho, h, w, r: detectors.MultistreamMixture(*m, rho, h, reset_on_alarm=r)),
+    "classifier": (("bank",), "--bank", False, "beta",
+                   lambda m, rho, h, w, r: detectors.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
+}
+
+
 def _build_detector(kind: str, opts: dict, *, pre=None, post=None, family=None, bank=None):
-    """Assemble a detector from resolved options plus whichever models apply."""
+    """Assemble a detector from resolved options plus whichever models apply.
+
+    A missing threshold comes from the kind's budget (``alpha`` or ``beta``)
+    through ``information.threshold``.
+    """
+    if not isinstance(kind, str) or kind not in _DETECTORS:
+        raise ValueError(f"unknown detector kind {kind!r}")
+    needs, flags, needs_rho, budget, make = _DETECTORS[kind]
+    models = [{"pre": pre, "post": post, "family": family, "bank": bank}[name] for name in needs]
+    if any(m is None for m in models):
+        raise ValueError(f"{kind} needs {flags}")
     rho = opts.get("prior_rho")
+    if needs_rho and rho is None:
+        raise ValueError(f"{kind} needs --prior-rho")
     threshold = opts.get("threshold")
-    alpha = opts.get("alpha")
-    beta = opts.get("beta")
-    window = opts.get("window")
-    reset = bool(opts.get("reset_on_alarm", False))
-    if kind == "shiryaev":
-        if pre is None or post is None:
-            raise ValueError("shiryaev needs --model (pre) and --model2 (post)")
-        if rho is None:
-            raise ValueError("shiryaev needs --prior-rho")
-        if threshold is None:
-            if alpha is None:
-                raise ValueError("give --threshold or --alpha")
-            threshold = information.threshold(information.DetectorKind.SHIRYAEV, alpha)
-        return detectors.ShiryaevDetector(pre, post, rho, threshold, reset_on_alarm=reset)
-    if kind == "cusum":
-        if pre is None or post is None:
-            raise ValueError("cusum needs --model (baseline) and --model2 (alternative)")
-        if threshold is None:
-            if beta is None:
-                raise ValueError("give --threshold or --beta")
-            threshold = information.threshold(information.DetectorKind.CUSUM, beta)
-        return detectors.CusumDetector(pre, post, threshold, reset_on_alarm=reset)
-    if kind == "mixture":
-        if family is None:
-            raise ValueError("mixture needs --family (multislot family JSON)")
-        if rho is None:
-            raise ValueError("mixture needs --prior-rho")
-        if threshold is None:
-            if alpha is None:
-                raise ValueError("give --threshold or --alpha")
-            threshold = information.threshold(information.DetectorKind.MIXTURE, alpha)
-        return detectors.MixtureShiryaev(family, rho, threshold, reset_on_alarm=reset)
-    if kind == "multistream":
-        if family is None:
-            raise ValueError("multistream needs --family (multistream config JSON)")
-        if rho is None:
-            raise ValueError("multistream needs --prior-rho")
-        if threshold is None:
-            if alpha is None:
-                raise ValueError("give --threshold or --alpha")
-            threshold = information.threshold(information.DetectorKind.MULTISTREAM, alpha)
-        return detectors.MultistreamMixture(family, rho, threshold, reset_on_alarm=reset)
-    if kind == "classifier":
-        if bank is None:
-            raise ValueError("classifier needs --bank")
-        if threshold is None:
-            if beta is None:
-                raise ValueError("give --threshold or --beta")
-            threshold = information.threshold(
-                information.DetectorKind.CLASSIFIER, beta, num_classes=bank.num_classes
-            )
-        return detectors.ClassifierBankDetector(
-            bank, threshold, window=window, reset_on_alarm=reset
-        )
-    raise ValueError(f"unknown detector kind {kind!r}")
+    if threshold is None:
+        if opts.get(budget) is None:
+            raise ValueError(f"give --threshold or --{budget}")
+        threshold = information.threshold(information.DetectorKind(kind), opts[budget],
+                                          num_classes=getattr(bank, "num_classes", None))
+    return make(models, rho, threshold, opts.get("window"), bool(opts.get("reset_on_alarm", False)))
 
 
 def _cmd_fit(args) -> int:
@@ -380,63 +359,44 @@ def _cmd_evaluate(args) -> int:
     detector = _build_detector(kind, det_opts, pre=pre, post=post, family=family, bank=bank)
     budget = det_opts["alpha"] if det_opts["alpha"] is not None else det_opts["beta"]
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
+    change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
+    change_points = scenario.get("change_points")
+    mc = {"workers": workers, "predicted": predicted, "budget": budget}
     if metric == "pfa":
         if prior is None:
             raise ValueError("pfa estimation needs a prior")
-        report = simulate.estimate_pfa(detector, pre, prior, trials, horizon, seed,
-                                       workers=workers, predicted=predicted, budget=budget)
-        payload = report.to_dict()
+        report = simulate.estimate_pfa(detector, pre, prior, trials, horizon, seed, **mc)
     elif metric == "add":
-        change = simulate.change_from_dict(scenario["change"])
-        report = simulate.estimate_add(detector, pre, post, change, trials, horizon, seed,
-                                       workers=workers, predicted=predicted, budget=budget)
-        payload = report.to_dict()
+        report = simulate.estimate_add(detector, pre, post, change, trials, horizon, seed, **mc)
     elif metric == "arl":
-        report = simulate.estimate_arl(detector, pre, trials, horizon, seed,
-                                       workers=workers, predicted=predicted, budget=budget)
-        payload = report.to_dict()
+        report = simulate.estimate_arl(detector, pre, trials, horizon, seed, **mc)
     elif metric == "misclass":
         if true_class is None:
             raise ValueError("misclass estimation needs 'true_class'")
-        report = simulate.estimate_misclass(detector, int(true_class), trials, horizon, seed,
-                                            workers=workers, predicted=predicted, budget=budget)
-        payload = report.to_dict()
+        report = simulate.estimate_misclass(detector, int(true_class), trials, horizon, seed, **mc)
     else:
         report = simulate.worst_case_delay(detector, pre, post, trials, horizon, seed,
-                                           change_points=scenario.get("change_points"),
-                                           workers=workers)
-        payload = report.to_dict()
+                                           change_points=change_points, workers=workers)
+    payload = report.to_dict()
     payload["config"] = {**opts, "metric": metric, "detector": det_spec,
                          "trials": trials, "horizon": horizon, "seed": seed}
     if opts["dump_trials"] and opts["dump_dir"]:
-        _dump_trials(int(opts["dump_trials"]), opts["dump_dir"], metric, detector, pre, post,
-                     prior, scenario, horizon, seed)
+        plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
+                                     true_class=true_class, change_points=change_points)
+        _dump_trials(int(opts["dump_trials"]), opts["dump_dir"], plans, detector, seed)
     _write_json(opts["out"], payload)
     return 0
 
 
-def _dump_trials(count, dump_dir, metric, detector, pre, post, prior, scenario, horizon, seed) -> None:
-    """Write observation + trajectory CSVs for the first few trials of a run."""
-    import os
-
+def _dump_trials(count, dump_dir, plans, detector, seed) -> None:
+    """Write observation + trajectory CSVs for the first trials of each plan a run counted."""
     os.makedirs(dump_dir, exist_ok=True)
-    for i in range(count):
-        rng = simulate.trial_rng(seed, i)
-        if metric == "pfa":
-            nu = prior.sample(rng)
-            obs = simulate.sample_law(rng, pre, min(nu - 1, horizon))
-        elif metric == "arl":
-            obs = simulate.sample_law(rng, pre, horizon)
-        elif metric == "misclass":
-            obs = simulate.sample_law(rng, detector.bank.laws[scenario["true_class"]], horizon)
-        else:
-            change = simulate.change_from_dict(scenario.get("change", {"type": "nochange"}))
-            nu = simulate._draw_nu(rng, change)
-            obs = simulate.sample_with_change(rng, pre, post, nu, horizon)
-        trajectory = detectors.run(detector.fresh(), obs, stop_on_alarm=True)
-        detectors.write_trajectory_csv(
-            f"{dump_dir}/trial_{i:04d}.csv", trajectory, obs[:len(trajectory)], detector.period
-        )
+    for label, plan in plans:
+        for i in range(count):
+            _, obs = plan.draw(seed, i)
+            trajectory = detectors.run(detector.fresh(start_time=plan.start_time), obs, stop_on_alarm=True)
+            detectors.write_trajectory_csv(f"{dump_dir}/{label}trial_{i:04d}.csv", trajectory,
+                                           obs[:len(trajectory)], detector.period)
 
 
 def _cmd_info(args) -> int:

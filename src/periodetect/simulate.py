@@ -14,7 +14,7 @@ outcome was cut off by the horizon, and the affected estimates are bounds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -85,49 +85,42 @@ class ScenarioSpec:
                 raise ValueError("pre and post laws must share one period")
 
 
-def _is_all_gaussian(*laws: IpidLaw) -> bool:
-    return all(isinstance(d, Gaussian) for law in laws for d in law.slots)
+def _mean_std(law: IpidLaw, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard deviations of an all-Gaussian law's slots at ``slots``."""
+    return (np.array([d.mean for d in law.slots])[slots],
+            np.array([math.sqrt(d.variance) for d in law.slots])[slots])
 
 
 def sample_law(rng: np.random.Generator, law: IpidLaw, n: int, start_slot: int = 0) -> np.ndarray:
     """Draw ``n`` consecutive observations from one law, starting in ``start_slot``."""
-    if n <= 0:
-        return np.empty(0)
-    slots = (start_slot + np.arange(n)) % law.period
-    if _is_all_gaussian(law):
-        means = np.array([d.mean for d in law.slots])
-        stds = np.array([math.sqrt(d.variance) for d in law.slots])
-        return means[slots] + stds[slots] * rng.standard_normal(n)
-    out = np.empty(n)
-    for s in range(law.period):
-        idx = np.nonzero(slots == s)[0]
-        if idx.size:
-            out[idx] = np.asarray(law.slots[s].sample(rng, idx.size), dtype=float)
-    return out
+    return sample_with_change(rng, law, None, math.inf, start_slot + n, start=start_slot)
 
 
 def sample_with_change(rng: np.random.Generator, pre: IpidLaw, post: IpidLaw | None,
-                       nu: float, horizon: int) -> np.ndarray:
-    """Observations 1..horizon: slot density from ``pre`` before ``nu``, from ``post`` after."""
-    if horizon <= 0:
+                       nu: float, horizon: int, start: int = 0) -> np.ndarray:
+    """Observations ``start + 1 .. horizon``: slot density from ``pre`` before ``nu``, from ``post`` after.
+
+    Observation ``t`` sits in slot ``(t - 1) mod T``.  Without ``post`` every
+    observation follows ``pre``.  All-Gaussian laws draw one standard normal
+    per observation; otherwise each slot of ``pre``, then of ``post``, draws
+    its observations in turn.
+    """
+    if horizon <= start:
         return np.empty(0)
-    times = np.arange(1, horizon + 1)
-    slots = (times - 1) % pre.period
-    pre_mask = times < nu
-    if post is None or pre_mask.all():
-        return sample_law(rng, pre, horizon)
-    if _is_all_gaussian(pre, post):
-        means_pre = np.array([d.mean for d in pre.slots])
-        stds_pre = np.array([math.sqrt(d.variance) for d in pre.slots])
-        means_post = np.array([d.mean for d in post.slots])
-        stds_post = np.array([math.sqrt(d.variance) for d in post.slots])
-        means = np.where(pre_mask, means_pre[slots], means_post[slots])
-        stds = np.where(pre_mask, stds_pre[slots], stds_post[slots])
-        return means + stds * rng.standard_normal(horizon)
-    out = np.empty(horizon)
-    for law, mask in ((pre, pre_mask), (post, ~pre_mask)):
+    slots = np.arange(start, horizon) % pre.period
+    n = slots.size
+    split = n if post is None or nu > horizon else max(0, math.ceil(nu) - 1 - start)
+    if split == n:
+        post = pre
+    if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
+        means, stds = _mean_std(pre, slots)
+        if post is not pre:
+            means[split:], stds[split:] = _mean_std(post, slots[split:])
+        return means + stds * rng.standard_normal(n)
+    out = np.empty(n)
+    for law, lo, hi in ((pre, 0, split), (post, split, n)):
         for s in range(law.period):
-            idx = np.nonzero(mask & (slots == s))[0]
+            idx = lo + np.nonzero(slots[lo:hi] == s)[0]
             if idx.size:
                 out[idx] = np.asarray(law.slots[s].sample(rng, idx.size), dtype=float)
     return out
@@ -143,9 +136,7 @@ def _draw_nu(rng: np.random.Generator, change: ChangeSpec) -> float:
 
 def generate(spec: ScenarioSpec) -> tuple[np.ndarray, float]:
     """Realize one scenario: observations plus the realized change point (inf if none)."""
-    rng = trial_rng(spec.seed)
-    nu = _draw_nu(rng, spec.change)
-    obs = sample_with_change(rng, spec.pre, spec.post, nu, spec.horizon)
+    nu, obs = TrialPlan(spec.pre, spec.post, spec.change, spec.horizon).draw(spec.seed, 0)
     return obs, nu
 
 
@@ -231,16 +222,7 @@ class MonteCarloReport:
             raise ValueError("censored trial count out of range")
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "trials": self.trials,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "censored_trials": self.censored_trials,
-            "predicted": self.predicted,
-            "budget": self.budget,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MonteCarloReport":
@@ -256,24 +238,6 @@ class MonteCarloReport:
         )
 
 
-def _chunks(trials: int, workers: int) -> list[np.ndarray]:
-    parts = np.array_split(np.arange(trials), max(1, min(workers, trials)))
-    return [p for p in parts if p.size]
-
-
-def _map_chunks(worker, common: tuple, trials: int, workers: int) -> list:
-    chunks = _chunks(trials, workers)
-    args = [(common, chunk) for chunk in chunks]
-    if len(args) == 1 or workers <= 1:
-        return [worker(a) for a in args]
-    # imported only where a pool starts: it takes 7-10 ms of every import of the CLI otherwise
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=len(args)) as pool:
-        return pool.map(worker, args)
-
-
 def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
@@ -284,19 +248,96 @@ def _mean_se(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def _pfa_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    (proto, pre, prior, horizon, master_seed), indices = args
-    fa = np.zeros(indices.size, dtype=bool)
-    censored = np.zeros(indices.size, dtype=bool)
+@dataclass(frozen=True)
+class TrialPlan:
+    """How trial ``i`` of a run draws its change point and its observations.
+
+    ``stop_before_change`` draws only the observations before the change
+    point (at most ``horizon``).  ``start_time`` is the detector's clock at
+    the first observation, which is then observation ``start_time + 1``;
+    ``None`` keeps the clock of the detector the trials copy.
+    """
+
+    pre: IpidLaw
+    post: IpidLaw | None
+    change: ChangeSpec
+    horizon: int
+    stop_before_change: bool = False
+    start_time: int | None = None
+
+    def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
+        """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
+        rng = trial_rng(master_seed, i)
+        nu = _draw_nu(rng, self.change)
+        last = min(nu - 1, self.horizon) if self.stop_before_change else self.horizon
+        return nu, sample_with_change(rng, self.pre, self.post, nu, last, start=self.start_time or 0)
+
+
+def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None, horizon: int, *,
+                change: ChangeSpec | None = None, prior: ChangePointPrior | None = None,
+                true_class: int | None = None, change_points=None) -> list[tuple[str, TrialPlan]]:
+    """The labelled plans that an estimate of ``metric`` counts, in the order it counts them.
+
+    ``misclass`` draws the law of ``true_class`` in the detector's bank from
+    observation 1.  Single-arm metrics have the label ``""``; ``worst_case``
+    has ``nu{nu}_natural_`` and ``nu{nu}_pinned_`` for each change point ``nu``
+    (by default one period), the pinned detector starting at ``nu - 1``.
+    """
+    if metric == "pfa":
+        return [("", TrialPlan(pre, None, DrawnChange(prior), horizon, stop_before_change=True))]
+    if metric == "add":
+        return [("", TrialPlan(pre, post, change, horizon))]
+    if metric == "arl":
+        return [("", TrialPlan(pre, None, NoChange(), horizon))]
+    if metric == "misclass":
+        law = detector.bank.laws[true_class]
+        return [("", TrialPlan(law, law, FixedChange(1), horizon))]
+    if metric != "worst_case":
+        raise ValueError(f"unknown metric {metric!r}")
+    plans = []
+    for nu in change_points if change_points is not None else range(1, pre.period + 1):
+        if not (1 <= nu <= horizon):
+            raise ValueError(f"change point {nu} outside 1..horizon")
+        plans += [(f"nu{nu}_natural_", TrialPlan(pre, post, FixedChange(nu), horizon)),
+                  (f"nu{nu}_pinned_", TrialPlan(post, post, FixedChange(nu), horizon, start_time=nu - 1))]
+    return plans
+
+
+def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    (detector, plan, master_seed), indices = args
+    nu = np.empty(indices.size)
+    tau = np.full(indices.size, np.nan)
+    decided = np.zeros(indices.size, dtype=int)
     for j, i in enumerate(indices):
-        rng = trial_rng(master_seed, int(i))
-        nu = prior.sample(rng)
-        n_pre = min(nu - 1, horizon)
-        obs = sample_law(rng, pre, n_pre)
-        hit = proto.fresh().run_to_alarm(obs)
-        fa[j] = hit is not None
-        censored[j] = hit is None and (nu - 1) > horizon
-    return fa, censored
+        nu[j], obs = plan.draw(master_seed, int(i))
+        hit = detector.fresh(start_time=plan.start_time).run_to_alarm(obs)
+        if hit is not None:
+            tau[j] = hit.time_index
+            decided[j] = hit.decided_class or 0
+    return nu, tau, decided
+
+
+def run_trials(detector, plan: TrialPlan, trials: int, master_seed: int,
+               *, workers: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run trials ``0 .. trials - 1`` of ``plan``, each on a fresh copy of ``detector``.
+
+    Returns per-trial arrays: the change point ``nu`` (inf if none), the first
+    alarm time ``tau`` (nan if none within the horizon) and the decided class
+    (0 if none).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    args = [((detector, plan, master_seed), chunk)
+            for chunk in np.array_split(np.arange(trials), max(1, min(workers, trials)))]
+    if len(args) == 1:
+        parts = [_run_chunk(args[0])]
+    else:
+        # imported only where a pool starts: it takes 7-10 ms of every import of the CLI otherwise
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(processes=len(args)) as pool:
+            parts = pool.map(_run_chunk, args)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, horizon: int,
@@ -310,11 +351,10 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     no alarm by then are undecidable and counted as censored; they count as
     "no false alarm", so with any censoring the estimate is a lower bound.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    parts = _map_chunks(_pfa_chunk, (detector, pre, prior, horizon, master_seed), trials, workers)
-    fa = np.concatenate([p[0] for p in parts])
-    censored = np.concatenate([p[1] for p in parts])
+    [(_, plan)] = trial_plans("pfa", detector, pre, None, horizon, prior=prior)
+    nu, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
+    fa = ~np.isnan(tau)
+    censored = ~fa & (nu - 1 > horizon)
     est = float(fa.mean())
     return MonteCarloReport(
         metric="pfa", trials=trials, estimate=est, std_error=_binomial_se(est, trials),
@@ -323,33 +363,31 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     )
 
 
-def _add_chunk(args) -> tuple[np.ndarray, ...]:
-    (proto, pre, post, change, horizon, master_seed), indices = args
-    n = indices.size
-    delay = np.full(n, np.nan)
-    delay_pos = np.zeros(n)
-    qualified = np.zeros(n, dtype=bool)
-    censored = np.zeros(n, dtype=bool)
-    false_alarm = np.zeros(n, dtype=bool)
-    for j, i in enumerate(indices):
-        rng = trial_rng(master_seed, int(i))
-        nu = _draw_nu(rng, change)
-        obs = sample_with_change(rng, pre, post, nu, horizon)
-        hit = proto.fresh().run_to_alarm(obs)
-        if hit is not None:
-            if hit.time_index < nu:
-                false_alarm[j] = True
-            else:
-                qualified[j] = True
-                delay[j] = hit.time_index - nu
-                delay_pos[j] = delay[j]
-        else:
-            censored[j] = True
-            if nu <= horizon:
-                qualified[j] = True
-                delay[j] = horizon - nu
-                delay_pos[j] = delay[j]
-    return delay, delay_pos, qualified, censored, false_alarm
+def _add_report(detector, plan: TrialPlan, trials: int, master_seed: int, workers: int,
+                **report) -> MonteCarloReport:
+    """Mean of ``tau - nu`` over the trials that stop at or after the change point.
+
+    A trial without an alarm qualifies when its change point lies within the
+    horizon, with the lower bound ``horizon - nu``.
+    """
+    nu, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
+    alarmed = ~np.isnan(tau)
+    qualified = np.where(alarmed, tau >= nu, nu <= plan.horizon)
+    if not qualified.any():
+        raise InsufficientDataError("no trial stopped at or after its change point")
+    delay = np.where(alarmed, tau, plan.horizon) - nu
+    cond = delay[qualified]
+    censored = int((~alarmed).sum())
+    return MonteCarloReport(
+        metric="add", trials=trials, estimate=float(cond.mean()), std_error=_mean_se(cond),
+        censored_trials=censored, **report,
+        details={
+            "qualifying_trials": int(qualified.sum()),
+            "false_alarm_trials": int((alarmed & ~qualified).sum()),
+            "unconditional_mean_positive_delay": float(np.where(qualified, delay, 0.0).mean()),
+            "lower_bound_when_censored": censored > 0,
+        },
+    )
 
 
 def estimate_add(detector, pre: IpidLaw, post: IpidLaw, change: ChangeSpec, trials: int,
@@ -363,42 +401,8 @@ def estimate_add(detector, pre: IpidLaw, post: IpidLaw, change: ChangeSpec, tria
     bound whenever censoring is present.  The unconditional mean of
     ``(tau - nu)^+`` over all trials is reported alongside.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    parts = _map_chunks(_add_chunk, (detector, pre, post, change, horizon, master_seed), trials, workers)
-    delay = np.concatenate([p[0] for p in parts])
-    delay_pos = np.concatenate([p[1] for p in parts])
-    qualified = np.concatenate([p[2] for p in parts])
-    censored = np.concatenate([p[3] for p in parts])
-    false_alarm = np.concatenate([p[4] for p in parts])
-    if not qualified.any():
-        raise InsufficientDataError("no trial stopped at or after its change point")
-    cond = delay[qualified]
-    return MonteCarloReport(
-        metric="add", trials=trials, estimate=float(cond.mean()), std_error=_mean_se(cond),
-        censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
-        details={
-            "qualifying_trials": int(qualified.sum()),
-            "false_alarm_trials": int(false_alarm.sum()),
-            "unconditional_mean_positive_delay": float(delay_pos.mean()),
-        },
-    )
-
-
-def _arl_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    (proto, pre, horizon_cap, master_seed), indices = args
-    values = np.zeros(indices.size)
-    censored = np.zeros(indices.size, dtype=bool)
-    for j, i in enumerate(indices):
-        rng = trial_rng(master_seed, int(i))
-        obs = sample_law(rng, pre, horizon_cap)
-        hit = proto.fresh().run_to_alarm(obs)
-        if hit is None:
-            values[j] = horizon_cap
-            censored[j] = True
-        else:
-            values[j] = hit.time_index
-    return values, censored
+    [(_, plan)] = trial_plans("add", detector, pre, post, horizon, change=change)
+    return _add_report(detector, plan, trials, master_seed, workers, predicted=predicted, budget=budget)
 
 
 def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_seed: int,
@@ -411,32 +415,15 @@ def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_s
     """
     if trials < 1 or horizon_cap < 1:
         raise ValueError("trials and horizon_cap must be >= 1")
-    parts = _map_chunks(_arl_chunk, (detector, pre, horizon_cap, master_seed), trials, workers)
-    values = np.concatenate([p[0] for p in parts])
-    censored = np.concatenate([p[1] for p in parts])
+    [(_, plan)] = trial_plans("arl", detector, pre, None, horizon_cap)
+    _, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
+    censored = np.isnan(tau)
+    values = np.where(censored, horizon_cap, tau)
     return MonteCarloReport(
         metric="arl", trials=trials, estimate=float(values.mean()), std_error=_mean_se(values),
         censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
         details={"horizon_cap": int(horizon_cap), "lower_bound_when_censored": bool(censored.any())},
     )
-
-
-def _misclass_chunk(args) -> tuple[np.ndarray, ...]:
-    (proto, true_class, horizon, master_seed), indices = args
-    n = indices.size
-    alarmed = np.zeros(n, dtype=bool)
-    wrong = np.zeros(n, dtype=bool)
-    tau = np.full(n, np.nan)
-    law = proto.bank.laws[true_class]
-    for j, i in enumerate(indices):
-        rng = trial_rng(master_seed, int(i))
-        obs = sample_law(rng, law, horizon)
-        hit = proto.fresh().run_to_alarm(obs)
-        if hit is not None:
-            alarmed[j] = True
-            tau[j] = hit.time_index
-            wrong[j] = hit.decided_class != true_class
-    return alarmed, wrong, tau
 
 
 def estimate_misclass(detector: ClassifierBankDetector, true_class: int, trials: int, horizon: int,
@@ -445,29 +432,29 @@ def estimate_misclass(detector: ClassifierBankDetector, true_class: int, trials:
     """Fraction of alarmed trials that name the wrong class, with the change at sample one.
 
     Also reports the mean stopping time (and the mean delay ``tau - 1``) over
-    alarmed trials.  When ``budget`` is the mean-time-to-false-alarm target
-    ``beta``, the concrete misclassification bound ``mean(tau) / beta`` is
-    attached for reference.
+    alarmed trials.  Trials without an alarm by the horizon are left out of
+    it, so under censoring it is a lower bound.  When ``budget`` is the
+    mean-time-to-false-alarm target ``beta``, the concrete misclassification
+    bound ``mean(tau) / beta`` is attached for reference.
     """
     if not (1 <= true_class <= detector.num_classes):
         raise ValueError(f"true_class must lie in 1..{detector.num_classes}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    parts = _map_chunks(_misclass_chunk, (detector, true_class, horizon, master_seed), trials, workers)
-    alarmed = np.concatenate([p[0] for p in parts])
-    wrong = np.concatenate([p[1] for p in parts])
-    tau = np.concatenate([p[2] for p in parts])
+    [(_, plan)] = trial_plans("misclass", detector, None, None, horizon, true_class=true_class)
+    _, tau, decided = run_trials(detector, plan, trials, master_seed, workers=workers)
+    alarmed = ~np.isnan(tau)
     n_alarmed = int(alarmed.sum())
     if n_alarmed == 0:
         raise InsufficientDataError("no trial raised an alarm within the horizon")
-    est = float(wrong.sum() / n_alarmed)
+    n_wrong = int((alarmed & (decided != true_class)).sum())
+    est = float(n_wrong / n_alarmed)
     mean_tau = float(tau[alarmed].mean())
     details = {
         "alarmed_trials": n_alarmed,
-        "wrong_trials": int(wrong.sum()),
+        "wrong_trials": n_wrong,
         "mean_stop_time": mean_tau,
         "stop_time_se": _mean_se(tau[alarmed]),
         "mean_delay": mean_tau - 1.0,
+        "stop_time_lower_bound_when_censored": n_alarmed < trials,
     }
     if budget is not None and budget > 0:
         details["misclass_bound_mean_tau_over_beta"] = mean_tau / budget
@@ -476,27 +463,6 @@ def estimate_misclass(detector: ClassifierBankDetector, true_class: int, trials:
         std_error=_binomial_se(est, n_alarmed),
         censored_trials=trials - n_alarmed, predicted=predicted, budget=budget, details=details,
     )
-
-
-def _pinned_chunk(args) -> tuple[np.ndarray, ...]:
-    (proto, post, nu, horizon, master_seed), indices = args
-    n = indices.size
-    delay = np.full(n, np.nan)
-    qualified = np.zeros(n, dtype=bool)
-    censored = np.zeros(n, dtype=bool)
-    start_slot = (nu - 1) % post.period
-    for j, i in enumerate(indices):
-        rng = trial_rng(master_seed, int(i))
-        obs = sample_law(rng, post, horizon - nu + 1, start_slot=start_slot)
-        hit = proto.fresh(start_time=nu - 1).run_to_alarm(obs)
-        if hit is not None:
-            qualified[j] = True
-            delay[j] = hit.time_index - nu
-        else:
-            qualified[j] = True
-            censored[j] = True
-            delay[j] = horizon - nu
-    return delay, qualified, censored
 
 
 @dataclass(frozen=True)
@@ -526,22 +492,21 @@ class WorstCaseDelayReport:
 def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon: int,
                      master_seed: int, *, change_points=None, workers: int = 1) -> WorstCaseDelayReport:
     """Scan conditional delay over change points in one period and report the maximum."""
-    nus = list(change_points) if change_points is not None else list(range(1, pre.period + 1))
+    plans = trial_plans("worst_case", detector, pre, post, horizon, change_points=change_points)
     rows = []
-    for nu in nus:
-        if not (1 <= nu <= horizon):
-            raise ValueError(f"change point {nu} outside 1..horizon")
-        natural = estimate_add(detector, pre, post, FixedChange(nu), trials, horizon, master_seed,
-                               workers=workers)
-        parts = _map_chunks(_pinned_chunk, (detector, post, nu, horizon, master_seed), trials, workers)
-        delay = np.concatenate([p[0] for p in parts])
-        censored = np.concatenate([p[2] for p in parts])
-        pinned = MonteCarloReport(
+    for (_, natural), (_, pinned) in zip(plans[::2], plans[1::2]):
+        natural_report = _add_report(detector, natural, trials, master_seed, workers)
+        # every pinned trial starts at its change point, so every trial qualifies
+        nu, tau, _ = run_trials(detector, pinned, trials, master_seed, workers=workers)
+        delay = np.where(np.isnan(tau), horizon, tau) - nu
+        censored = int(np.isnan(tau).sum())
+        pinned_report = MonteCarloReport(
             metric="add", trials=trials, estimate=float(delay.mean()), std_error=_mean_se(delay),
-            censored_trials=int(censored.sum()),
-            details={"qualifying_trials": int(trials), "state": "pinned-at-change"},
+            censored_trials=censored,
+            details={"qualifying_trials": int(trials), "state": "pinned-at-change",
+                     "lower_bound_when_censored": censored > 0},
         )
-        rows.append((nu, natural, pinned))
+        rows.append((natural.change.nu, natural_report, pinned_report))
     return WorstCaseDelayReport(
         per_change_point=tuple(rows),
         max_natural=max(r[1].estimate for r in rows),
@@ -559,12 +524,3 @@ def change_from_dict(obj: dict) -> ChangeSpec:
         return NoChange()
     raise ValueError(f"unknown change spec type {kind!r}")
 
-
-def change_to_dict(change: ChangeSpec) -> dict:
-    if isinstance(change, FixedChange):
-        return {"type": "fixed", "nu": change.nu}
-    if isinstance(change, DrawnChange):
-        return {"type": "drawn", "prior": change.prior.to_dict()}
-    if isinstance(change, NoChange):
-        return {"type": "nochange"}
-    raise TypeError(f"not a change spec: {change!r}")

@@ -7,7 +7,9 @@ import pytest
 
 from periodetect.cli import _READ_BLOCK, main, read_observations_csv, write_observations_csv
 from periodetect.densities import Gaussian
+from periodetect.detectors import CusumDetector
 from periodetect.model import IpidLaw
+from periodetect.simulate import run_trials, trial_plans
 
 
 def gaussian_law_dict(means, variance=1.0):
@@ -307,6 +309,35 @@ class TestTrialDump:
         header = (dump_dir / "trial_0000.csv").read_text().splitlines()[0]
         assert header == "time_index,slot,observation,statistic,alarm,decided_class"
 
+    def test_worst_case_dumps_both_arms_of_every_change_point(self, tmp_path, capsys):
+        pre, post = gaussian_law_dict([0.0, 0.0]), gaussian_law_dict([10.0, 10.0])
+        scenario = {"metric": "worst_case", "detector": {"kind": "cusum", "threshold": 200.0},
+                    "pre": pre, "post": post, "trials": 4, "horizon": 40, "seed": 8}
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps(scenario))
+        dump_dir = tmp_path / "dumps"
+        code, _, err = run_cli(
+            ["evaluate", "--scenario", sc_path, "--out", tmp_path / "report.json",
+             "--dump-trials", "3", "--dump-dir", dump_dir], capsys)
+        assert code == 0, err
+        assert sorted(p.name for p in dump_dir.iterdir()) == [
+            f"nu{nu}_{arm}_trial_{i:04d}.csv" for nu in (1, 2) for arm in ("natural", "pinned")
+            for i in range(3)]
+        det = CusumDetector(IpidLaw.from_dict(pre), IpidLaw.from_dict(post), 200.0)
+        plans = dict(trial_plans("worst_case", det, IpidLaw.from_dict(pre), IpidLaw.from_dict(post), 40))
+        for nu in (1, 2):
+            for arm in ("natural", "pinned"):
+                _, tau, _ = run_trials(det, plans[f"nu{nu}_{arm}_"], 3, 8)
+                for i in range(3):
+                    lines = (dump_dir / f"nu{nu}_{arm}_trial_{i:04d}.csv").read_text().splitlines()
+                    rows = [line.split(",") for line in lines[1:]]
+                    times = [int(r[0]) for r in rows]
+                    # pre-change values lie near 0 and post-change values near 10
+                    assert [float(r[2]) > 5.0 for r in rows] == [t >= nu for t in times]
+                    assert times[0] == (nu if arm == "pinned" else 1)
+                    assert [r[4] for r in rows] == ["0"] * (len(rows) - 1) + ["1"]
+                    assert times[-1] == tau[i]
+
 
 class TestObservationCsv:
     def test_round_trip_single_stream(self, tmp_path):
@@ -411,3 +442,63 @@ class TestBlockedObservationCsv:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+@pytest.fixture
+def detector_models(tmp_path, models):
+    pre_path, post_path = models
+    law = gaussian_law_dict([0.0, 0.5])
+    alt = gaussian_law_dict([1.0, 0.5])
+    paths = {"model": pre_path, "model2": post_path}
+    payloads = {
+        "multislot": {"period": 2, "pre": law, "post": alt, "candidates": [[0]], "weights": [1.0]},
+        "multistream": {"streams": [{"pre": law, "post": alt}], "candidates": [[0]], "weights": [1.0]},
+        "bank": {"period": 2, "laws": [law, alt], "active_slots": None},
+    }
+    for name, payload in payloads.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    return paths
+
+
+class TestBuildDetectorErrors:
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("shiryaev", ["--model", "model", "--prior-rho", "0.1", "--alpha", "0.05"],
+         "shiryaev needs --model (pre) and --model2 (post)"),
+        ("shiryaev", ["--model", "model", "--model2", "model2", "--alpha", "0.05"],
+         "shiryaev needs --prior-rho"),
+        ("shiryaev", ["--model", "model", "--model2", "model2", "--prior-rho", "0.1"],
+         "give --threshold or --alpha"),
+        ("cusum", ["--model2", "model2", "--beta", "100"],
+         "cusum needs --model (baseline) and --model2 (alternative)"),
+        ("cusum", ["--model", "model", "--model2", "model2"], "give --threshold or --beta"),
+        ("mixture", ["--prior-rho", "0.1", "--alpha", "0.05"],
+         "mixture needs --family (multislot family JSON)"),
+        ("mixture", ["--family", "multislot", "--alpha", "0.05"], "mixture needs --prior-rho"),
+        ("mixture", ["--family", "multislot", "--prior-rho", "0.1"], "give --threshold or --alpha"),
+        ("multistream", ["--prior-rho", "0.1", "--alpha", "0.05"],
+         "multistream needs --family (multistream config JSON)"),
+        ("multistream", ["--family", "multistream", "--alpha", "0.05"],
+         "multistream needs --prior-rho"),
+        ("multistream", ["--family", "multistream", "--prior-rho", "0.1"],
+         "give --threshold or --alpha"),
+        ("classifier", ["--beta", "100"], "classifier needs --bank"),
+        ("classifier", ["--bank", "bank"], "give --threshold or --beta"),
+    ])
+    def test_missing_model_or_budget_names_the_flag(self, tmp_path, capsys, detector_models,
+                                                     kind, flags, message):
+        argv = ["detect", "--detector", kind, "--input", tmp_path / "absent.csv",
+                "--out", tmp_path / "out.json"]
+        argv += [detector_models.get(f, f) for f in flags]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("kind", ["ewma", ["cusum"], None])
+    def test_unknown_kind_in_a_scenario(self, tmp_path, capsys, kind):
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({"metric": "arl", "detector": {"kind": kind},
+                                       "pre": gaussian_law_dict([0.0]), "trials": 2, "horizon": 5}))
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"unknown detector kind {kind!r}"}

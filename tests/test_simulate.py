@@ -8,7 +8,7 @@ from periodetect.densities import Gaussian, Poisson
 from periodetect.detectors import ClassifierBankDetector, CusumDetector, ShiryaevDetector
 from periodetect.information import threshold as info_threshold
 from periodetect.information import DetectorKind
-from periodetect.model import ClassBank, GeometricPrior, IpidLaw, MultistreamConfig
+from periodetect.model import ClassBank, ExplicitPrior, GeometricPrior, IpidLaw, MultistreamConfig
 from periodetect.simulate import (
     DrawnChange,
     FixedChange,
@@ -23,8 +23,10 @@ from periodetect.simulate import (
     generate,
     generate_multistream,
     mexican_hat_wavelet,
+    run_trials,
     sample_law,
     signal_law,
+    trial_plans,
     trial_rng,
     worst_case_delay,
 )
@@ -193,6 +195,21 @@ class TestEstimateAdd:
         rep = estimate_add(det, PRE, POST, FixedChange(5), 100, 40, master_seed=33)
         assert rep.censored_trials == 100
         assert rep.estimate == pytest.approx(35.0)  # horizon - nu lower bound
+        assert rep.details["lower_bound_when_censored"]
+        (_, natural, pinned), = worst_case_delay(det, PRE, POST, 50, 40, master_seed=33,
+                                                 change_points=[5]).per_change_point
+        assert natural.details["lower_bound_when_censored"]
+        assert pinned.censored_trials == 50 and pinned.details["lower_bound_when_censored"]
+
+    def test_uncensored_estimate_is_not_flagged_as_bound(self):
+        det = ShiryaevDetector(PRE, POST, 0.05, 0.0)  # alarms at its first sample
+        rep = estimate_add(det, PRE, POST, FixedChange(1), 100, 40, master_seed=34)
+        assert rep.censored_trials == 0
+        assert rep.details["lower_bound_when_censored"] is False
+        (_, natural, pinned), = worst_case_delay(det, PRE, POST, 50, 40, master_seed=34,
+                                                 change_points=[1]).per_change_point
+        assert natural.details["lower_bound_when_censored"] is False
+        assert pinned.details["lower_bound_when_censored"] is False
 
 
 class TestEstimateArl:
@@ -217,6 +234,16 @@ class TestEstimateMisclass:
         assert rep.estimate == 0.0
         assert rep.details["mean_delay"] == rep.details["mean_stop_time"] - 1.0
         assert "misclass_bound_mean_tau_over_beta" in rep.details
+        assert rep.censored_trials == 0
+        assert rep.details["stop_time_lower_bound_when_censored"] is False
+
+    def test_censored_stop_time_flagged_as_bound(self):
+        # about 8 samples are needed to reach the threshold, so a horizon of 8 leaves many unalarmed
+        bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0])))
+        det = ClassifierBankDetector(bank, info_threshold(DetectorKind.CLASSIFIER, 50.0, num_classes=1))
+        rep = estimate_misclass(det, 1, 200, 8, master_seed=52)
+        assert 0 < rep.censored_trials < 200
+        assert rep.details["stop_time_lower_bound_when_censored"] is True
 
     def test_true_class_validated(self):
         bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0])))
@@ -292,8 +319,174 @@ class TestTrialRng:
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
 
-    def test_sample_law_start_slot(self):
-        law = gaussian_law([0.0, 100.0])
+    @pytest.mark.parametrize("law", [gaussian_law([0.0, 100.0]),
+                                     IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(100.0)))])
+    def test_sample_law_start_slot(self, law):
         obs = sample_law(trial_rng(1), law, 4, start_slot=1)
         assert obs[0] > 50.0 and obs[2] > 50.0
         assert obs[1] < 50.0 and obs[3] < 50.0
+
+
+# ---------------------------------------------------------------- engine oracle
+# The per-trial loop every estimator ran before the trial engine existed, with
+# the sampling code of that time, kept as the reference: trial_rng -> sample ->
+# fresh().run_to_alarm.
+
+
+def _ref_sample_law(rng, law, n, start_slot=0):
+    if n <= 0:
+        return np.empty(0)
+    slots = (start_slot + np.arange(n)) % law.period
+    if all(isinstance(d, Gaussian) for d in law.slots):
+        means = np.array([d.mean for d in law.slots])
+        stds = np.array([math.sqrt(d.variance) for d in law.slots])
+        return means[slots] + stds[slots] * rng.standard_normal(n)
+    out = np.empty(n)
+    for s in range(law.period):
+        idx = np.nonzero(slots == s)[0]
+        if idx.size:
+            out[idx] = np.asarray(law.slots[s].sample(rng, idx.size), dtype=float)
+    return out
+
+
+def _ref_sample_with_change(rng, pre, post, nu, horizon):
+    if horizon <= 0:
+        return np.empty(0)
+    times = np.arange(1, horizon + 1)
+    slots = (times - 1) % pre.period
+    pre_mask = times < nu
+    if post is None or pre_mask.all():
+        return _ref_sample_law(rng, pre, horizon)
+    if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
+        means = np.where(pre_mask, np.array([d.mean for d in pre.slots])[slots],
+                         np.array([d.mean for d in post.slots])[slots])
+        stds = np.where(pre_mask, np.array([math.sqrt(d.variance) for d in pre.slots])[slots],
+                        np.array([math.sqrt(d.variance) for d in post.slots])[slots])
+        return means + stds * rng.standard_normal(horizon)
+    out = np.empty(horizon)
+    for law, mask in ((pre, pre_mask), (post, ~pre_mask)):
+        for s in range(law.period):
+            idx = np.nonzero(mask & (slots == s))[0]
+            if idx.size:
+                out[idx] = np.asarray(law.slots[s].sample(rng, idx.size), dtype=float)
+    return out
+
+
+def _ref_nu(rng, change):
+    if isinstance(change, FixedChange):
+        return change.nu
+    if isinstance(change, DrawnChange):
+        return change.prior.sample(rng)
+    return math.inf
+
+
+def reference_trials(arm, detector, trials, seed, horizon, *, pre=None, post=None, change=None,
+                     prior=None, true_class=None, nu=None):
+    """Per-trial (nu, tau, decided class) as the pre-engine loop of ``arm`` computed them."""
+    rows = []
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        start_time = None
+        if arm == "pfa":
+            nu_i = prior.sample(rng)
+            obs = _ref_sample_law(rng, pre, min(nu_i - 1, horizon))
+        elif arm == "add":
+            nu_i = _ref_nu(rng, change)
+            obs = _ref_sample_with_change(rng, pre, post, nu_i, horizon)
+        elif arm == "arl":
+            nu_i = math.inf
+            obs = _ref_sample_law(rng, pre, horizon)
+        elif arm == "misclass":
+            nu_i = 1
+            obs = _ref_sample_law(rng, detector.bank.laws[true_class], horizon)
+        else:  # the pinned arm of worst_case_delay
+            nu_i, start_time = nu, nu - 1
+            obs = _ref_sample_law(rng, post, horizon - nu + 1, start_slot=(nu - 1) % post.period)
+        hit = detector.fresh(start_time=start_time).run_to_alarm(obs)
+        rows.append((nu_i, math.nan if hit is None else hit.time_index,
+                     0 if hit is None or hit.decided_class is None else hit.decided_class))
+    return tuple(np.array(col, dtype=float) for col in zip(*rows))
+
+
+POIS_PRE = IpidLaw(3, (Poisson(2.0), Poisson(5.0), Poisson(3.0)))
+POIS_POST = IpidLaw(3, (Poisson(4.0), Poisson(8.0), Poisson(6.0)))
+FAR = gaussian_law([10.0, 10.5, 11.0, 10.5])
+MIXED_PRE = IpidLaw(3, (Gaussian(0.0, 1.0), Poisson(3.0), Gaussian(1.0, 2.0)))
+MIXED_POST = IpidLaw(3, (Gaussian(1.0, 1.0), Poisson(6.0), Gaussian(2.0, 2.0)))
+ORACLE_BANK = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]), gaussian_law([2.0])))
+
+
+def _oracle_cases():
+    shq = ShiryaevDetector(PRE, POST, 0.05, 0.99)
+    cases = [
+        ("pfa", shq, 60, dict(pre=PRE, prior=GeometricPrior(0.05))),
+        # alarms at the first sample it sees, so one sample drawn past nu - 1 would show
+        ("pfa", ShiryaevDetector(PRE, POST, 0.3, 0.0), 60, dict(pre=PRE, prior=GeometricPrior(0.3))),
+        ("pfa", shq, 60, dict(pre=PRE, prior=ExplicitPrior((0.2, 0.3, 0.5)))),
+        ("add", shq, 200, dict(pre=PRE, post=POST, change=FixedChange(3))),
+        ("add", shq, 200, dict(pre=PRE, post=POST, change=DrawnChange(GeometricPrior(0.05)))),
+        ("add", shq, 200, dict(pre=PRE, post=POST, change=NoChange())),
+        ("arl", CusumDetector(PRE, POST, 3.0), 300, dict(pre=PRE)),
+        # a change 10 sd away at sample 4500 is detected at once, past the 4096-sample scan block
+        ("add", CusumDetector(PRE, FAR, 20.0), 6000, dict(pre=PRE, post=FAR, change=FixedChange(4500))),
+    ]
+    for pre, post in ((POIS_PRE, POIS_POST), (MIXED_PRE, MIXED_POST)):
+        det = CusumDetector(pre, post, 4.0)
+        cases += [("pfa", ShiryaevDetector(pre, post, 0.05, 0.9), 100,
+                   dict(pre=pre, prior=GeometricPrior(0.05))),
+                  ("add", det, 100, dict(pre=pre, post=post, change=FixedChange(1))),
+                  ("add", det, 100, dict(pre=pre, post=post, change=FixedChange(5))),
+                  ("add", det, 100, dict(pre=pre, post=post, change=DrawnChange(GeometricPrior(0.1)))),
+                  ("arl", det, 300, dict(pre=pre)),
+                  ("worst_case", det, 100, dict(pre=pre, post=post))]
+    # Gaussian and Poisson laws on either side of the change; the detector scores both
+    g3 = IpidLaw(3, (Gaussian(2.0, 1.0), Gaussian(5.0, 1.0), Gaussian(3.0, 1.0)))
+    det = CusumDetector(g3, IpidLaw(3, tuple(Gaussian(d.mean + 1.0, 1.0) for d in g3.slots)), 4.0)
+    cases += [("add", det, 100, dict(pre=g3, post=POIS_POST, change=FixedChange(200))),
+              ("add", det, 100, dict(pre=g3, post=POIS_POST, change=FixedChange(4))),
+              ("add", det, 100, dict(pre=POIS_PRE, post=g3, change=FixedChange(1)))]
+    for window in (None, 30):
+        det = ClassifierBankDetector(ORACLE_BANK, 6.0, window=window)
+        cases.append(("misclass", det, 200, dict(true_class=2)))
+    cases.append(("worst_case", CusumDetector(PRE, POST, 2.5), 100,
+                  dict(pre=PRE, post=POST, change_points=[1, 2, 7])))
+    return cases
+
+
+class TestTrialEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", range(len(_oracle_cases())))
+    def test_engine_equals_the_per_trial_loop(self, case, workers):
+        metric, det, horizon, inputs = _oracle_cases()[case]
+        trials, seed = 12, 700 + case
+        plans = trial_plans(metric, det, inputs.get("pre"), inputs.get("post"), horizon,
+                            change=inputs.get("change"), prior=inputs.get("prior"),
+                            true_class=inputs.get("true_class"),
+                            change_points=inputs.get("change_points"))
+        assert len(plans) == (1 if metric != "worst_case" else 2 * len(
+            inputs.get("change_points") or range(inputs["pre"].period)))
+        for label, plan in plans:
+            arm, ref_inputs = metric, dict(inputs)
+            ref_inputs.pop("change_points", None)
+            if label.endswith("_natural_"):
+                arm, ref_inputs["change"] = "add", plan.change
+            elif label.endswith("_pinned_"):
+                arm, ref_inputs["nu"] = "pinned", plan.change.nu
+            expected = reference_trials(arm, det, trials, seed, horizon, **ref_inputs)
+            got = run_trials(det, plan, trials, seed, workers=workers)
+            for name, want, have in zip(("nu", "tau", "class"), expected, got):
+                np.testing.assert_array_equal(have, want, err_msg=f"{label or metric}: {name}")
+
+    def test_long_horizon_case_alarms_in_the_second_scan_block(self):
+        [case] = [i for i, c in enumerate(_oracle_cases()) if c[2] > 4096]
+        metric, det, horizon, inputs = _oracle_cases()[case]
+        [(_, plan)] = trial_plans(metric, det, inputs["pre"], inputs["post"], horizon,
+                                  change=inputs["change"])
+        _, tau, _ = run_trials(det, plan, 12, 700 + case)
+        assert np.all((tau >= 4500) & (tau < 4600))
+
+    def test_plans_are_labelled_for_the_dump(self):
+        det = CusumDetector(PRE, POST, 2.5)
+        labels = [label for label, _ in trial_plans("worst_case", det, PRE, POST, 50, change_points=[2, 3])]
+        assert labels == ["nu2_natural_", "nu2_pinned_", "nu3_natural_", "nu3_pinned_"]
+        assert [label for label, _ in trial_plans("arl", det, PRE, None, 50)] == [""]
