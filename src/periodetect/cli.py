@@ -307,7 +307,7 @@ def _predicted_for(metric: str, kind: str, scenario: dict, opts: dict,
             return float(beta) if beta is not None else None
         if metric == "add":
             d = prior.tail_exponent if prior is not None else 0.0
-            if kind == "mixture" and family is not None and "true_slots" in scenario:
+            if kind == "mixture" and family is not None and "true_slots" in scenario and alpha is not None:
                 info = information.info_multislot(family, scenario["true_slots"])
                 return information.asymptotic_delay(information.DetectorKind.MIXTURE, alpha, info, d)
             if kind == "shiryaev" and pre is not None and post is not None and alpha is not None:
@@ -334,6 +334,8 @@ def _cmd_evaluate(args) -> int:
     })
     if opts["scenario"] is None:
         raise ValueError("evaluate needs --scenario")
+    if opts["dump_trials"] and not opts["dump_dir"]:
+        raise ValueError("--dump-trials needs --dump-dir")
     scenario = _load_json(opts["scenario"])
     metric = scenario.get("metric")
     if metric not in ("pfa", "add", "arl", "misclass", "worst_case"):
@@ -380,7 +382,7 @@ def _cmd_evaluate(args) -> int:
     payload = report.to_dict()
     payload["config"] = {**opts, "metric": metric, "detector": det_spec,
                          "trials": trials, "horizon": horizon, "seed": seed}
-    if opts["dump_trials"] and opts["dump_dir"]:
+    if opts["dump_trials"]:
         plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
                                      true_class=true_class, change_points=change_points)
         _dump_trials(int(opts["dump_trials"]), opts["dump_dir"], plans, detector, seed)
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="run a detector over an observation CSV")
     add_common(p_det)
-    p_det.add_argument("--detector", choices=["shiryaev", "cusum", "mixture", "multistream", "classifier"])
+    p_det.add_argument("--detector", choices=list(_DETECTORS))
     p_det.add_argument("--model", help="pre-change (or baseline) law JSON")
     p_det.add_argument("--model2", help="post-change (or alternative / least favorable) law JSON")
     p_det.add_argument("--family", help="multislot family or multistream config JSON")

@@ -76,13 +76,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if not isinstance(self.change, NoChange):
-            if self.post is None:
-                raise ValueError("a post-change law is required unless the scenario is NoChange")
-            if self.post.period != self.pre.period:
-                raise ValueError("pre and post laws must share one period")
+        TrialPlan(self.pre, self.post, self.change, self.horizon)  # checks the description
 
 
 def _mean_std(law: IpidLaw, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +249,8 @@ class TrialPlan:
     ``stop_before_change`` draws only the observations before the change
     point (at most ``horizon``).  ``start_time`` is the detector's clock at
     the first observation, which is then observation ``start_time + 1``;
-    ``None`` keeps the clock of the detector the trials copy.
+    ``None`` keeps the clock of the detector the trials copy.  A post-change
+    law is required unless the plan never draws past the change.
     """
 
     pre: IpidLaw
@@ -264,6 +259,17 @@ class TrialPlan:
     horizon: int
     stop_before_change: bool = False
     start_time: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if isinstance(self.change, DrawnChange) and self.change.prior is None:
+            raise ValueError("a drawn change point needs a prior")
+        if not (isinstance(self.change, NoChange) or self.stop_before_change):
+            if self.post is None:
+                raise ValueError("a post-change law is required unless the scenario is NoChange")
+            if self.post.period != self.pre.period:
+                raise ValueError("pre and post laws must share one period")
 
     def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
         """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
@@ -364,11 +370,12 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
 
 
 def _add_report(detector, plan: TrialPlan, trials: int, master_seed: int, workers: int,
-                **report) -> MonteCarloReport:
+                details: dict | None = None, **report) -> MonteCarloReport:
     """Mean of ``tau - nu`` over the trials that stop at or after the change point.
 
     A trial without an alarm qualifies when its change point lies within the
-    horizon, with the lower bound ``horizon - nu``.
+    horizon, with the lower bound ``horizon - nu``.  ``details`` are added to
+    the report's own.
     """
     nu, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
     alarmed = ~np.isnan(tau)
@@ -386,6 +393,7 @@ def _add_report(detector, plan: TrialPlan, trials: int, master_seed: int, worker
             "false_alarm_trials": int((alarmed & ~qualified).sum()),
             "unconditional_mean_positive_delay": float(np.where(qualified, delay, 0.0).mean()),
             "lower_bound_when_censored": censored > 0,
+            **(details or {}),
         },
     )
 
@@ -495,18 +503,10 @@ def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon
     plans = trial_plans("worst_case", detector, pre, post, horizon, change_points=change_points)
     rows = []
     for (_, natural), (_, pinned) in zip(plans[::2], plans[1::2]):
-        natural_report = _add_report(detector, natural, trials, master_seed, workers)
         # every pinned trial starts at its change point, so every trial qualifies
-        nu, tau, _ = run_trials(detector, pinned, trials, master_seed, workers=workers)
-        delay = np.where(np.isnan(tau), horizon, tau) - nu
-        censored = int(np.isnan(tau).sum())
-        pinned_report = MonteCarloReport(
-            metric="add", trials=trials, estimate=float(delay.mean()), std_error=_mean_se(delay),
-            censored_trials=censored,
-            details={"qualifying_trials": int(trials), "state": "pinned-at-change",
-                     "lower_bound_when_censored": censored > 0},
-        )
-        rows.append((natural.change.nu, natural_report, pinned_report))
+        rows.append((natural.change.nu, _add_report(detector, natural, trials, master_seed, workers),
+                     _add_report(detector, pinned, trials, master_seed, workers,
+                                 details={"state": "pinned-at-change"})))
     return WorstCaseDelayReport(
         per_change_point=tuple(rows),
         max_natural=max(r[1].estimate for r in rows),

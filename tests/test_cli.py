@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from periodetect.cli import _READ_BLOCK, main, read_observations_csv, write_observations_csv
+from periodetect import information
+from periodetect.cli import _READ_BLOCK, _predicted_for, main, read_observations_csv, write_observations_csv
 from periodetect.densities import Gaussian
 from periodetect.detectors import CusumDetector
-from periodetect.model import IpidLaw
+from periodetect.model import ClassBank, GeometricPrior, IpidLaw, MultislotFamily, MultistreamConfig
 from periodetect.simulate import run_trials, trial_plans
 
 
@@ -502,3 +503,98 @@ class TestBuildDetectorErrors:
         code, _, err = run_cli(["evaluate", "--scenario", sc_path], capsys)
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message": f"unknown detector kind {kind!r}"}
+
+
+PRED_PRE = IpidLaw.from_dict(gaussian_law_dict([0.0, 0.5, 1.0, 0.5]))
+PRED_POST = IpidLaw.from_dict(gaussian_law_dict([0.5, 1.0, 1.5, 1.0]))
+PRED_FAMILY = MultislotFamily.from_dict({
+    "period": 4, "pre": gaussian_law_dict([0.0, 0.5, 1.0, 0.5]),
+    "post": gaussian_law_dict([1.0, 1.5, 2.0, 1.5]), "candidates": [[0, 1], [2, 3]], "weights": [0.5, 0.5]})
+PRED_BANK = ClassBank.from_dict({"period": 4, "active_slots": None, "laws": [
+    gaussian_law_dict([0.0] * 4), gaussian_law_dict([1.0] * 4), gaussian_law_dict([-1.0, 0.0, 1.0, 2.0])]})
+PRED_STREAMS = MultistreamConfig.from_dict({
+    "streams": [{"pre": gaussian_law_dict([0.0]), "post": gaussian_law_dict([1.0])}],
+    "candidates": [[0]], "weights": [1.0]})
+PRED_PRIOR = GeometricPrior(0.05)
+PRED_ALPHA, PRED_BETA = 0.01, 200.0
+
+
+def _expected_prediction(metric, kind):
+    kinds = information.DetectorKind
+    d = PRED_PRIOR.tail_exponent
+    return {
+        ("pfa", "shiryaev"): PRED_ALPHA,
+        ("pfa", "cusum"): PRED_ALPHA,
+        ("arl", "cusum"): PRED_BETA,
+        ("arl", "shiryaev"): PRED_BETA,
+        ("misclass", "classifier"): 1.0 / PRED_BETA,
+        ("add", "shiryaev"): information.asymptotic_delay(
+            kinds.SHIRYAEV, PRED_ALPHA, information.info_number(PRED_PRE, PRED_POST), d),
+        ("add", "cusum"): information.asymptotic_delay(
+            kinds.CUSUM, PRED_BETA, information.info_number(PRED_PRE, PRED_POST)),
+        ("add", "mixture"): information.asymptotic_delay(
+            kinds.MIXTURE, PRED_ALPHA, information.info_multislot(PRED_FAMILY, [2, 3]), d),
+        ("add", "classifier"): information.asymptotic_delay(
+            kinds.CLASSIFIER, PRED_BETA, information.info_matrix(PRED_BANK)[1]),
+    }.get((metric, kind))
+
+
+class TestPredictedFor:
+    """The first-order prediction attached to each metric and detector kind."""
+
+    @pytest.mark.parametrize("metric, kind", [
+        ("pfa", "shiryaev"), ("pfa", "cusum"), ("arl", "cusum"), ("arl", "shiryaev"),
+        ("misclass", "classifier"), ("add", "shiryaev"), ("add", "cusum"), ("add", "mixture"),
+        ("add", "classifier"), ("add", "multistream"), ("worst_case", "shiryaev"),
+        ("worst_case", "cusum"),
+    ])
+    def test_prediction_per_metric_and_kind(self, metric, kind):
+        family = PRED_STREAMS if kind == "multistream" else PRED_FAMILY
+        predicted = _predicted_for(metric, kind, {"true_slots": [2, 3]},
+                                   {"alpha": PRED_ALPHA, "beta": PRED_BETA},
+                                   PRED_PRE, PRED_POST, family, PRED_BANK, PRED_PRIOR)
+        assert predicted == _expected_prediction(metric, kind)
+
+    def test_mixture_add_with_a_threshold_and_no_alpha_predicts_nothing(self, tmp_path, capsys):
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({
+            "metric": "add", "detector": {"kind": "mixture", "threshold": 20.0, "rho": 0.05},
+            "family": {"period": 2, "pre": gaussian_law_dict([0.0, 0.0]),
+                       "post": gaussian_law_dict([2.0, 2.0]), "candidates": [[0], [1]],
+                       "weights": [0.5, 0.5]},
+            "true_slots": [0], "change": {"type": "fixed", "nu": 3},
+            "trials": 5, "horizon": 200, "seed": 2}))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["predicted"] is None
+        assert report["censored_trials"] < report["trials"]
+
+
+class TestEvaluateChecks:
+    @pytest.mark.parametrize("metric", ["add", "worst_case"])
+    def test_a_delay_needs_a_post_change_law(self, tmp_path, capsys, metric):
+        # a mixture scenario without true_slots names no post-change law to draw from
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({
+            "metric": metric, "detector": {"kind": "mixture", "alpha": 0.01, "rho": 0.05},
+            "family": {"period": 2, "pre": gaussian_law_dict([0.0, 0.0]),
+                       "post": gaussian_law_dict([2.0, 2.0]), "candidates": [[0], [1]], "weights": [0.5, 0.5]},
+            "change": {"type": "fixed", "nu": 5}, "trials": 5, "horizon": 200, "seed": 4}))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "a post-change law is required unless the scenario is NoChange"}
+        assert not out.exists()
+
+    def test_dump_trials_needs_a_dump_dir(self, tmp_path, models, capsys):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl")
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--trials", "3", "--out", out,
+                                "--dump-trials", "2"], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "--dump-trials needs --dump-dir"}
+        assert not out.exists()

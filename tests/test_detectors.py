@@ -995,6 +995,24 @@ class TestRunEqualsStepping:
         assert det.time == 0
 
 
+@pytest.mark.parametrize("cls", [ShiryaevDetector, CusumDetector, MixtureShiryaev,
+                                 MultistreamMixture, ClassifierBankDetector])
+def test_each_detector_class_holds_the_traced_methods(cls):
+    # perfbench's tracer wraps these through each class's own __dict__, so a
+    # wrapper installed on one class must leave the others alone
+    for name in ("fresh", "step", "run_to_alarm"):
+        assert name in cls.__dict__, name
+
+
+@pytest.mark.parametrize("kind", sorted(FIVE_DETECTORS))
+def test_empty_run_to_alarm_returns_none_and_keeps_state(kind):
+    det = FIVE_DETECTORS[kind](start_time=3)
+    run(det, odds_stream(kind, 7, 16))
+    time, statistic = det.time, current_statistic(det)
+    assert det.run_to_alarm(odds_stream(kind, 0, 16)) is None
+    assert det.time == time and current_statistic(det) == statistic
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1.0, 1.5])
 @pytest.mark.parametrize("kind", sorted(POISSON_DETECTORS))
 def test_rejected_run_leaves_state_unchanged(kind, bad):

@@ -16,6 +16,7 @@ from periodetect.simulate import (
     MonteCarloReport,
     NoChange,
     ScenarioSpec,
+    TrialPlan,
     estimate_add,
     estimate_arl,
     estimate_misclass,
@@ -291,6 +292,60 @@ class TestWorstCaseDelay:
                                   change_points=[1, 2, 3])
         assert report.max_natural == max(r[1].estimate for r in report.per_change_point)
         assert report.max_pinned == max(r[2].estimate for r in report.per_change_point)
+
+    def test_pinned_report_counts_every_trial(self):
+        # every pinned trial starts at its change point, so none is a false alarm
+        det = CusumDetector(PRE, POST, 1.5)
+        report = worst_case_delay(det, PRE, POST, trials=200, horizon=200, master_seed=64,
+                                  change_points=[2, 3])
+        for nu, _, pinned in report.per_change_point:
+            _, tau, _ = run_trials(det, dict(trial_plans("worst_case", det, PRE, POST, 200,
+                                                         change_points=[nu]))[f"nu{nu}_pinned_"], 200, 64)
+            assert pinned.estimate == float(np.mean(tau - nu))
+            assert pinned.details == {
+                "qualifying_trials": 200, "false_alarm_trials": 0,
+                "unconditional_mean_positive_delay": pinned.estimate,
+                "lower_bound_when_censored": False, "state": "pinned-at-change"}
+
+
+class TestTrialChecks:
+    """Every trial description is checked once, when its TrialPlan is built."""
+
+    @pytest.mark.parametrize("make", [
+        lambda pre, post, change, horizon: TrialPlan(pre, post, change, horizon),
+        lambda pre, post, change, horizon: ScenarioSpec(pre, post, change, horizon, seed=0),
+    ], ids=["plan", "scenario"])
+    @pytest.mark.parametrize("post, change, horizon, message", [
+        (POST, FixedChange(3), 0, "horizon must be >= 1"),
+        (None, FixedChange(3), 10, "a post-change law is required unless the scenario is NoChange"),
+        (None, DrawnChange(GeometricPrior(0.1)), 10,
+         "a post-change law is required unless the scenario is NoChange"),
+        (gaussian_law([1.0]), FixedChange(3), 10, "pre and post laws must share one period"),
+        (POST, DrawnChange(None), 10, "a drawn change point needs a prior"),
+    ])
+    def test_invalid_descriptions_rejected(self, make, post, change, horizon, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(PRE, post, change, horizon)
+
+    def test_plans_that_never_draw_past_the_change_need_no_post_law(self):
+        TrialPlan(PRE, None, NoChange(), 10)
+        [(_, plan)] = trial_plans("pfa", None, PRE, None, 10, prior=GeometricPrior(0.1))
+        assert plan.post is None and plan.stop_before_change
+
+    def test_add_without_a_post_law_raises(self):
+        det = ShiryaevDetector(PRE, POST, 0.05, 0.99)
+        with pytest.raises(ValueError, match="post-change law is required"):
+            estimate_add(det, PRE, None, FixedChange(5), 20, 100, master_seed=1)
+
+    def test_worst_case_without_a_post_law_raises(self):
+        det = CusumDetector(PRE, POST, 2.5)
+        with pytest.raises(ValueError, match="post-change law is required"):
+            worst_case_delay(det, PRE, None, trials=5, horizon=50, master_seed=1)
+
+    def test_pfa_without_a_prior_raises(self):
+        det = ShiryaevDetector(PRE, POST, 0.05, 0.99)
+        with pytest.raises(ValueError, match="prior"):
+            estimate_pfa(det, PRE, None, 20, 100, master_seed=1)
 
 
 class TestMonteCarloReport:
