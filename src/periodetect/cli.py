@@ -342,6 +342,8 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"unknown metric {metric!r}")
     det_spec = dict(scenario.get("detector", {}))
     kind = det_spec.get("kind")
+    if kind == "multistream":
+        raise ValueError("evaluate draws one stream per trial, so the multistream detector is not supported")
     trials = int(opts["trials"] if opts["trials"] is not None else scenario["trials"])
     if trials < 1:
         raise ValueError("trials must be >= 1")

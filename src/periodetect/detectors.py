@@ -38,9 +38,11 @@ and :func:`run` scores its whole input with the batch scoring of
 ``run_to_alarm`` and applies ``_update`` column after column, so ``run``
 equals stepping bit for bit.  ``run_to_alarm`` hands the scores to
 ``_scan``, which for posterior odds and CUSUM is a closed form that agrees
-with ``_update`` within 1e-9 relative and 1e-10 absolute error.  ``run`` and
-``run_to_alarm`` score their whole input before any state changes, so an
-invalid observation raises and leaves the detector as it was.
+with ``_update`` within 1e-9 relative and 1e-10 absolute error, written
+once as ``_scan_rows`` on a batch of runs (the trial engine's batches) and
+applied by ``_scan`` to a batch of one.  ``run`` and ``run_to_alarm`` score
+their whole input before any state changes, so an invalid observation
+raises and leaves the detector as it was.
 
 The first three share one posterior-odds core: per component ``k`` the odds
 follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
@@ -69,9 +71,9 @@ _POS_INF = float("inf")
 # objects, which bounds the transient objects held at once.
 _ROW_BLOCK = 4096
 
-# Observations per block of the batch posterior-odds scan.  Cumulative sums restart at
-# each block, so their magnitude, and with it the cancellation error of the
-# closed form, stays bounded on arbitrarily long streams.
+# Observations per block of the batch posterior-odds scan (and the trial engine's cap on
+# scores per component in one batch).  Cumulative sums restart at each block, so their
+# magnitude, and the closed form's cancellation error, stays bounded on any stream.
 _SCAN_CHUNK = 4096
 
 # Observations scored per piece by _SlotLlr.profile, which tiles its tables to
@@ -191,40 +193,43 @@ class _SlotLlr:
         return scores
 
     def profile(self, xs: np.ndarray, start_slot: int) -> np.ndarray:
-        """``(K, n)`` scores of a run of observations whose first element sits in ``start_slot``.
+        """Scores of a run ``(n,)`` as ``(K, n)``, or of runs ``(B, n)`` as ``(K, B, n)``, each
+        run starting in ``start_slot`` and scored as it would be alone.
 
-        Each row is contiguous, so a scan reads one component at a time.  Pieces
-        of up to ``_PROFILE_RUN`` observations are scored from contiguous slices
-        of the tiled tables, with no gather by slot.
+        Each run's scores are contiguous, so a scan reads one component at a
+        time.  Pieces of up to ``_PROFILE_RUN`` observations are scored from
+        contiguous slices of the tiled tables, with no gather by slot.
         """
         xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 1:
-            raise ValueError(f"expected a one-dimensional run of observations, got shape {xs.shape}")
+        if xs.ndim not in (1, 2):
+            raise ValueError(f"expected a run or a batch of runs of observations, got shape {xs.shape}")
         if not np.isfinite(xs).all():
             raise ValueError("observations must be finite")
-        z = np.empty((len(self._pairs), xs.size))
+        rows = xs.reshape(1, -1) if xs.ndim == 1 else xs
+        z = np.empty((len(self._pairs), *rows.shape))
         c0, c1, c2 = self._runs
-        for lo in range(0, xs.size, _PROFILE_RUN):
-            x = xs[lo:lo + _PROFILE_RUN]
+        for lo in range(0, rows.shape[1], _PROFILE_RUN):
+            x = rows[:, lo:lo + _PROFILE_RUN]
             a = (start_slot + lo) % self.period
-            b = a + x.size
+            b = a + x.shape[1]
             if self._any_count:
                 outside = self._count_run[a:b] & ((x < 0.0) | (x != np.floor(x)))
                 if outside.any():
                     raise ValueError(
                         f"Poisson support is the nonnegative integers, got {x[outside][0]}")
-            w = z[:, lo:lo + x.size]
+            w = z[:, :, lo:lo + x.shape[1]]
             # c0 + x (c1 + x c2), in place: the same operations as the scalar path
-            np.multiply(x, c2[:, a:b], out=w)
-            w += c1[:, a:b]
+            np.multiply(x, c2[:, None, a:b], out=w)
+            w += c1[:, None, a:b]
             w *= x
-            w += c0[:, a:b]
+            w += c0[:, None, a:b]
         for k, i in self._fallback:
             num, den = self._pairs[k]
             first = (i - start_slot) % self.period
-            z[k, first::self.period] = [llr(num[i], den[i], x)
-                                        for x in xs[first::self.period].tolist()]
-        return z
+            cells = rows[:, first::self.period]
+            z[k, :, first::self.period] = np.reshape(
+                [llr(num[i], den[i], x) for x in cells.ravel().tolist()], cells.shape)
+        return z.reshape(len(self._pairs), *xs.shape)
 
 
 def _threshold_logits(threshold, period: int) -> list[float]:
@@ -285,6 +290,8 @@ class _Detector:
 
     def _score_matrix(self, xs, start_slot: int) -> np.ndarray:
         """``(K, n)`` scores of a run of observations whose first element sits in ``start_slot``."""
+        if np.ndim(xs) != 1:
+            raise ValueError(f"expected a one-dimensional run of observations, got shape {np.shape(xs)}")
         return self._llr.profile(xs, start_slot)
 
     def _emit(self, statistic: float, alarm: bool, decided: int | None = None) -> StepResult:
@@ -344,33 +351,39 @@ class _PosteriorOdds(_Detector):
         return self._emit(self._display(log_stat),
                           log_stat >= self._log_thresholds[(self._time - 1) % self.period])
 
-    def _scan(self, z: np.ndarray) -> StepResult | None:
-        """Each block of observations is scanned in closed form: with ``S_0 = 0`` and
-        ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
-        ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``.
-        """
-        for start in range(0, z.shape[1], _SCAN_CHUNK):
-            s = np.cumsum(z[:, start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=1)
+    def _scan_rows(self, z: np.ndarray, lengths):
+        """Scan the ``(K, B, n)`` scores of ``B`` runs (int array ``lengths``) from this unchanged state.
+
+        With ``S_0 = 0`` and ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
+        ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``, in blocks of
+        ``_SCAN_CHUNK`` columns that carry each row's log-odds.  Returns per row whether it
+        alarmed and where it stopped (first alarm, else last observation), then the last
+        block's log-odds and log statistic, where a batch of one stopped."""
+        carry, first = np.reshape(self._log_odds, (-1, 1)), np.full(z.shape[1], -1)
+        for start in range(0, z.shape[2], _SCAN_CHUNK):
+            s = np.cumsum(z[:, :, start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=2)
             entry = self._ln_rho - s
-            entry[:, 1:] = entry[:, :-1]
-            entry[:, 0] = np.logaddexp(self._log_odds, self._ln_rho)
-            log_odds = s + np.logaddexp.accumulate(entry, axis=1)
-            if log_odds.shape[0] == 1:
-                log_stat = log_odds[0] + self._log_weights[0]
-            else:
-                # components in order, each row contiguous
-                log_stat = np.logaddexp.reduce(
-                    log_odds + np.reshape(self._log_weights, (-1, 1)), axis=0)
-            offset = self._time % self.period
-            crossed = log_stat >= self._log_threshold_run[offset:offset + len(log_stat)]
-            k = int(crossed.argmax())  # the first alarm, or 0 when there is none
-            if not crossed[k]:
-                k = len(log_stat) - 1
-            self._log_odds = log_odds[:, k].tolist()
-            self._time += k + 1
-            if crossed[k]:
-                return self._emit(self._display(float(log_stat[k])), True)
-        return None
+            entry[:, :, 1:] = entry[:, :, :-1]
+            entry[:, :, 0] = np.logaddexp(carry, self._ln_rho)
+            log_odds = s + np.logaddexp.accumulate(entry, axis=2)
+            # components in order, each row contiguous
+            log_stat = log_odds[0] + self._log_weights[0] if len(z) == 1 else np.logaddexp.reduce(
+                log_odds + np.reshape(self._log_weights, (-1, 1, 1)), axis=0)
+            offset, width = (self._time + start) % self.period, log_stat.shape[1]
+            crossed = log_stat >= self._log_threshold_run[offset:offset + width]
+            crossed &= np.arange(width) < (lengths - start)[:, None]
+            first = np.where((first < 0) & crossed.any(axis=1), start + crossed.argmax(axis=1), first)
+            if ((first >= 0) | (lengths <= start + width)).all():
+                break
+            carry = log_odds[:, :, -1]
+        return first >= 0, np.where(first >= 0, first, lengths - 1), log_odds, log_stat
+
+    def _scan(self, z: np.ndarray) -> StepResult | None:
+        [hit], [stop], log_odds, log_stat = self._scan_rows(z[:, None], np.array([z.shape[1]]))
+        k = stop % _SCAN_CHUNK  # its column in the last block
+        self._log_odds = log_odds[:, 0, k].tolist()
+        self._time += int(stop) + 1
+        return self._emit(self._display(float(log_stat[0, k])), True) if hit else None
 
 
 class ShiryaevDetector(_PosteriorOdds):
@@ -441,17 +454,21 @@ class CusumDetector(_Detector):
         self._score = score
         return self._emit(score, score >= self.threshold)
 
+    def _scan_rows(self, z: np.ndarray, lengths):
+        """``_PosteriorOdds._scan_rows`` for ``W_n = S_n - min_{j < n} S_j`` (the carry-in score in the prefix
+        floor), ending with the scores; one cumsum spans each row, so no column split moves its bits."""
+        s = np.zeros((z.shape[1], z.shape[2] + 1))
+        np.cumsum(z[0], axis=1, out=s[:, 1:])
+        w = s[:, 1:] - np.minimum(np.minimum.accumulate(s[:, :-1], axis=1), -max(self._score, 0.0))
+        crossed = (w >= self.threshold) & (np.arange(w.shape[1]) < lengths[:, None])
+        hit = crossed.any(axis=1)
+        return hit, np.where(hit, crossed.argmax(axis=1), lengths - 1), w
+
     def _scan(self, z: np.ndarray) -> StepResult | None:
-        """Vectorized scan: the recursion equals ``S_n - min_{j < n} S_j`` with the
-        carry-in score folded into the prefix floor."""
-        s = np.concatenate(([0.0], np.cumsum(z[0])))
-        floor = np.minimum(np.minimum.accumulate(s[:-1]), -max(self._score, 0.0))
-        w = s[1:] - floor
-        hits = np.nonzero(w >= self.threshold)[0]
-        k = int(hits[0]) if hits.size else w.size - 1
-        self._time += k + 1
-        self._score = float(w[k])
-        return self._emit(self._score, True) if hits.size else None
+        [hit], [stop], w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
+        self._time += int(stop) + 1
+        self._score = float(w[0, stop])
+        return self._emit(self._score, True) if hit else None
 
 
 class _OddsMixture(_PosteriorOdds):

@@ -4,7 +4,9 @@ Trial independence and reproducibility come from counter-based random
 streams: trial ``i`` of a run with master seed ``s`` always draws from a
 Philox generator keyed by ``(s, i)``, so serial and multi-worker executions
 produce bit-identical reports, and per-trial results never depend on how
-trials are partitioned across workers.
+trials are partitioned across workers.  The engine re-keys one generator
+per trial, and it scores and scans trials of similar length as one bounded
+matrix (the classifier trial by trial), so its memory stays flat in trials.
 
 Censoring is never silent: every report carries the number of trials whose
 outcome was cut off by the horizon, and the affected estimates are bounds
@@ -21,7 +23,7 @@ import numpy as np
 
 from .densities import Gaussian
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, prior_from_dict
-from .detectors import ClassifierBankDetector
+from .detectors import _FIRST_BLOCK, _SCAN_CHUNK, ClassifierBankDetector
 
 _U64 = np.uint64
 
@@ -273,10 +275,47 @@ class TrialPlan:
 
     def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
         """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
-        rng = trial_rng(master_seed, i)
+        nu, _, obs = self._draw(trial_rng(master_seed, i))
+        return nu, obs
+
+    def _draw(self, rng: np.random.Generator, lazy: bool = False) -> tuple[float, int, np.ndarray | None]:
+        """The change point, the number of observations and, unless ``lazy``, the observations."""
         nu = _draw_nu(rng, self.change)
         last = min(nu - 1, self.horizon) if self.stop_before_change else self.horizon
-        return nu, sample_with_change(rng, self.pre, self.post, nu, last, start=self.start_time or 0)
+        start = self.start_time or 0
+        return nu, max(0, last - start), None if lazy else sample_with_change(
+            rng, self.pre, self.post, nu, last, start=start)
+
+    def _gaussian_tables(self) -> tuple[np.ndarray, ...] | None:
+        """Pre- and post-change means and stds at each observation up to the horizon, or None unless
+        every law a trial can draw from is Gaussian (so ``sample_with_change`` draws one normal each)."""
+        laws = [self.pre] if self.post is None or self.stop_before_change or isinstance(
+            self.change, NoChange) else [self.pre, self.post]
+        if not all(isinstance(d, Gaussian) for law in laws for d in law.slots):
+            return None
+        slots = np.arange(self.start_time or 0, self.horizon) % self.pre.period
+        return (*_mean_std(self.pre, slots), *_mean_std(laws[-1], slots))
+
+    def _gaussian_obs(self, tables, normals: np.ndarray, nu, lo: int = 0) -> np.ndarray:
+        """Observations ``lo, lo + 1, ...`` from their standard normals, as ``sample_with_change``
+        forms them (for a batch of trials when ``nu`` is a column)."""
+        mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
+        before = (self.start_time or 0) + np.arange(lo + 1, lo + 1 + mp.size) < nu  # observation numbers
+        return np.where(before, mp, mq) + np.where(before, sp, sq) * normals
+
+
+def _trial_streams(master_seed: int):
+    """``rekey(i)`` sets one generator to the stream of ``trial_rng(master_seed, i)``: writing the
+    key into the state of a new Philox (counter 0, empty buffer) costs a fraction of building one."""
+    bitgen = np.random.Philox(key=np.array([int(master_seed) % 2**64, 0], dtype=_U64))
+    rng, state = np.random.Generator(bitgen), bitgen.state
+
+    def rekey(i: int) -> np.random.Generator:
+        state["state"]["key"][1] = i % 2**64
+        bitgen.state = state
+        return rng
+
+    return rekey
 
 
 def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None, horizon: int, *,
@@ -314,12 +353,44 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nu = np.empty(indices.size)
     tau = np.full(indices.size, np.nan)
     decided = np.zeros(indices.size, dtype=int)
-    for j, i in enumerate(indices):
-        nu[j], obs = plan.draw(master_seed, int(i))
-        hit = detector.fresh(start_time=plan.start_time).run_to_alarm(obs)
-        if hit is not None:
-            tau[j] = hit.time_index
-            decided[j] = hit.decided_class or 0
+    rekey, tables = _trial_streams(master_seed), plan._gaussian_tables()
+    # the classifier (and multistream, which scores vectors) scans trial by trial
+    batched = hasattr(detector, "_scan_rows") and hasattr(detector, "_llr")
+    det = detector.fresh(start_time=plan.start_time) if batched else None
+    buckets = {}  # b -> [(trial, its draws)] for lengths in (2^(b-1), 2^b]
+
+    def flush(b):
+        rows = buckets.pop(b)
+        js, lengths = np.array([j for j, _ in rows]), np.array([len(draws) for _, draws in rows])
+        x = np.zeros((len(rows), lengths.max()))
+        for r, (_, draws) in enumerate(rows):
+            x[r, :len(draws)] = draws
+        if tables is not None:  # the padding stays 0: scored, never scanned
+            drawn = np.arange(x.shape[1]) < lengths[:, None]
+            x = np.where(drawn, plan._gaussian_obs(tables, x, nu[js][:, None]), 0.0)
+        hit, stop, *_ = det._scan_rows(det._llr.profile(x, det.time % det.period), lengths)
+        tau[js[hit]] = det.time + stop[hit] + 1
+
+    for j, i in enumerate(indices.tolist()):
+        rng = rekey(i)
+        nu[j], n, obs = plan._draw(rng, lazy=tables is not None)
+        if not batched:
+            run, hit = detector.fresh(start_time=plan.start_time).run_to_alarm, None
+            lo, size = 0, _FIRST_BLOCK
+            while hit is None and lo < n:  # Gaussian draws: growing chunks up to the alarm
+                m = n if tables is None else min(size, n - lo)
+                hit = run(obs if tables is None else
+                          plan._gaussian_obs(tables, rng.standard_normal(m), nu[j], lo))
+                lo, size = lo + m, 2 * size
+            if hit is not None:
+                tau[j], decided[j] = hit.time_index, hit.decided_class or 0
+        elif n:
+            b = (n - 1).bit_length()
+            buckets.setdefault(b, []).append((j, obs if tables is None else rng.standard_normal(n)))
+            if len(buckets[b]) << b >= _SCAN_CHUNK:  # one scan block of scores per component
+                flush(b)
+    for b in sorted(buckets):
+        flush(b)
     return nu, tau, decided
 
 

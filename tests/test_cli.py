@@ -590,6 +590,21 @@ class TestEvaluateChecks:
             "message": "a post-change law is required unless the scenario is NoChange"}
         assert not out.exists()
 
+    def test_multistream_is_rejected(self, tmp_path, capsys):
+        law, alt = gaussian_law_dict([0.0, 0.5]), gaussian_law_dict([1.0, 0.5])
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({
+            "metric": "arl", "detector": {"kind": "multistream", "alpha": 0.05, "rho": 0.1},
+            "family": {"streams": [{"pre": law, "post": alt}], "candidates": [[0]], "weights": [1.0]},
+            "trials": 3, "horizon": 50, "seed": 1}))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "evaluate draws one stream per trial, so the multistream detector is not supported"}
+        assert not out.exists()
+
     def test_dump_trials_needs_a_dump_dir(self, tmp_path, models, capsys):
         sc = TestEvaluate().make_scenario(tmp_path, models, "arl")
         out = tmp_path / "report.json"

@@ -622,6 +622,18 @@ class TestPosteriorOddsCore:
         assert batch.time == stepped.time
         assert displayed(batch) == pytest.approx(displayed(stepped), rel=1e-9)
 
+    def test_a_climb_across_the_block_edge_carries_its_log_odds(self):
+        n, nu = 2 * _SCAN_CHUNK, _SCAN_CHUNK - 40
+        slots = np.arange(n) % 3
+        means = np.where(np.arange(1, n + 1) < nu, np.array([d.mean for d in ODDS_PRE.slots])[slots],
+                         np.array([d.mean for d in ODDS_POST.slots])[slots])
+        xs = means + np.random.default_rng(4).standard_normal(n)
+        hit = ShiryaevDetector(ODDS_PRE, ODDS_POST, 1e-4, 1 - 1e-9).run_to_alarm(xs)
+        want = run(ShiryaevDetector(ODDS_PRE, ODDS_POST, 1e-4, 1 - 1e-9), xs, stop_on_alarm=True)[-1]
+        assert want.alarm and want.time_index > _SCAN_CHUNK
+        assert hit.time_index == want.time_index
+        assert hit.statistic == pytest.approx(want.statistic, rel=1e-9)
+
     def test_long_stream_log_odds_track_scalar_update(self):
         # about 50 nats of evidence per sample: over 10^6 samples an unblocked
         # cumulative sum reaches 5e7, where its rounding alone exceeds 1e-9
@@ -754,6 +766,32 @@ def test_profile_rows_equal_scalar_values():
         assert got.shape == (4, n)
         assert np.array_equal(got, want)
     assert table.profile(np.array([]), 1).shape == (4, 0)
+
+
+def test_profile_of_a_batch_equals_its_rows():
+    # the table of the test above: Gaussian, Poisson and mixed-family (fallback) cells
+    den = (Gaussian(0.0, 1.0), Poisson(3.0), Gaussian(0.0, 1.0))
+    table = _SlotLlr([
+        ((Gaussian(0.5, 1.0), Poisson(4.0), Gaussian(1.0, 2.0)), den),
+        ((Poisson(2.0), Poisson(5.0), Poisson(1.5)), (Poisson(1.0), Poisson(3.0), Poisson(2.5))),
+        ((Gaussian(1.0, 1.0), Gaussian(3.0, 2.0), Poisson(2.0)), (Poisson(2.0), Poisson(3.0), Gaussian(0.0, 1.0))),
+    ])
+    xs = np.random.default_rng(9).poisson(3.0, (5, _PROFILE_RUN + 37)).astype(float)
+    for start_slot in (0, 1):
+        got = table.profile(xs, start_slot)
+        assert got.shape == (3, 5, xs.shape[1])
+        for b, row in enumerate(xs):
+            assert np.array_equal(got[:, b], table.profile(row, start_slot))
+    assert table.profile(np.empty((2, 0)), 1).shape == (3, 2, 0)
+    bad = xs.copy()
+    bad[3, 7] = np.nan
+    with pytest.raises(ValueError, match="observations must be finite"):
+        table.profile(bad, 0)
+    bad[3, 7] = 2.5  # slot 1 of start slot 0 pairs two Poisson laws in every row
+    with pytest.raises(ValueError, match="Poisson support is the nonnegative integers, got 2.5"):
+        table.profile(bad, 0)
+    with pytest.raises(ValueError, match="got shape"):
+        table.profile(xs[None], 0)
 
 
 # A three-class period-4 bank whose classes share slots, as in the misclassification benchmark.

@@ -1,14 +1,30 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from periodetect.densities import Gaussian, Poisson
-from periodetect.detectors import ClassifierBankDetector, CusumDetector, ShiryaevDetector
+from periodetect.detectors import (
+    _SCAN_CHUNK,
+    ClassifierBankDetector,
+    CusumDetector,
+    MixtureShiryaev,
+    ShiryaevDetector,
+)
 from periodetect.information import threshold as info_threshold
 from periodetect.information import DetectorKind
-from periodetect.model import ClassBank, ExplicitPrior, GeometricPrior, IpidLaw, MultistreamConfig
+from periodetect.model import (
+    ClassBank,
+    ExplicitPrior,
+    GeometricPrior,
+    IpidLaw,
+    MultislotFamily,
+    MultistreamConfig,
+    PeriodicThresholds,
+    post_change_law,
+)
 from periodetect.simulate import (
     DrawnChange,
     FixedChange,
@@ -17,6 +33,7 @@ from periodetect.simulate import (
     NoChange,
     ScenarioSpec,
     TrialPlan,
+    _trial_streams,
     estimate_add,
     estimate_arl,
     estimate_misclass,
@@ -469,6 +486,12 @@ FAR = gaussian_law([10.0, 10.5, 11.0, 10.5])
 MIXED_PRE = IpidLaw(3, (Gaussian(0.0, 1.0), Poisson(3.0), Gaussian(1.0, 2.0)))
 MIXED_POST = IpidLaw(3, (Gaussian(1.0, 1.0), Poisson(6.0), Gaussian(2.0, 2.0)))
 ORACLE_BANK = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]), gaussian_law([2.0])))
+# period 3, so a chunk of 64 draws ends mid-period
+ORACLE_BANK3 = ClassBank(3, tuple(gaussian_law(m) for m in ([0.0, 0.5, 1.0], [0.7, 1.2, 1.7],
+                                                            [-0.7, -0.2, 0.3], [0.7, 1.2, 0.3])))
+ORACLE_MEANS = np.sin(math.pi * (np.arange(24) + 0.5) / 24)
+ORACLE_FAMILY = MultislotFamily(24, gaussian_law(ORACLE_MEANS), gaussian_law(ORACLE_MEANS + 0.5),
+                                tuple(frozenset(range(k, k + 4)) for k in range(0, 24, 4)), (1 / 6,) * 6)
 
 
 def _oracle_cases():
@@ -505,6 +528,27 @@ def _oracle_cases():
         cases.append(("misclass", det, 200, dict(true_class=2)))
     cases.append(("worst_case", CusumDetector(PRE, POST, 2.5), 100,
                   dict(pre=PRE, post=POST, change_points=[1, 2, 7])))
+    # K = 6 components, as in the mixture benchmark
+    mix_post = post_change_law(ORACLE_FAMILY, [4, 5, 6, 7])
+    cases.append(("add", MixtureShiryaev(ORACLE_FAMILY, 0.01, 200.0), 300,
+                  dict(pre=ORACLE_FAMILY.base_pre, post=mix_post, change=FixedChange(40))))
+    # the posterior-odds scan carries each trial's log-odds into its second block, mid-climb
+    cases.append(("add", ShiryaevDetector(PRE, POST, 1e-5, 1 - 1e-9), 9000,
+                  dict(pre=PRE, post=POST, change=FixedChange(4000))))
+    # a zero (the padding of a short trial in a batch) looks post-change to these detectors
+    for det in (ShiryaevDetector(FAR, PRE, 0.05, 0.9), CusumDetector(FAR, PRE, 3.0)):
+        cases.append(("pfa", det, 400, dict(pre=FAR, prior=GeometricPrior(0.05), trials=100)))
+    # alarms after the classifier's first chunk of draws
+    cases.append(("misclass", ClassifierBankDetector(ORACLE_BANK3, 14.0, window=50), 400, dict(true_class=2)))
+    # per-slot thresholds, so the pinned arm's start offsets into the threshold run
+    per_slot = PeriodicThresholds((0.9, 0.99, 0.95, 0.999))
+    cases.append(("worst_case", ShiryaevDetector(PRE, POST, 0.05, per_slot), 100, dict(pre=PRE, post=POST)))
+    # enough trials for several length buckets, one of them over its batch cap
+    cases.append(("pfa", ShiryaevDetector(PRE, POST, 0.05, 0.9), 400,
+                  dict(pre=PRE, prior=GeometricPrior(0.05), trials=600)))
+    cases.append(("add", shq, 200, dict(pre=PRE, post=POST, change=FixedChange(3), trials=1)))
+    # every trial has zero length: nu = 1, so pfa draws nothing
+    cases.append(("pfa", shq, 60, dict(pre=PRE, prior=ExplicitPrior((1.0,)))))
     return cases
 
 
@@ -513,7 +557,7 @@ class TestTrialEngine:
     @pytest.mark.parametrize("case", range(len(_oracle_cases())))
     def test_engine_equals_the_per_trial_loop(self, case, workers):
         metric, det, horizon, inputs = _oracle_cases()[case]
-        trials, seed = 12, 700 + case
+        trials, seed = inputs.pop("trials", 12), 700 + case
         plans = trial_plans(metric, det, inputs.get("pre"), inputs.get("post"), horizon,
                             change=inputs.get("change"), prior=inputs.get("prior"),
                             true_class=inputs.get("true_class"),
@@ -533,12 +577,62 @@ class TestTrialEngine:
                 np.testing.assert_array_equal(have, want, err_msg=f"{label or metric}: {name}")
 
     def test_long_horizon_case_alarms_in_the_second_scan_block(self):
-        [case] = [i for i, c in enumerate(_oracle_cases()) if c[2] > 4096]
+        [case] = [i for i, c in enumerate(_oracle_cases())
+                  if c[2] > 4096 and isinstance(c[1], CusumDetector)]
         metric, det, horizon, inputs = _oracle_cases()[case]
         [(_, plan)] = trial_plans(metric, det, inputs["pre"], inputs["post"], horizon,
                                   change=inputs["change"])
         _, tau, _ = run_trials(det, plan, 12, 700 + case)
         assert np.all((tau >= 4500) & (tau < 4600))
+
+    def test_oracle_spans_the_batch_structure(self):
+        # lengths of the 600-trial pfa case: at least 4 buckets of width 2^b, one over its cap
+        [case] = [i for i, c in enumerate(_oracle_cases()) if c[3].get("trials") == 600]
+        _, det, horizon, inputs = _oracle_cases()[case]
+        [(_, plan)] = trial_plans("pfa", det, inputs["pre"], None, horizon, prior=inputs["prior"])
+        sizes = [plan.draw(700 + case, i)[1].size for i in range(600)]
+        buckets = np.bincount([(n - 1).bit_length() for n in sizes if n])
+        assert np.count_nonzero(buckets) >= 4
+        assert any(count > max(1, _SCAN_CHUNK >> b) for b, count in enumerate(buckets))
+
+    def test_oracle_cases_reach_past_the_first_block(self):
+        cases = _oracle_cases()
+        [odds] = [i for i, c in enumerate(cases) if c[2] > 4096 and isinstance(c[1], ShiryaevDetector)]
+        _, det, horizon, inputs = cases[odds]
+        [(_, plan)] = trial_plans("add", det, inputs["pre"], inputs["post"], horizon, change=inputs["change"])
+        _, tau, _ = run_trials(det, plan, 12, 700 + odds)
+        assert np.all((tau > 4096) & (tau < 4500))  # the climb from nu = 4000 spans the block edge
+        [bank] = [i for i, c in enumerate(cases) if c[0] == "misclass" and c[1].period == 3]
+        _, det, horizon, inputs = cases[bank]
+        [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=2)
+        _, tau, _ = run_trials(det, plan, 12, 700 + bank)
+        assert np.nanmax(tau) > 64  # some trial draws a second chunk
+
+    @pytest.mark.parametrize("seed, i", [(-3, 5), (7, 2**32 + 9), (2**64 + 1, 2**64 - 1)])
+    def test_rekeyed_stream_equals_trial_rng(self, seed, i):
+        def draws(rng):
+            return (rng.geometric(0.05), rng.standard_normal(7).tolist(), rng.poisson(3.0, 5).tolist(),
+                    rng.integers(0, 10, size=3, dtype=np.uint32).tolist())
+
+        rekey = _trial_streams(seed)
+        # the trial before leaves half of a 64-bit draw held and the Philox buffer part-used
+        before = rekey(i + 1)
+        before.integers(0, 10, size=3, dtype=np.uint32)
+        assert before.bit_generator.state["has_uint32"] == 1
+        assert draws(rekey(i)) == draws(trial_rng(seed, i))
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        det = ShiryaevDetector(PRE, POST, 0.0005, 0.999)
+        [(_, plan)] = trial_plans("pfa", det, PRE, None, 3000, prior=GeometricPrior(0.0005))
+        peaks = {}
+        for trials in (100, 1000):
+            tracemalloc.start()
+            run_trials(det, plan, trials, 5)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # holding every trial's draws would add 900 trials x about 1500 samples x 8 bytes (10 MB);
+        # the per-trial output arrays add 900 x 3 x 8 bytes
+        assert peaks[1000] - peaks[100] < 900 * 3 * 8 + 512 * 1024, peaks
 
     def test_plans_are_labelled_for_the_dump(self):
         det = CusumDetector(PRE, POST, 2.5)
