@@ -112,11 +112,12 @@ def write_observations_csv(path, obs: np.ndarray) -> None:
     obs = np.asarray(obs, dtype=float)
     names = ["value"] if obs.ndim == 1 else [f"value_{j}" for j in range(obs.shape[1])]
 
-    def lines(lo, hi):
-        return [f"{i},{values}\r\n"
-                for i, values in enumerate(detectors._value_fields(obs[lo:hi], ","), start=lo + 1)]
+    def lines():
+        for lo in range(0, len(obs), detectors._ROW_BLOCK):
+            fields = detectors._value_fields(obs[lo:lo + detectors._ROW_BLOCK], ",")
+            yield "".join([f"{i},{values}\r\n" for i, values in enumerate(fields, start=lo + 1)])
 
-    detectors._write_csv_blocks(path, ["time", *names], len(obs), lines)
+    detectors._write_csv_blocks(path, ["time", *names], lines())
 
 
 def _resolved(args: argparse.Namespace, config: dict, keys: dict) -> dict:
@@ -223,24 +224,24 @@ def _cmd_detect(args) -> int:
             raise ValueError("multistream detection needs a multi-column observation file")
     elif obs.ndim != 1:
         raise ValueError("this detector consumes a single-column observation file")
-    trajectory = detectors.run(detector, obs, stop_on_alarm=False)
+    # every row is scored here, so an invalid one raises before any file is opened
+    blocks = detectors._walk_blocks(detector, obs)
     traj_path = opts["trajectory"] or (str(opts["out"]) + ".trajectory.csv")
-    detectors.write_trajectory_csv(traj_path, trajectory, obs, detector.period)
-    alarms = [r for r in trajectory if r.alarm]
-    first = alarms[0] if alarms else None
-    summary = {
-        "config": {**opts, "threshold_used": detector.threshold},
-        "n_observations": len(trajectory),
-        "alarm_count": len(alarms),
-        "first_alarm": None if first is None else {
-            "time_index": first.time_index,
-            "statistic": first.statistic,
-            "decided_class": first.decided_class,
-        },
-        "final_statistic": trajectory[-1].statistic if trajectory else None,
-        "trajectory_csv": traj_path,
-    }
-    _write_json(opts["out"], summary)
+    tally = {"n_observations": 0, "alarm_count": 0, "first_alarm": None, "final_statistic": None}
+
+    def tallied():
+        for times, rows, stats, alarms, decided in blocks:
+            if tally["first_alarm"] is None and True in alarms:
+                k = alarms.index(True)
+                tally["first_alarm"] = {"time_index": times[k], "statistic": stats[k], "decided_class": decided[k]}
+            tally["n_observations"] += len(stats)
+            tally["alarm_count"] += alarms.count(True)
+            tally["final_statistic"] = stats[-1]
+            yield times, rows, stats, alarms, decided
+
+    detectors._write_trajectory(traj_path, tallied(), detector.period)
+    _write_json(opts["out"], {"config": {**opts, "threshold_used": detector.threshold}, **tally,
+                              "trajectory_csv": traj_path})
     return 0
 
 
@@ -398,9 +399,8 @@ def _dump_trials(count, dump_dir, plans, detector, seed) -> None:
     for label, plan in plans:
         for i in range(count):
             _, obs = plan.draw(seed, i)
-            trajectory = detectors.run(detector.fresh(start_time=plan.start_time), obs, stop_on_alarm=True)
-            detectors.write_trajectory_csv(f"{dump_dir}/{label}trial_{i:04d}.csv", trajectory,
-                                           obs[:len(trajectory)], detector.period)
+            blocks = detectors._walk_blocks(detector.fresh(start_time=plan.start_time), obs, stop_on_alarm=True)
+            detectors._write_trajectory(f"{dump_dir}/{label}trial_{i:04d}.csv", blocks, detector.period)
 
 
 def _cmd_info(args) -> int:

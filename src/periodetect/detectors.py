@@ -28,21 +28,19 @@ Statistics and post-alarm behavior:
   log-likelihood-ratio sums ``C_lm`` and, per class ``l``, the statistic
   ``max_k min_{m != l} (C_lm(n) - C_lm(k-1))`` over window start points; it
   alarms and names a class when any such statistic reaches the threshold.
-  The checkpoints ``C(k-1)`` form one numpy matrix, and ``step`` and
-  ``run_to_alarm`` evaluate the statistic with one blocked scan over it.
+  The checkpoints ``C(k-1)`` form one numpy matrix, and the walk evaluates
+  the statistic with one blocked scan over it.
 
-Each family supplies ``reset``, ``_update`` on the scores of one observation
-and ``_scan`` on a score matrix; ``_Detector._emit`` builds every result and
-applies ``reset_on_alarm``.  ``step(x)`` scores ``x`` and applies ``_update``,
-and :func:`run` scores its whole input with the batch scoring of
-``run_to_alarm`` and applies ``_update`` column after column, so ``run``
-equals stepping bit for bit.  ``run_to_alarm`` hands the scores to
-``_scan``, which for posterior odds and CUSUM is a closed form that agrees
-with ``_update`` within 1e-9 relative and 1e-10 absolute error, written
-once as ``_scan_rows`` on a batch of runs (the trial engine's batches) and
-applied by ``_scan`` to a batch of one.  ``run`` and ``run_to_alarm`` score
-their whole input before any state changes, so an invalid observation
-raises and leaves the detector as it was.
+Each family's per-observation recursion exists once, as ``_walk`` (see
+``_Detector``): ``step(x)`` walks one column, and :func:`run` and
+``periodetect detect`` walk the batch scores ``_ROW_BLOCK`` columns at a
+time, so ``run`` equals stepping bit for bit and ``detect`` holds no
+per-row results.  ``run_to_alarm`` hands the scores to ``_scan``: for
+posterior odds and CUSUM a closed form, ``_scan_rows`` (also the trial
+engine's batch scan), within 1e-9 relative and 1e-10 absolute error of the
+walk; for the classifier its blocked walk, up to the first alarm.  Both
+score their whole input before any state changes, so an invalid
+observation raises and leaves the detector as it was.
 
 The first three share one posterior-odds core: per component ``k`` the odds
 follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
@@ -56,6 +54,7 @@ events.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -96,7 +95,7 @@ class StepResult(NamedTuple):
     decided_class: int | None = None
 
 
-_new_tuple = tuple.__new__
+_new_tuple = tuple.__new__  # skips the NamedTuple's Python-level __new__, a frame per result
 
 
 def _logit(p: float) -> float:
@@ -185,7 +184,9 @@ class _SlotLlr:
             raise ValueError(f"observation must be finite, got {x}")
         if self._countl[slot] and (x < 0.0 or not x.is_integer()):
             raise ValueError(f"Poisson support is the nonnegative integers, got {x}")
-        scores = [c0 + x * (c1 + x * c2) for c0, c1, c2 in self._coef[slot]]
+        scores = []  # a loop, not a comprehension, whose own frame costs more for a few rows
+        for c0, c1, c2 in self._coef[slot]:
+            scores.append(c0 + x * (c1 + x * c2))
         for k, i in self._fallback:
             if i == slot:
                 num, den = self._pairs[k]
@@ -241,17 +242,21 @@ def _threshold_logits(threshold, period: int) -> list[float]:
 
 
 class _Detector:
-    """Clock, cloning, scoring, results, ``step`` and ``run_to_alarm`` shared by every detector.
+    """Clock, cloning, scoring, ``step`` and ``run_to_alarm`` shared by every detector.
 
     A detector's compiled tables are built once in ``__init__`` and never
     mutated; ``reset`` replaces the per-run state.  So ``fresh`` is a shallow
     copy that shares the tables and restarts state and clock.  Scores come
-    from the ``_llr`` tables unless a subclass supplies its own.  Each
-    subclass supplies ``_update``, which consumes the K scores of one
-    observation, advances the clock and returns its result, and ``_scan``,
-    which consumes the columns of a non-empty ``(K, n)`` score matrix up to
-    the first alarm and returns the alarm's result, or None if none fires.
-    Both build their results with ``_emit``.
+    from the ``_llr`` tables unless a subclass supplies its own.
+
+    Each subclass supplies ``_walk(z, stop_on_alarm=False)``, its only
+    per-observation recursion: it consumes a ``(K, m)`` block of scores (K
+    lists of floats), returns the statistic, alarm and decided-class (or
+    None) columns of the observations it consumed, resets after each alarm
+    under ``reset_on_alarm``, stops after the first with ``stop_on_alarm`` and
+    advances the clock.  ``step`` walks one column; ``detect`` writes walked
+    blocks and holds no per-row results.  ``_scan`` consumes a non-empty
+    ``(K, n)`` score matrix up to the first alarm and returns it, or None.
     """
 
     def __init__(self, period: int, reset_on_alarm: bool, start_time: int):
@@ -294,15 +299,16 @@ class _Detector:
             raise ValueError(f"expected a one-dimensional run of observations, got shape {np.shape(xs)}")
         return self._llr.profile(xs, start_slot)
 
-    def _emit(self, statistic: float, alarm: bool, decided: int | None = None) -> StepResult:
-        """Result of the observation just consumed; under ``reset_on_alarm`` an alarm restarts the statistic."""
-        if alarm and self.reset_on_alarm:
+    def _alarm(self, statistic: float) -> StepResult:
+        """Result of an alarm ``_scan`` just consumed; under ``reset_on_alarm`` it restarts the statistic."""
+        if self.reset_on_alarm:
             self.reset()
-        # tuple.__new__ skips the NamedTuple's Python-level __new__, a frame per result
-        return _new_tuple(StepResult, (self._time, statistic, alarm, decided))
+        return _new_tuple(StepResult, (self._time, statistic, True, None))
 
     def step(self, x) -> StepResult:
-        return self._update(self._step_scores(self._time % self.period, x))
+        scores = self._step_scores(self._time % self.period, x)  # for K = 1, the (1, 1) block's row
+        (stat,), (alarm,), (decided,) = self._walk([scores] if len(scores) == 1 else list(zip(scores)))
+        return _new_tuple(StepResult, (self._time, stat, alarm, decided))
 
     def run_to_alarm(self, xs) -> StepResult | None:
         """Consume observations until the first alarm; return it, or None if none fires."""
@@ -341,15 +347,24 @@ class _PosteriorOdds(_Detector):
             total = _logaddexp(total, lw + lo)
         return total
 
-    def _update(self, zs) -> StepResult:
-        ln_rho, ln_1m_rho = self._ln_rho, self._ln_1m_rho
-        log_odds = [_logaddexp(lo, ln_rho) - ln_1m_rho + z for lo, z in zip(self._log_odds, zs)]
-        self._log_odds = log_odds
-        self._time += 1
-        log_stat = self._log_stat(log_odds)
-        # the observation just consumed sits in slot time - 1
-        return self._emit(self._display(log_stat),
-                          log_stat >= self._log_thresholds[(self._time - 1) % self.period])
+    def _walk(self, z, stop_on_alarm: bool = False):
+        ln_rho, ln_1m_rho, log_thresholds = self._ln_rho, self._ln_1m_rho, self._log_thresholds
+        log_odds, time, stats, alarms = self._log_odds, self._time, [], []
+        for zs in zip(*z):
+            carried, log_odds = log_odds, []  # a loop, not a comprehension, as in _SlotLlr.values
+            for lo, x in zip(carried, zs):
+                log_odds.append(_logaddexp(lo, ln_rho) - ln_1m_rho + x)
+            log_stat = self._log_stat(log_odds)
+            stats.append(self._display(log_stat))
+            alarms.append(alarm := log_stat >= log_thresholds[time % self.period])
+            time += 1
+            if alarm and self.reset_on_alarm:
+                self.reset()
+                log_odds = self._log_odds
+            if alarm and stop_on_alarm:
+                break
+        self._log_odds, self._time = log_odds, time
+        return stats, alarms, [None] * len(stats)
 
     def _scan_rows(self, z: np.ndarray, lengths):
         """Scan the ``(K, B, n)`` scores of ``B`` runs (int array ``lengths``) from this unchanged state.
@@ -383,7 +398,7 @@ class _PosteriorOdds(_Detector):
         k = stop % _SCAN_CHUNK  # its column in the last block
         self._log_odds = log_odds[:, 0, k].tolist()
         self._time += int(stop) + 1
-        return self._emit(self._display(float(log_stat[0, k])), True) if hit else None
+        return self._alarm(self._display(float(log_stat[0, k]))) if hit else None
 
 
 class ShiryaevDetector(_PosteriorOdds):
@@ -448,11 +463,19 @@ class CusumDetector(_Detector):
     def score(self) -> float:
         return self._score
 
-    def _update(self, zs) -> StepResult:
-        self._time += 1
-        score = (self._score if self._score > 0.0 else 0.0) + zs[0]
-        self._score = score
-        return self._emit(score, score >= self.threshold)
+    def _walk(self, z, stop_on_alarm: bool = False):
+        score, stats, alarms = self._score, [], []
+        for x in z[0]:
+            score = (score if score > 0.0 else 0.0) + x
+            stats.append(score)
+            alarms.append(alarm := score >= self.threshold)
+            if alarm and self.reset_on_alarm:
+                self.reset()
+                score = self._score
+            if alarm and stop_on_alarm:
+                break
+        self._score, self._time = score, self._time + len(stats)
+        return stats, alarms, [None] * len(stats)
 
     def _scan_rows(self, z: np.ndarray, lengths):
         """``_PosteriorOdds._scan_rows`` for ``W_n = S_n - min_{j < n} S_j`` (the carry-in score in the prefix
@@ -468,7 +491,7 @@ class CusumDetector(_Detector):
         [hit], [stop], w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
         self._time += int(stop) + 1
         self._score = float(w[0, stop])
-        return self._emit(self._score, True) if hit else None
+        return self._alarm(self._score) if hit else None
 
 
 class _OddsMixture(_PosteriorOdds):
@@ -572,8 +595,8 @@ class ClassifierBankDetector(_Detector):
 
     The state is a ``(P, m)`` matrix of the last ``m`` checkpoints
     ``C(k-1)``, one row per (class, rival) pair, whose last column is the
-    current sums ``C(n)``.  ``step`` and ``run_to_alarm`` both run one blocked
-    scan over a matrix of pair scores (see ``_scan``).
+    current sums ``C(n)``.  ``step``, ``run`` and ``run_to_alarm`` all run one
+    blocked scan over a matrix of pair scores (see ``_scan_blocks``).
     """
 
     def __init__(self, bank: ClassBank, threshold: float, *, window: int | None = None,
@@ -606,22 +629,22 @@ class ClassifierBankDetector(_Detector):
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
         return [_NEG_INF] + self._stats.tolist()
 
-    def _scan(self, z: np.ndarray) -> StepResult | None:
-        """Consume the columns (observations) of a ``(P, n)`` score matrix up to the first alarm.
+    def _scan_blocks(self, z: np.ndarray, stop_on_alarm: bool):
+        """The classifier's recursion over the columns of a ``(P, m)`` score matrix, in blocks.
 
-        Works in blocks of observations that start at ``_FIRST_BLOCK`` and
+        Blocks start at ``_FIRST_BLOCK`` observations (again after a reset) and
         double, each capped so its ``(P, block, width)`` difference tensor holds
-        at most ``_BLOCK_ELEMENTS`` entries (or one observation, for a full
-        history longer than that).  In a block the running sums are a cumsum
-        whose first column is the carried-in sums, which reproduces sequential
-        addition exactly; the window of each observation is a strided view of
-        the checkpoints, padded in front with ``+inf`` (a start point that does
-        not exist yet, which never wins the max).  The state changes only here,
-        after every score is known.
+        at most ``_BLOCK_ELEMENTS`` entries (or one observation).  In a block
+        the running sums are a cumsum from the carried-in sums, which is
+        sequential addition exactly; each window is a strided view of the
+        checkpoints padded in front with ``+inf`` (a start point that never
+        wins the max).  Yields per block the ``(M, c)`` class statistics of
+        the ``c`` columns it consumed, their maximum and its alarms, ending a
+        block at an alarm that resets or stops; stores the state at the end.
         """
         m, n = self.num_classes, z.shape[1]
-        checkpoints, start, size = self._checkpoints, 0, _FIRST_BLOCK
-        while True:
+        checkpoints, last, start, size = self._checkpoints, self._stats, 0, _FIRST_BLOCK
+        while start < n:
             held = checkpoints.shape[1]
             cap = _BLOCK_ELEMENTS // (z.shape[0] * min(self._span, held + size))
             block = min(size, n - start, max(1, cap))
@@ -642,52 +665,75 @@ class ClassifierBankDetector(_Detector):
             diff = line[:, width:, None] - windows
             lows = np.minimum.reduce(diff.reshape(m, m, -1), axis=1)  # rival minimum per class
             stats = np.maximum.reduce(lows.reshape(m, block, width), axis=2)
-            crossed = np.maximum.reduce(stats, axis=0) >= self.threshold
+            best = np.maximum.reduce(stats, axis=0)
+            crossed = best >= self.threshold
             k = int(crossed.argmax())  # the first alarm, or 0 when there is none
-            alarm = bool(crossed[k])
-            if not alarm:
-                k = block - 1
-            stop = width + k + 1
-            checkpoints = line[:, max(width - held, stop - self._span):stop]
-            start += k + 1
-            if alarm or start == n:
-                break
+            cut_here = bool(crossed[k]) and (self.reset_on_alarm or stop_on_alarm)
+            cut = k + 1 if cut_here else block
+            yield stats[:, :cut], best[:cut], crossed[:cut]
+            stop = width + cut
+            checkpoints, last = line[:, max(width - held, stop - self._span):stop], stats[:, cut - 1]
+            start += cut
             size *= 2
+            if cut_here and self.reset_on_alarm:
+                self.reset()
+                checkpoints, last, size = self._checkpoints, self._stats, _FIRST_BLOCK
+            if cut_here and stop_on_alarm:
+                break
         self._checkpoints = checkpoints.copy()
-        self._stats = stats[:, k].copy()
+        self._stats = last.copy()
         self._time += start
-        if not alarm:
-            return None
-        best = int(self._stats.argmax())  # ties go to the smallest class index
-        return self._emit(self._stats[best].item(), True, best + 1)
 
-    def _update(self, zs) -> StepResult:
-        return self._scan(np.array(zs)[:, None]) or self._emit(self._stats.max().item(), False)
+    def _walk(self, z, stop_on_alarm: bool = False):
+        stats_col, alarm_col, decided_col = [], [], []
+        for stats, best, crossed in self._scan_blocks(np.asarray(z, dtype=float), stop_on_alarm):
+            alarms = crossed.tolist()
+            stats_col += best.tolist()
+            alarm_col += alarms
+            # the largest statistic names the class, ties going to the smallest index
+            decided_col += [c if a else None for c, a in zip((stats.argmax(axis=0) + 1).tolist(), alarms)]
+        return stats_col, alarm_col, decided_col
+
+    def _scan(self, z: np.ndarray) -> StepResult | None:
+        for stats, best, crossed in self._scan_blocks(z, stop_on_alarm=True):
+            pass
+        decided = int(stats[:, -1].argmax()) + 1  # ties go to the smallest class index
+        return _new_tuple(StepResult, (self._time, best[-1].item(), True, decided)) if crossed[-1] else None
+
+
+def _walk_blocks(detector, observations, stop_on_alarm: bool = False):
+    """Score a whole input now (an invalid observation raises before any state changes), then return
+    an iterator that walks ``_ROW_BLOCK`` observations per block as it is taken, ending at the first
+    alarm with ``stop_on_alarm``.  A block is ``(times, observations, statistics, alarms, decided)``:
+    its time indices (a range), its rows of ``observations`` and its walked columns."""
+    if not isinstance(observations, np.ndarray):
+        observations = list(observations)
+    if len(observations) == 0:
+        return iter(())
+    z = detector._score_matrix(observations, detector.time % detector.period)
+
+    def blocks():
+        for lo in range(0, z.shape[1], _ROW_BLOCK):
+            first = detector.time + 1
+            stats, alarms, decided = detector._walk(z[:, lo:lo + _ROW_BLOCK].tolist(), stop_on_alarm)
+            yield range(first, first + len(stats)), observations[lo:lo + len(stats)], stats, alarms, decided
+            if stop_on_alarm and alarms[-1]:
+                return
+
+    return blocks()
 
 
 def run(detector, observations, stop_on_alarm: bool = False) -> list[StepResult]:
     """Feed observations through any detector, collecting one result per observation.
 
     The whole input is scored before any state changes, so an invalid
-    observation raises and leaves the detector as it was.  The scores are
-    then walked with the same per-observation update that ``step`` applies,
-    so the trajectory equals stepping one observation at a time, bit for bit.
-    With ``stop_on_alarm`` the trajectory is truncated at the first alarm.
+    observation raises and leaves the detector as it was; the walk is the one
+    ``step`` takes a column at a time, so the trajectory equals stepping, bit
+    for bit.  With ``stop_on_alarm`` the trajectory is truncated at the first alarm.
     """
-    if not isinstance(observations, np.ndarray):
-        observations = list(observations)
-    if len(observations) == 0:
-        return []
-    z = detector._score_matrix(observations, detector.time % detector.period)
-    update = detector._update
     trajectory: list[StepResult] = []
-    # columns become tuples of Python floats a block at a time, so few are held at once
-    for lo in range(0, z.shape[1], _ROW_BLOCK):
-        for scores in zip(*z[:, lo:lo + _ROW_BLOCK].tolist()):
-            result = update(scores)
-            trajectory.append(result)
-            if stop_on_alarm and result.alarm:
-                return trajectory
+    for times, _, stats, alarms, decided in _walk_blocks(detector, observations, stop_on_alarm):
+        trajectory += map(_new_tuple, itertools.repeat(StepResult), zip(times, stats, alarms, decided))
     return trajectory
 
 
@@ -699,16 +745,31 @@ def _value_fields(values: np.ndarray, sep: str) -> list[str]:
     return [sep.join(map(repr, row)) for row in rows.tolist()]
 
 
-def _write_csv_blocks(path, header: list[str], n: int, lines) -> None:
-    """Write ``header`` and then ``lines(lo, hi)``, the CRLF-ended lines of rows ``lo:hi``, per block.
-
-    The bytes are what ``csv.writer`` writes for fields that need no quoting;
-    each block of rows is formatted into one string and written at once.
-    """
+def _write_csv_blocks(path, header: list[str], chunks) -> None:
+    """Write ``header``, then each chunk of CRLF-ended lines as it is taken: the bytes ``csv.writer``
+    writes for fields that need no quoting."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, n, _ROW_BLOCK):
-            fh.write("".join(lines(lo, min(lo + _ROW_BLOCK, n))))
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+_ALARM_FIELDS = ("0", "1")
+
+
+def _write_trajectory(path, blocks, period: int) -> None:
+    """The one trajectory formatter: write blocks ``(times, observations, statistics, alarms, decided)``
+    of columns as ``write_trajectory_csv`` does, formatting and writing each before taking the next."""
+    slots = [f",{s}," for s in range(period)]
+
+    def lines(times, observations, stats, alarms, decided):
+        fields = _value_fields(np.asarray(observations, dtype=float), ";")
+        return "".join([f"{t}{slots[(t - 1) % period]}{obs},{stat!r},{_ALARM_FIELDS[alarm]},"
+                        f"{'' if d is None else d}\r\n"
+                        for t, obs, stat, alarm, d in zip(times, fields, stats, alarms, decided)])
+
+    _write_csv_blocks(path, ["time_index", "slot", "observation", "statistic", "alarm", "decided_class"],
+                      (lines(*block) for block in blocks))
 
 
 def write_trajectory_csv(path, trajectory: list[StepResult], observations, period: int) -> None:
@@ -724,11 +785,9 @@ def write_trajectory_csv(path, trajectory: list[StepResult], observations, perio
                          "observations were given")
     values = np.asarray(observations, dtype=float)
 
-    def lines(lo, hi):
-        return [f"{t},{(t - 1) % period},{obs},{stat!r},{int(alarm)},"
-                f"{'' if decided is None else decided}\r\n"
-                for (t, stat, alarm, decided), obs
-                in zip(trajectory[lo:hi], _value_fields(values[lo:hi], ";"))]
+    def blocks():
+        for lo in range(0, len(trajectory), _ROW_BLOCK):
+            times, stats, alarms, decided = zip(*trajectory[lo:lo + _ROW_BLOCK])
+            yield times, values[lo:lo + _ROW_BLOCK], stats, map(int, alarms), decided
 
-    _write_csv_blocks(path, ["time_index", "slot", "observation", "statistic", "alarm",
-                             "decided_class"], len(trajectory), lines)
+    _write_trajectory(path, blocks(), period)

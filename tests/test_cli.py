@@ -8,9 +8,18 @@ import pytest
 from periodetect import information
 from periodetect.cli import _READ_BLOCK, _predicted_for, main, read_observations_csv, write_observations_csv
 from periodetect.densities import Gaussian
-from periodetect.detectors import CusumDetector
+from periodetect.detectors import (
+    _ROW_BLOCK,
+    ClassifierBankDetector,
+    CusumDetector,
+    MixtureShiryaev,
+    MultistreamMixture,
+    ShiryaevDetector,
+    run,
+)
 from periodetect.model import ClassBank, GeometricPrior, IpidLaw, MultislotFamily, MultistreamConfig
 from periodetect.simulate import run_trials, trial_plans
+from test_detectors import csv_writer_trajectory
 
 
 def gaussian_law_dict(means, variance=1.0):
@@ -613,3 +622,160 @@ class TestEvaluateChecks:
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message": "--dump-trials needs --dump-dir"}
         assert not out.exists()
+
+
+# ``detect`` against ``run`` plus the per-row csv.writer dump: five kinds, with and without
+# reset, on a stream of three trajectory blocks with alarms on both sides of a block edge.
+DETECT_ROWS = 2 * _ROW_BLOCK + 77
+DETECT_PRE, DETECT_POST = gaussian_law_dict([0.0, 0.4, -0.3]), gaussian_law_dict([0.8, 1.0, 0.5])
+DETECT_MODELS = {
+    "pre": DETECT_PRE,
+    "post": DETECT_POST,
+    "multislot": {"period": 3, "pre": DETECT_PRE, "post": DETECT_POST,
+                  "candidates": [[0], [1, 2], [0, 1, 2]], "weights": [0.5, 0.3, 0.2]},
+    "multistream": {"streams": [{"pre": DETECT_PRE, "post": DETECT_POST},
+                                {"pre": gaussian_law_dict([0.1, -0.2, 0.0]),
+                                 "post": gaussian_law_dict([1.2, 0.8, 0.9])}],
+                    "candidates": [[0], [1], [0, 1]], "weights": [0.25, 0.25, 0.5]},
+    "bank": {"period": 3, "laws": [DETECT_PRE, DETECT_POST, gaussian_law_dict([-0.8, -0.4, -1.1])],
+             "active_slots": None},
+}
+# kind: (its flags, the same detector built directly)
+DETECT_KINDS = {
+    "shiryaev": (["--model", "pre", "--model2", "post", "--prior-rho", "0.02", "--threshold", "0.97"],
+                 lambda m, r: ShiryaevDetector(m["pre"], m["post"], 0.02, 0.97, reset_on_alarm=r)),
+    "cusum": (["--model", "pre", "--model2", "post", "--threshold", "3.0"],
+              lambda m, r: CusumDetector(m["pre"], m["post"], 3.0, reset_on_alarm=r)),
+    "mixture": (["--family", "multislot", "--prior-rho", "0.02", "--threshold", "20"],
+                lambda m, r: MixtureShiryaev(m["multislot"], 0.02, 20.0, reset_on_alarm=r)),
+    "multistream": (["--family", "multistream", "--prior-rho", "0.02", "--threshold", "20"],
+                    lambda m, r: MultistreamMixture(m["multistream"], 0.02, 20.0, reset_on_alarm=r)),
+    "classifier": (["--bank", "bank", "--threshold", "3.0", "--window", "20"],
+                   lambda m, r: ClassifierBankDetector(m["bank"], 3.0, window=20, reset_on_alarm=r)),
+}
+
+
+@pytest.fixture
+def detect_models(tmp_path):
+    paths, parsed = {}, {}
+    for name, payload in DETECT_MODELS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    parsed["pre"], parsed["post"] = IpidLaw.from_dict(DETECT_PRE), IpidLaw.from_dict(DETECT_POST)
+    parsed["multislot"] = MultislotFamily.from_dict(DETECT_MODELS["multislot"])
+    parsed["multistream"] = MultistreamConfig.from_dict(DETECT_MODELS["multistream"])
+    parsed["bank"] = ClassBank.from_dict(DETECT_MODELS["bank"])
+    return paths, parsed
+
+
+class TestDetectStreamsBlocks:
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("kind", sorted(DETECT_KINDS))
+    def test_trajectory_and_summary_equal_run(self, tmp_path, capsys, detect_models, kind, reset_on_alarm):
+        paths, parsed = detect_models
+        flags, make = DETECT_KINDS[kind]
+        rng = np.random.default_rng(21)
+        xs = np.array([0.0, 0.4, -0.3])[np.arange(DETECT_ROWS) % 3, None] + 0.4 + rng.standard_normal(
+            (DETECT_ROWS, 2))
+        xs[_ROW_BLOCK - 1:_ROW_BLOCK + 1] = 30.0  # the last row of a block and the first of the next
+        xs = xs if kind == "multistream" else xs[:, 0]
+        obs_path = tmp_path / "obs.csv"
+        write_observations_csv(obs_path, xs)
+        want = run(make(parsed, reset_on_alarm), xs)
+        assert want[_ROW_BLOCK - 1].alarm and want[_ROW_BLOCK].alarm
+        oracle = tmp_path / "oracle.csv"
+        csv_writer_trajectory(oracle, want, xs, 3)
+
+        out, traj = tmp_path / "summary.json", tmp_path / "traj.csv"
+        argv = ["detect", "--detector", kind, *[paths.get(f, f) for f in flags], "--input", obs_path,
+                "--out", out, "--trajectory", traj, *(["--reset-on-alarm"] if reset_on_alarm else [])]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert traj.read_bytes() == oracle.read_bytes()
+        summary = json.loads(out.read_text())
+        first = next(r for r in want if r.alarm)
+        assert summary["n_observations"] == len(want) == DETECT_ROWS
+        assert summary["alarm_count"] == sum(r.alarm for r in want)
+        assert summary["first_alarm"] == {"time_index": first.time_index, "statistic": first.statistic,
+                                          "decided_class": first.decided_class}
+        assert type(summary["first_alarm"]["time_index"]) is int
+        assert type(summary["first_alarm"]["statistic"]) is float
+        assert type(summary["first_alarm"]["decided_class"]) is (int if kind == "classifier" else type(None))
+        assert summary["final_statistic"] == want[-1].statistic
+        assert type(summary["final_statistic"]) is float
+
+    def test_count_off_the_support_in_the_last_block_writes_nothing(self, tmp_path, capsys):
+        pre_path, post_path = tmp_path / "pre.json", tmp_path / "post.json"
+        pre_path.write_text(json.dumps({"period": 2, "slots": [{"type": "poisson", "rate": 2.0},
+                                                                {"type": "poisson", "rate": 3.0}]}))
+        post_path.write_text(json.dumps({"period": 2, "slots": [{"type": "poisson", "rate": 4.0},
+                                                                 {"type": "poisson", "rate": 1.5}]}))
+        counts = np.random.default_rng(22).poisson(3.0, DETECT_ROWS).astype(float)
+        counts[2 * _ROW_BLOCK + 50] = 1.5
+        obs_path = tmp_path / "counts.csv"
+        write_observations_csv(obs_path, counts)
+        out, traj = tmp_path / "summary.json", tmp_path / "traj.csv"
+        code, _, err = run_cli(
+            ["detect", "--detector", "cusum", "--model", pre_path, "--model2", post_path,
+             "--threshold", "5", "--input", obs_path, "--out", out, "--trajectory", traj], capsys)
+        assert code == 1
+        assert "Poisson support" in json.loads(err)["message"]
+        assert not out.exists() and not traj.exists()
+
+    def test_memory_does_not_hold_a_result_per_row(self, tmp_path, capsys):
+        # a StepResult per row costs about 145 bytes; the input, its scores and one block cost far less
+        import tracemalloc
+
+        pre_path, post_path = tmp_path / "pre.json", tmp_path / "post.json"
+        pre_path.write_text(json.dumps({"period": 1, "slots": [{"type": "poisson", "rate": 2.0}]}))
+        post_path.write_text(json.dumps({"period": 1, "slots": [{"type": "poisson", "rate": 4.0}]}))
+        counts = np.random.default_rng(23).poisson(2.0, 40_000).astype(float)
+        peaks = {}
+        for n in (10_000, 40_000):
+            obs_path = tmp_path / f"counts_{n}.csv"
+            write_observations_csv(obs_path, counts[:n])
+            argv = ["detect", "--detector", "cusum", "--model", str(pre_path), "--model2", str(post_path),
+                    "--threshold", "5", "--reset-on-alarm", "--input", str(obs_path),
+                    "--out", str(tmp_path / f"summary_{n}.json")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert (peaks[40_000] - peaks[10_000]) / 30_000 <= 64
+
+
+class TestTrialDumpBytes:
+    @pytest.mark.parametrize("scenario", ["worst_case", "misclass"])
+    def test_dump_files_equal_the_csv_writer_dump_of_run(self, tmp_path, capsys, scenario):
+        pre, post = DETECT_PRE, DETECT_POST
+        bank = DETECT_MODELS["bank"]
+        sc = {"worst_case": {"metric": "worst_case", "detector": {"kind": "cusum", "threshold": 3.0},
+                             "pre": pre, "post": post, "trials": 5, "horizon": 200, "seed": 8},
+              "misclass": {"metric": "misclass",
+                           "detector": {"kind": "classifier", "threshold": 3.0, "window": 20},
+                           "bank": bank, "true_class": 2, "trials": 5, "horizon": 200, "seed": 8}}[scenario]
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps(sc))
+        dump_dir = tmp_path / "dumps"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", tmp_path / "report.json",
+                                "--dump-trials", "3", "--dump-dir", dump_dir], capsys)
+        assert code == 0, err
+        if scenario == "worst_case":
+            det = CusumDetector(IpidLaw.from_dict(pre), IpidLaw.from_dict(post), 3.0)
+            plans = trial_plans("worst_case", det, IpidLaw.from_dict(pre), IpidLaw.from_dict(post), 200)
+        else:
+            det = ClassifierBankDetector(ClassBank.from_dict(bank), 3.0, window=20)
+            plans = trial_plans("misclass", det, None, None, 200, true_class=2)
+        names = []
+        for label, plan in plans:
+            for i in range(3):
+                _, obs = plan.draw(8, i)
+                trajectory = run(det.fresh(start_time=plan.start_time), obs, stop_on_alarm=True)
+                oracle = tmp_path / "oracle.csv"
+                csv_writer_trajectory(oracle, trajectory, obs[:len(trajectory)], det.period)
+                names.append(f"{label}trial_{i:04d}.csv")
+                assert (dump_dir / names[-1]).read_bytes() == oracle.read_bytes()
+        assert sorted(p.name for p in dump_dir.iterdir()) == sorted(names)
