@@ -5,8 +5,9 @@ CSV through a detector), ``simulate`` (realize a scenario), ``evaluate``
 (Monte Carlo performance report), ``info`` (information numbers), and
 ``lfl`` (validate or select a least favorable law).
 
-Flag precedence is flags > ``--config`` file > defaults, and every output
-embeds the resolved configuration for provenance.  Errors leave a
+Every option a subcommand declares is resolved once, in ``main``, with
+precedence flags > ``--config`` file > defaults, and every output embeds the
+resolved configuration for provenance.  Errors leave a
 machine-readable JSON object on stderr and a nonzero exit code.
 """
 
@@ -20,6 +21,7 @@ import math
 import operator
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,65 +122,76 @@ def write_observations_csv(path, obs: np.ndarray) -> None:
     detectors._write_csv_blocks(path, ["time", *names], lines())
 
 
-def _resolved(args: argparse.Namespace, config: dict, keys: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
-    out = {}
-    for key, default in keys.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = default
-    return out
+class _Kind(NamedTuple):
+    models: tuple[str, ...]  # the models it is built from, named as _load_models names them
+    flags: str               # the flags that give them
+    needs_rho: bool
+    budget: str              # the option that sets its threshold and predicts its delay
+    make: Callable           # (models, rho, threshold, window, reset) -> detector
 
 
-# kind: (models, their flags, needs rho, budget, constructor of (models, rho, threshold, window, reset))
 _DETECTORS = {
-    "shiryaev": (("pre", "post"), "--model (pre) and --model2 (post)", True, "alpha",
-                 lambda m, rho, h, w, r: detectors.ShiryaevDetector(*m, rho, h, reset_on_alarm=r)),
-    "cusum": (("pre", "post"), "--model (baseline) and --model2 (alternative)", False, "beta",
-              lambda m, rho, h, w, r: detectors.CusumDetector(*m, h, reset_on_alarm=r)),
-    "mixture": (("family",), "--family (multislot family JSON)", True, "alpha",
-                lambda m, rho, h, w, r: detectors.MixtureShiryaev(*m, rho, h, reset_on_alarm=r)),
-    "multistream": (("family",), "--family (multistream config JSON)", True, "alpha",
-                    lambda m, rho, h, w, r: detectors.MultistreamMixture(*m, rho, h, reset_on_alarm=r)),
-    "classifier": (("bank",), "--bank", False, "beta",
-                   lambda m, rho, h, w, r: detectors.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
+    "shiryaev": _Kind(("pre", "post"), "--model (pre) and --model2 (post)", True, "alpha",
+                      lambda m, rho, h, w, r: detectors.ShiryaevDetector(*m, rho, h, reset_on_alarm=r)),
+    "cusum": _Kind(("pre", "post"), "--model (baseline) and --model2 (alternative)", False, "beta",
+                   lambda m, rho, h, w, r: detectors.CusumDetector(*m, h, reset_on_alarm=r)),
+    "mixture": _Kind(("family",), "--family (multislot family JSON)", True, "alpha",
+                     lambda m, rho, h, w, r: detectors.MixtureShiryaev(*m, rho, h, reset_on_alarm=r)),
+    "multistream": _Kind(("streams",), "--family (multistream config JSON)", True, "alpha",
+                         lambda m, rho, h, w, r: detectors.MultistreamMixture(*m, rho, h, reset_on_alarm=r)),
+    "classifier": _Kind(("bank",), "--bank", False, "beta",
+                        lambda m, rho, h, w, r: detectors.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
 }
 
+_MODEL_PARSERS = {"pre": IpidLaw.from_dict, "post": IpidLaw.from_dict, "family": MultislotFamily.from_dict,
+                  "streams": MultistreamConfig.from_dict, "bank": ClassBank.from_dict}
 
-def _build_detector(kind: str, opts: dict, *, pre=None, post=None, family=None, bank=None):
-    """Assemble a detector from resolved options plus whichever models apply.
+
+def _load_models(raw: dict) -> dict:
+    """Parse the model JSON objects of ``raw`` that ``_MODEL_PARSERS`` names.
+
+    A ``family`` that holds ``"streams"`` is a multistream config, named ``streams``.
+    """
+    models = {}
+    for name, obj in raw.items():
+        if name == "family" and "streams" in obj:
+            name = "streams"
+        if name in _MODEL_PARSERS:
+            models[name] = _MODEL_PARSERS[name](obj)
+    return models
+
+
+def _model_files(opts: dict) -> dict:
+    """The models named by ``--model``, ``--model2``, ``--family`` and ``--bank``."""
+    files = {"pre": opts["model"], "post": opts["model2"], "family": opts["family"], "bank": opts["bank"]}
+    return _load_models({name: _load_json(path) for name, path in files.items() if path})
+
+
+def _build_detector(kind: str, opts: dict, models: dict):
+    """Assemble a detector from resolved options and the models its kind takes.
 
     A missing threshold comes from the kind's budget (``alpha`` or ``beta``)
     through ``information.threshold``.
     """
     if not isinstance(kind, str) or kind not in _DETECTORS:
         raise ValueError(f"unknown detector kind {kind!r}")
-    needs, flags, needs_rho, budget, make = _DETECTORS[kind]
-    models = [{"pre": pre, "post": post, "family": family, "bank": bank}[name] for name in needs]
-    if any(m is None for m in models):
-        raise ValueError(f"{kind} needs {flags}")
+    spec = _DETECTORS[kind]
+    if any(name not in models for name in spec.models):
+        raise ValueError(f"{kind} needs {spec.flags}")
     rho = opts.get("prior_rho")
-    if needs_rho and rho is None:
+    if spec.needs_rho and rho is None:
         raise ValueError(f"{kind} needs --prior-rho")
     threshold = opts.get("threshold")
     if threshold is None:
-        if opts.get(budget) is None:
-            raise ValueError(f"give --threshold or --{budget}")
-        threshold = information.threshold(information.DetectorKind(kind), opts[budget],
-                                          num_classes=getattr(bank, "num_classes", None))
-    return make(models, rho, threshold, opts.get("window"), bool(opts.get("reset_on_alarm", False)))
+        if opts.get(spec.budget) is None:
+            raise ValueError(f"give --threshold or --{spec.budget}")
+        threshold = information.threshold(information.DetectorKind(kind), opts[spec.budget],
+                                          num_classes=getattr(models.get("bank"), "num_classes", None))
+    return spec.make([models[name] for name in spec.models], rho, threshold, opts.get("window"),
+                     bool(opts.get("reset_on_alarm", False)))
 
 
-def _cmd_fit(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {
-        "input": None, "format": "long", "period": None, "family": "gaussian",
-        "smooth_window": None, "label": "", "out": None,
-    })
+def _cmd_fit(opts) -> int:
     if opts["input"] is None or opts["out"] is None:
         raise ValueError("fit needs --input and --out")
     if opts["format"] == "long":
@@ -189,11 +202,10 @@ def _cmd_fit(args) -> int:
         cycles = read_cycles_csv(opts["input"], opts["period"])
     else:
         raise ValueError(f"unknown input format {opts['format']!r}")
+    rows = cycles.cycles
     if opts["smooth_window"]:
-        smoothed = tuple(tuple(median_smooth(c, int(opts["smooth_window"]))) for c in cycles.cycles)
-        cycles = CycleSet(cycles=smoothed, target_period=cycles.target_period, label=opts["label"])
-    else:
-        cycles = CycleSet(cycles=cycles.cycles, target_period=cycles.target_period, label=opts["label"])
+        rows = tuple(tuple(median_smooth(c, int(opts["smooth_window"]))) for c in rows)
+    cycles = CycleSet(cycles=rows, target_period=cycles.target_period, label=opts["label"])
     law = fit_gaussian(cycles) if opts["family"] == "gaussian" else fit_poisson(cycles)
     payload = law.to_dict()
     payload["config"] = {**opts, "cycles_used": len(cycles.cycles)}
@@ -201,23 +213,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {
-        "detector": None, "model": None, "model2": None, "family": None, "bank": None,
-        "prior_rho": None, "alpha": None, "beta": None, "threshold": None, "window": None,
-        "reset_on_alarm": False, "input": None, "out": None, "trajectory": None,
-    })
+def _cmd_detect(opts) -> int:
     if opts["detector"] is None or opts["input"] is None or opts["out"] is None:
         raise ValueError("detect needs --detector, --input, and --out")
-    pre = IpidLaw.from_dict(_load_json(opts["model"])) if opts["model"] else None
-    post = IpidLaw.from_dict(_load_json(opts["model2"])) if opts["model2"] else None
-    family = None
-    if opts["family"]:
-        raw = _load_json(opts["family"])
-        family = MultistreamConfig.from_dict(raw) if "streams" in raw else MultislotFamily.from_dict(raw)
-    bank = ClassBank.from_dict(_load_json(opts["bank"])) if opts["bank"] else None
-    detector = _build_detector(opts["detector"], opts, pre=pre, post=post, family=family, bank=bank)
+    detector = _build_detector(opts["detector"], opts, _model_files(opts))
     obs = read_observations_csv(opts["input"])
     if isinstance(detector, detectors.MultistreamMixture):
         if obs.ndim != 2:
@@ -245,45 +244,38 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _scenario_models(scenario: dict):
-    """Resolve (pre, post, family, bank, true_class) from a scenario description."""
-    family = MultislotFamily.from_dict(scenario["family"]) if "family" in scenario else None
-    bank = ClassBank.from_dict(scenario["bank"]) if "bank" in scenario else None
-    true_class = scenario.get("true_class")
-    pre = IpidLaw.from_dict(scenario["pre"]) if "pre" in scenario else None
-    post = IpidLaw.from_dict(scenario["post"]) if "post" in scenario else None
-    if pre is None and family is not None:
-        pre = family.base_pre
-    if pre is None and bank is not None:
-        pre = bank.laws[0]
-    if post is None and family is not None and "true_slots" in scenario:
-        post = post_change_law(family, scenario["true_slots"])
-    if post is None and bank is not None and true_class is not None:
-        post = bank.laws[true_class]
-    return pre, post, family, bank, true_class
+def _scenario_models(scenario: dict) -> dict:
+    """The models of a scenario description, with ``pre`` and ``post`` implied by a family or bank."""
+    models = _load_models(scenario)
+    family, bank, true_class = models.get("family"), models.get("bank"), scenario.get("true_class")
+    if "pre" not in models and family is not None:
+        models["pre"] = family.base_pre
+    if "pre" not in models and bank is not None:
+        models["pre"] = bank.laws[0]
+    if "post" not in models and family is not None and "true_slots" in scenario:
+        models["post"] = post_change_law(family, scenario["true_slots"])
+    if "post" not in models and bank is not None and true_class is not None:
+        models["post"] = bank.laws[true_class]
+    return models
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {
-        "scenario": None, "horizon": None, "seed": None, "out": None, "summary": None,
-    })
+def _cmd_simulate(opts) -> int:
     if opts["scenario"] is None or opts["out"] is None:
         raise ValueError("simulate needs --scenario and --out")
     scenario = _load_json(opts["scenario"])
     horizon = int(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"])
     seed = int(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0))
     change = simulate.change_from_dict(scenario.get("change", {"type": "nochange"}))
-    if "streams" in scenario:
-        cfg = MultistreamConfig.from_dict(scenario["streams"])
+    models = _scenario_models(scenario)
+    if "streams" in models:
         obs, nu = simulate.generate_multistream(
-            cfg, scenario.get("changed_streams"), change, horizon, seed
+            models["streams"], scenario.get("changed_streams"), change, horizon, seed
         )
     else:
-        pre, post, _, _, _ = _scenario_models(scenario)
-        if pre is None:
+        if "pre" not in models:
             raise ValueError("scenario needs a 'pre' law (or a family/bank that implies one)")
-        spec = simulate.ScenarioSpec(pre=pre, post=post, change=change, horizon=horizon, seed=seed)
+        spec = simulate.ScenarioSpec(pre=models["pre"], post=models.get("post"), change=change,
+                                     horizon=horizon, seed=seed)
         obs, nu = simulate.generate(spec)
     write_observations_csv(opts["out"], obs)
     summary = {
@@ -299,40 +291,37 @@ def _cmd_simulate(args) -> int:
 
 def _predicted_for(metric: str, kind: str, scenario: dict, opts: dict,
                    pre, post, family, bank, prior) -> float | None:
-    """First-order theory prediction matching the requested metric, when computable."""
+    """First-order theory prediction matching the requested metric, when computable.
+
+    A delay is predicted from the kind's own budget and the information
+    number of the change the scenario draws.
+    """
     alpha, beta = opts.get("alpha"), opts.get("beta")
     try:
         if metric == "pfa":
             return float(alpha) if alpha is not None else None
         if metric == "arl":
             return float(beta) if beta is not None else None
-        if metric == "add":
-            d = prior.tail_exponent if prior is not None else 0.0
-            if kind == "mixture" and family is not None and "true_slots" in scenario and alpha is not None:
-                info = information.info_multislot(family, scenario["true_slots"])
-                return information.asymptotic_delay(information.DetectorKind.MIXTURE, alpha, info, d)
-            if kind == "shiryaev" and pre is not None and post is not None and alpha is not None:
-                info = information.info_number(pre, post)
-                return information.asymptotic_delay(information.DetectorKind.SHIRYAEV, alpha, info, d)
-            if kind == "cusum" and pre is not None and post is not None and beta is not None:
-                info = information.info_number(pre, post)
-                return information.asymptotic_delay(information.DetectorKind.CUSUM, beta, info)
-            if kind == "classifier" and bank is not None and beta is not None:
-                _, min_info = information.info_matrix(bank)
-                return information.asymptotic_delay(information.DetectorKind.CLASSIFIER, beta, min_info)
-        if metric == "misclass" and beta is not None:
-            return 1.0 / float(beta)
+        if metric == "misclass":
+            return 1.0 / float(beta) if beta is not None else None
+        budget = opts.get(_DETECTORS[kind].budget) if metric == "add" else None
+        if budget is None:
+            return None
+        if kind == "mixture" and family is not None and "true_slots" in scenario:
+            info = information.info_multislot(family, scenario["true_slots"])
+        elif kind in ("shiryaev", "cusum") and pre is not None and post is not None:
+            info = information.info_number(pre, post)
+        elif kind == "classifier" and bank is not None:
+            info = information.info_matrix(bank)[1]
+        else:
+            return None
+        d = prior.tail_exponent if prior is not None else 0.0
+        return information.asymptotic_delay(information.DetectorKind(kind), budget, info, d)
     except ValueError:
         return None
-    return None
 
 
-def _cmd_evaluate(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {
-        "scenario": None, "trials": None, "horizon": None, "seed": None,
-        "workers": 1, "out": None, "dump_trials": 0, "dump_dir": None,
-    })
+def _cmd_evaluate(opts) -> int:
     if opts["scenario"] is None:
         raise ValueError("evaluate needs --scenario")
     if opts["dump_trials"] and not opts["dump_dir"]:
@@ -343,26 +332,19 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"unknown metric {metric!r}")
     det_spec = dict(scenario.get("detector", {}))
     kind = det_spec.get("kind")
-    if kind == "multistream":
-        raise ValueError("evaluate draws one stream per trial, so the multistream detector is not supported")
     trials = int(opts["trials"] if opts["trials"] is not None else scenario["trials"])
     if trials < 1:
         raise ValueError("trials must be >= 1")
     horizon = int(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"])
     seed = int(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0))
     workers = int(opts["workers"] or 1)
-    pre, post, family, bank, true_class = _scenario_models(scenario)
+    models = _scenario_models(scenario)
+    pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
+    true_class = scenario.get("true_class")
     prior = prior_from_dict(scenario["prior"]) if "prior" in scenario else None
-    det_opts = {
-        "prior_rho": det_spec.get("rho", getattr(prior, "rho", None)),
-        "alpha": det_spec.get("alpha"),
-        "beta": det_spec.get("beta"),
-        "threshold": det_spec.get("threshold"),
-        "window": det_spec.get("window"),
-        "reset_on_alarm": det_spec.get("reset_on_alarm", False),
-    }
-    detector = _build_detector(kind, det_opts, pre=pre, post=post, family=family, bank=bank)
-    budget = det_opts["alpha"] if det_opts["alpha"] is not None else det_opts["beta"]
+    det_opts = {**det_spec, "prior_rho": det_spec.get("rho", getattr(prior, "rho", None))}
+    detector = _build_detector(kind, det_opts, models)
+    budget = det_opts.get(_DETECTORS[kind].budget)
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
     change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
     change_points = scenario.get("change_points")
@@ -403,24 +385,17 @@ def _dump_trials(count, dump_dir, plans, detector, seed) -> None:
             detectors._write_trajectory(f"{dump_dir}/{label}trial_{i:04d}.csv", blocks, detector.period)
 
 
-def _cmd_info(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {"model": None, "model2": None, "family": None,
-                                    "bank": None, "out": None})
+def _cmd_info(opts) -> int:
+    models = _model_files(opts)
     payload: dict = {"config": opts}
     if opts["model"] and opts["model2"]:
-        pre = IpidLaw.from_dict(_load_json(opts["model"]))
-        post = IpidLaw.from_dict(_load_json(opts["model2"]))
-        payload.update(information.info_report(pre, post).to_dict())
-    if opts["family"]:
-        family = MultislotFamily.from_dict(_load_json(opts["family"]))
-        payload["multislot"] = [
-            {"slots": sorted(s), "info": information.info_multislot(family, s)}
-            for s in family.candidates
-        ]
-    if opts["bank"]:
-        bank = ClassBank.from_dict(_load_json(opts["bank"]))
-        matrix, min_info = information.info_matrix(bank)
+        payload.update(information.info_report(models["pre"], models["post"]).to_dict())
+    for name, label, unit, info in (("family", "multislot", "slots", information.info_multislot),
+                                    ("streams", "multistream", "streams", information.info_multistream)):
+        if name in models:
+            payload[label] = [{unit: sorted(c), "info": info(models[name], c)} for c in models[name].candidates]
+    if "bank" in models:
+        matrix, min_info = information.info_matrix(models["bank"])
         payload["bank"] = {
             "matrix": [[None if np.isnan(v) else float(v) for v in row] for row in matrix],
             "min_pairwise_info": min_info,
@@ -431,15 +406,12 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_lfl(args) -> int:
-    config = _load_json(args.config) if args.config else {}
-    opts = _resolved(args, config, {"model": None, "model2": None, "family": None,
-                                    "samples": 100_000, "seed": 0, "out": None})
+def _cmd_lfl(opts, action) -> int:
     if opts["model"] is None or opts["family"] is None:
         raise ValueError("lfl needs --model (pre-change law) and --family")
     pre = IpidLaw.from_dict(_load_json(opts["model"]))
     family = robust.UncertaintyFamily.from_dict(_load_json(opts["family"]))
-    if args.lfl_action == "validate":
+    if action == "validate":
         if opts["model2"] is None:
             raise ValueError("lfl validate needs --model2 (the proposed law)")
         proposed = IpidLaw.from_dict(_load_json(opts["model2"]))
@@ -492,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--trajectory", help="trajectory CSV path")
 
     p_sim = sub.add_parser("simulate", help="realize a scenario into an observation CSV")
-    add_common(p_sim)
     p_sim.add_argument("--scenario", help="scenario JSON")
     p_sim.add_argument("--horizon", type=int)
     p_sim.add_argument("--seed", type=int)
+    add_common(p_sim)  # after --seed: the summary printed to stdout keeps its key order
     p_sim.add_argument("--summary", help="summary JSON path")
 
     p_eval = sub.add_parser("evaluate", help="Monte Carlo performance report")
@@ -538,11 +510,25 @@ _COMMANDS = {
 }
 
 
+# the options whose default is not None, by command
+_DEFAULTS = {
+    "fit": {"format": "long", "family": "gaussian", "label": ""},
+    "detect": {"reset_on_alarm": False},
+    "evaluate": {"workers": 1, "dump_trials": 0},
+    "lfl": {"samples": 100_000, "seed": 0},
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = _load_json(args.config) if args.config else {}
+        defaults = _DEFAULTS.get(args.command, {})
+        # every option the subcommand declares, in order: its flag, else its --config value, else its default
+        opts = {key: flag if flag is not None else config[key] if key in config else defaults.get(key)
+                for key, flag in vars(args).items() if key not in ("command", "lfl_action", "config")}
+        handler = _COMMANDS[args.command]
+        return handler(opts, args.lfl_action) if args.command == "lfl" else handler(opts)
     except Exception as exc:  # argparse errors exit on their own
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

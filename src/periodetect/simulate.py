@@ -23,7 +23,7 @@ import numpy as np
 
 from .densities import Gaussian
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, prior_from_dict
-from .detectors import _FIRST_BLOCK, _SCAN_CHUNK, ClassifierBankDetector
+from .detectors import _FIRST_BLOCK, _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
 _U64 = np.uint64
 
@@ -116,9 +116,9 @@ def sample_with_change(rng: np.random.Generator, pre: IpidLaw, post: IpidLaw | N
     out = np.empty(n)
     for law, lo, hi in ((pre, 0, split), (post, split, n)):
         for s in range(law.period):
-            idx = lo + np.nonzero(slots[lo:hi] == s)[0]
-            if idx.size:
-                out[idx] = np.asarray(law.slots[s].sample(rng, idx.size), dtype=float)
+            cells = out[lo + (s - start - lo) % law.period:hi:law.period]  # slot s within lo..hi
+            if cells.size:
+                cells[:] = np.asarray(law.slots[s].sample(rng, cells.size), dtype=float)
     return out
 
 
@@ -250,9 +250,8 @@ class TrialPlan:
 
     ``stop_before_change`` draws only the observations before the change
     point (at most ``horizon``).  ``start_time`` is the detector's clock at
-    the first observation, which is then observation ``start_time + 1``;
-    ``None`` keeps the clock of the detector the trials copy.  A post-change
-    law is required unless the plan never draws past the change.
+    the first observation, which is then observation ``start_time + 1``.  A
+    post-change law is required unless the plan never draws past the change.
     """
 
     pre: IpidLaw
@@ -260,7 +259,7 @@ class TrialPlan:
     change: ChangeSpec
     horizon: int
     stop_before_change: bool = False
-    start_time: int | None = None
+    start_time: int = 0
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -282,9 +281,8 @@ class TrialPlan:
         """The change point, the number of observations and, unless ``lazy``, the observations."""
         nu = _draw_nu(rng, self.change)
         last = min(nu - 1, self.horizon) if self.stop_before_change else self.horizon
-        start = self.start_time or 0
-        return nu, max(0, last - start), None if lazy else sample_with_change(
-            rng, self.pre, self.post, nu, last, start=start)
+        return nu, max(0, last - self.start_time), None if lazy else sample_with_change(
+            rng, self.pre, self.post, nu, last, start=self.start_time)
 
     def _gaussian_tables(self) -> tuple[np.ndarray, ...] | None:
         """Pre- and post-change means and stds at each observation up to the horizon, or None unless
@@ -293,14 +291,14 @@ class TrialPlan:
             self.change, NoChange) else [self.pre, self.post]
         if not all(isinstance(d, Gaussian) for law in laws for d in law.slots):
             return None
-        slots = np.arange(self.start_time or 0, self.horizon) % self.pre.period
+        slots = np.arange(self.start_time, self.horizon) % self.pre.period
         return (*_mean_std(self.pre, slots), *_mean_std(laws[-1], slots))
 
     def _gaussian_obs(self, tables, normals: np.ndarray, nu, lo: int = 0) -> np.ndarray:
         """Observations ``lo, lo + 1, ...`` from their standard normals, as ``sample_with_change``
         forms them (for a batch of trials when ``nu`` is a column)."""
         mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
-        before = (self.start_time or 0) + np.arange(lo + 1, lo + 1 + mp.size) < nu  # observation numbers
+        before = self.start_time + np.arange(lo + 1, lo + 1 + mp.size) < nu  # observation numbers
         return np.where(before, mp, mq) + np.where(before, sp, sq) * normals
 
 
@@ -327,7 +325,10 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
     observation 1.  Single-arm metrics have the label ``""``; ``worst_case``
     has ``nu{nu}_natural_`` and ``nu{nu}_pinned_`` for each change point ``nu``
     (by default one period), the pinned detector starting at ``nu - 1``.
+    Each trial draws one stream, so the multistream detector is rejected.
     """
+    if isinstance(detector, MultistreamMixture):
+        raise ValueError("evaluate draws one stream per trial, so the multistream detector is not supported")
     if metric == "pfa":
         return [("", TrialPlan(pre, None, DrawnChange(prior), horizon, stop_before_change=True))]
     if metric == "add":
@@ -354,8 +355,8 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tau = np.full(indices.size, np.nan)
     decided = np.zeros(indices.size, dtype=int)
     rekey, tables = _trial_streams(master_seed), plan._gaussian_tables()
-    # the classifier (and multistream, which scores vectors) scans trial by trial
-    batched = hasattr(detector, "_scan_rows") and hasattr(detector, "_llr")
+    # the classifier scans trial by trial
+    batched = not isinstance(detector, ClassifierBankDetector)
     det = detector.fresh(start_time=plan.start_time) if batched else None
     buckets = {}  # b -> [(trial, its draws)] for lengths in (2^(b-1), 2^b]
 

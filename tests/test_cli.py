@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from periodetect import information
-from periodetect.cli import _READ_BLOCK, _predicted_for, main, read_observations_csv, write_observations_csv
+from periodetect.cli import (
+    _READ_BLOCK,
+    _predicted_for,
+    build_parser,
+    main,
+    read_observations_csv,
+    write_observations_csv,
+)
 from periodetect.densities import Gaussian
 from periodetect.detectors import (
     _ROW_BLOCK,
@@ -225,6 +233,17 @@ class TestInfoAndLfl:
         payload = json.loads(out)
         assert payload["aggregate"] == pytest.approx(0.125)
         assert len(payload["per_slot_kl"]) == 4
+
+    def test_info_on_a_multistream_family(self, tmp_path, capsys):
+        fam_path = tmp_path / "streams.json"
+        fam_path.write_text(json.dumps(DETECT_MODELS["multistream"]))
+        code, out, err = run_cli(["info", "--family", fam_path, "--out", "-"], capsys)
+        assert code == 0, err
+        config = MultistreamConfig.from_dict(DETECT_MODELS["multistream"])
+        assert json.loads(out)["multistream"] == [
+            {"streams": streams, "info": information.info_multistream(config, streams)}
+            for streams in ([0], [1], [0, 1])]
+        assert "multislot" not in json.loads(out)
 
     def test_lfl_select_and_validate(self, tmp_path, capsys):
         pre = gaussian_law_dict([0.0], variance=0.04)
@@ -494,6 +513,11 @@ class TestBuildDetectorErrors:
          "give --threshold or --alpha"),
         ("classifier", ["--beta", "100"], "classifier needs --bank"),
         ("classifier", ["--bank", "bank"], "give --threshold or --beta"),
+        # a family of the other shape names the flag too
+        ("multistream", ["--family", "multislot", "--prior-rho", "0.1", "--alpha", "0.05"],
+         "multistream needs --family (multistream config JSON)"),
+        ("mixture", ["--family", "multistream", "--prior-rho", "0.1", "--alpha", "0.05"],
+         "mixture needs --family (multislot family JSON)"),
     ])
     def test_missing_model_or_budget_names_the_flag(self, tmp_path, capsys, detector_models,
                                                      kind, flags, message):
@@ -613,6 +637,31 @@ class TestEvaluateChecks:
             "error": "ValueError",
             "message": "evaluate draws one stream per trial, so the multistream detector is not supported"}
         assert not out.exists()
+
+    def test_budget_is_the_kinds_own(self, tmp_path, capsys):
+        # a classifier given both budgets reports and bounds with beta, the budget it takes
+        bank = {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)], "active_slots": None}
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({
+            "metric": "misclass", "detector": {"kind": "classifier", "beta": 100, "alpha": 0.05, "window": 20},
+            "bank": bank, "true_class": 1, "trials": 50, "horizon": 200, "seed": 3}))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["budget"] == 100.0
+        details = report["details"]
+        assert details["misclass_bound_mean_tau_over_beta"] == details["mean_stop_time"] / 100.0
+        assert details["mean_stop_time"] == pytest.approx(20.14)
+        assert report["predicted"] == 1.0 / 100.0
+
+    def test_cusum_given_both_budgets_reports_beta(self, tmp_path, models, capsys):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl", {
+            "detector": {"kind": "cusum", "alpha": 0.05, "beta": 50.0}, "trials": 5})
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())["budget"] == 50.0
 
     def test_dump_trials_needs_a_dump_dir(self, tmp_path, models, capsys):
         sc = TestEvaluate().make_scenario(tmp_path, models, "arl")
@@ -779,3 +828,77 @@ class TestTrialDumpBytes:
                 names.append(f"{label}trial_{i:04d}.csv")
                 assert (dump_dir / names[-1]).read_bytes() == oracle.read_bytes()
         assert sorted(p.name for p in dump_dir.iterdir()) == sorted(names)
+
+
+def declared_options():
+    """{subcommand argv: the options its subparser declares}, read from the parser itself."""
+    found = {}
+
+    def walk(parser, prefix):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            found[prefix] = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+        for action in subs:
+            for name, sub in action.choices.items():
+                walk(sub, prefix + (name,))
+
+    walk(build_parser(), ())
+    return found
+
+
+def option_values(tmp_path):
+    """{subcommand argv: a valid value, unlike its default, for every option but --config}."""
+    files = {}
+    for name, payload in {**DETECT_MODELS, "lpre": gaussian_law_dict([0.0], variance=0.04),
+                          "lfl": gaussian_law_dict([0.1], variance=0.04),
+                          "lfam": {"period": 1, "slots": [{
+                              "type": "interval", "direction": "ge",
+                              "boundary": {"type": "gaussian", "mean": 0.1, "variance": 0.04}}]},
+                          "sc_sim": {"pre": DETECT_PRE, "post": DETECT_POST, "horizon": 10,
+                                     "change": {"type": "fixed", "nu": 5}},
+                          "sc_eval": {"metric": "arl", "detector": {"kind": "cusum", "beta": 50.0},
+                                      "pre": DETECT_PRE, "post": DETECT_POST, "trials": 10, "horizon": 10}}.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    files["train"], files["obs"] = str(tmp_path / "train.csv"), str(tmp_path / "obs.csv")
+    write_observations_csv(files["train"], np.tile([1.0, 5.0, 2.0, 4.0], 10))
+    write_observations_csv(files["obs"], np.linspace(-1.0, 2.0, 30))
+    lfl = {"model": files["lpre"], "model2": files["lfl"], "family": files["lfam"], "samples": 500, "seed": 3}
+    return {
+        ("fit",): {"input": files["train"], "format": "long", "period": 2, "family": "poisson",
+                   "smooth_window": 1, "label": "from config"},
+        ("detect",): {"detector": "cusum", "model": files["pre"], "model2": files["post"],
+                      "family": files["multislot"], "bank": files["bank"], "prior_rho": 0.1, "alpha": 0.05,
+                      "beta": 100.0, "threshold": 2.5, "window": 10, "reset_on_alarm": True,
+                      "input": files["obs"], "trajectory": str(tmp_path / "traj.csv")},
+        ("simulate",): {"scenario": files["sc_sim"], "horizon": 12, "seed": 4,
+                        "summary": str(tmp_path / "summary.json")},
+        ("evaluate",): {"scenario": files["sc_eval"], "trials": 3, "horizon": 20, "seed": 2, "workers": 2,
+                        "dump_trials": 1, "dump_dir": str(tmp_path / "dumps")},
+        ("info",): {"model": files["pre"], "model2": files["post"], "family": files["multislot"],
+                    "bank": files["bank"]},
+        ("lfl", "validate"): lfl,
+        ("lfl", "select"): lfl,
+    }
+
+
+class TestOptionsDeclaredOnce:
+    # keys that a command adds to the resolved options in the config it embeds
+    EXTRA = {("fit",): {"cycles_used"}, ("detect",): {"threshold_used"}, ("evaluate",): {"metric", "detector"}}
+
+    def test_every_option_is_embedded_and_set_from_a_config_file(self, tmp_path, capsys):
+        declared, values = declared_options(), option_values(tmp_path)
+        assert set(declared) == set(values)
+        for command, options in declared.items():
+            # an option the values above do not cover fails here, until it is added to them
+            assert options - {"config"} == set(values[command]) | {"out"}, command
+            out = tmp_path / f"{'_'.join(command)}.json"
+            config_path = tmp_path / f"{'_'.join(command)}_config.json"
+            config_path.write_text(json.dumps({**values[command], "out": str(out)}))
+            code, _, err = run_cli([*command, "--config", config_path], capsys)
+            assert code == 0, (command, err)
+            written = tmp_path / "summary.json" if command == ("simulate",) else out
+            embedded = json.loads(written.read_text())["config"]
+            assert set(embedded) == options - {"config"} | self.EXTRA.get(command, set()), command
+            assert {key: embedded[key] for key in values[command]} == values[command], command
+            assert embedded["out"] == str(out)

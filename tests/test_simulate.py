@@ -11,6 +11,7 @@ from periodetect.detectors import (
     ClassifierBankDetector,
     CusumDetector,
     MixtureShiryaev,
+    MultistreamMixture,
     ShiryaevDetector,
 )
 from periodetect.information import threshold as info_threshold
@@ -363,6 +364,28 @@ class TestTrialChecks:
         det = ShiryaevDetector(PRE, POST, 0.05, 0.99)
         with pytest.raises(ValueError, match="prior"):
             estimate_pfa(det, PRE, None, 20, 100, master_seed=1)
+
+
+class TestTrialClock:
+    def test_trials_start_at_the_plan_clock_whatever_the_detector_clock(self):
+        pre, post = gaussian_law([0.0, 5.0, 0.0, 5.0]), gaussian_law([1.0, 6.0, 1.0, 6.0])
+        reports = {start: estimate_add(CusumDetector(pre, post, 3.0, start_time=start), pre, post,
+                                       FixedChange(3), 200, 60, master_seed=1).to_dict()
+                   for start in (0, 1, 4)}
+        assert reports[1] == reports[0] and reports[4] == reports[0]
+        assert TrialPlan(pre, post, FixedChange(3), 60).start_time == 0
+
+    @pytest.mark.parametrize("estimate", [
+        lambda det: estimate_arl(det, PRE, 5, 50, master_seed=1),
+        lambda det: estimate_pfa(det, PRE, GeometricPrior(0.1), 5, 50, master_seed=1),
+        lambda det: estimate_add(det, PRE, POST, FixedChange(3), 5, 50, master_seed=1),
+        lambda det: worst_case_delay(det, PRE, POST, trials=5, horizon=50, master_seed=1),
+    ], ids=["arl", "pfa", "add", "worst_case"])
+    def test_the_multistream_detector_is_rejected(self, estimate):
+        config = MultistreamConfig(streams=((PRE, POST),), candidates=(frozenset({0}),), weights=(1.0,))
+        with pytest.raises(ValueError, match="^evaluate draws one stream per trial, so the multistream "
+                                             "detector is not supported$"):
+            estimate(MultistreamMixture(config, 0.1, 20.0))
 
 
 class TestMonteCarloReport:
