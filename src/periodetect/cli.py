@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import detectors, information, robust, simulate
-from .fit import CycleSet, fit_gaussian, fit_poisson, median_smooth, read_cycles_csv, read_long_csv
+from .fit import CycleSet, _trailing_median, fit_gaussian, fit_poisson, read_cycles_csv, read_long_csv
 from .model import (
     ClassBank,
     IpidLaw,
@@ -204,7 +204,8 @@ def _cmd_fit(opts) -> int:
         raise ValueError(f"unknown input format {opts['format']!r}")
     rows = cycles.cycles
     if opts["smooth_window"]:
-        rows = tuple(tuple(median_smooth(c, int(opts["smooth_window"]))) for c in rows)
+        lower = opts["family"] == "poisson"  # a count's smoothed value must stay a count
+        rows = tuple(tuple(_trailing_median(c, int(opts["smooth_window"]), lower)) for c in rows)
     cycles = CycleSet(cycles=rows, target_period=cycles.target_period, label=opts["label"])
     law = fit_gaussian(cycles) if opts["family"] == "gaussian" else fit_poisson(cycles)
     payload = law.to_dict()

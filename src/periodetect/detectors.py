@@ -35,12 +35,16 @@ Each family's per-observation recursion exists once, as ``_walk`` (see
 ``_Detector``): ``step(x)`` walks one column, and :func:`run` and
 ``periodetect detect`` walk the batch scores ``_ROW_BLOCK`` columns at a
 time, so ``run`` equals stepping bit for bit and ``detect`` holds no
-per-row results.  ``run_to_alarm`` hands the scores to ``_scan``: for
-posterior odds and CUSUM a closed form, ``_scan_rows`` (also the trial
-engine's batch scan), within 1e-9 relative and 1e-10 absolute error of the
-walk; for the classifier its blocked walk, up to the first alarm.  Both
-score their whole input before any state changes, so an invalid
-observation raises and leaves the detector as it was.
+per-row results.  ``run_to_alarm`` runs ``_scan_rows``, the trial engine's
+batch scan, on a batch of one.  For posterior odds and CUSUM it is a closed
+form within 1e-9 relative and 1e-10 absolute error of the walk.  The
+classifier's gives the walk's floats: Page's CUSUM of each pair,
+``U_l(n) = min_{m != l} (C_lm(n) - min_{j < n} C_lm(j))``, is at least the
+windowed statistic in floating point too, as each window start is some
+``j``, ``fl(a - b)`` does not increase in ``b`` and a max of minima never
+exceeds the minimum of maxima; so the statistic is evaluated only where
+``max_l U_l(n)`` reaches the threshold.  Every scan scores its whole input
+first, so an invalid observation raises and leaves the detector as it was.
 
 The first three share one posterior-odds core: per component ``k`` the odds
 follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
@@ -70,18 +74,18 @@ _POS_INF = float("inf")
 # objects, which bounds the transient objects held at once.
 _ROW_BLOCK = 4096
 
-# Observations per block of the batch posterior-odds scan (and the trial engine's cap on
-# scores per component in one batch).  Cumulative sums restart at each block, so their
-# magnitude, and the closed form's cancellation error, stays bounded on any stream.
+# Observations per block of each family's batch scan (and the trial engine's cap on scores
+# per component in one batch).  Cumulative sums restart at each block, so their magnitude,
+# and the closed forms' cancellation error, stays bounded on any stream.
 _SCAN_CHUNK = 4096
 
 # Observations scored per piece by _SlotLlr.profile, which tiles its tables to
 # this length (plus one period) once, at construction.
 _PROFILE_RUN = 1024
 
-# Observations in the first block of the classifier scan, which doubles from there:
-# typical runs alarm within a few dozen samples.  Each block's difference
-# tensor is capped at _BLOCK_ELEMENTS float64 entries (1 MiB).
+# Observations in the first block of the classifier walk and the first round of its
+# trials, which double from there: typical runs alarm within a few dozen samples.  Each
+# difference tensor is capped at _BLOCK_ELEMENTS float64 entries (1 MiB).
 _FIRST_BLOCK = 64
 _BLOCK_ELEMENTS = 1 << 17
 
@@ -299,11 +303,11 @@ class _Detector:
             raise ValueError(f"expected a one-dimensional run of observations, got shape {np.shape(xs)}")
         return self._llr.profile(xs, start_slot)
 
-    def _alarm(self, statistic: float) -> StepResult:
+    def _alarm(self, statistic: float, decided: int | None = None) -> StepResult:
         """Result of an alarm ``_scan`` just consumed; under ``reset_on_alarm`` it restarts the statistic."""
         if self.reset_on_alarm:
             self.reset()
-        return _new_tuple(StepResult, (self._time, statistic, True, None))
+        return _new_tuple(StepResult, (self._time, statistic, True, decided))
 
     def step(self, x) -> StepResult:
         scores = self._step_scores(self._time % self.period, x)  # for K = 1, the (1, 1) block's row
@@ -478,19 +482,25 @@ class CusumDetector(_Detector):
         return stats, alarms, [None] * len(stats)
 
     def _scan_rows(self, z: np.ndarray, lengths):
-        """``_PosteriorOdds._scan_rows`` for ``W_n = S_n - min_{j < n} S_j`` (the carry-in score in the prefix
-        floor), ending with the scores; one cumsum spans each row, so no column split moves its bits."""
-        s = np.zeros((z.shape[1], z.shape[2] + 1))
-        np.cumsum(z[0], axis=1, out=s[:, 1:])
-        w = s[:, 1:] - np.minimum(np.minimum.accumulate(s[:, :-1], axis=1), -max(self._score, 0.0))
-        crossed = (w >= self.threshold) & (np.arange(w.shape[1]) < lengths[:, None])
-        hit = crossed.any(axis=1)
-        return hit, np.where(hit, crossed.argmax(axis=1), lengths - 1), w
+        """``_PosteriorOdds._scan_rows`` for ``W_n = S_n - min_{j < n} S_j`` (the carried-in score in
+        the prefix floor), in blocks of ``_SCAN_CHUNK`` columns that carry each row's score, ending
+        with the last block's scores."""
+        carry, first = np.full(z.shape[1], max(self._score, 0.0)), np.full(z.shape[1], -1)
+        for start in range(0, z.shape[2], _SCAN_CHUNK):
+            s = np.zeros((z.shape[1], min(_SCAN_CHUNK, z.shape[2] - start) + 1))
+            np.cumsum(z[0, :, start:start + _SCAN_CHUNK], axis=1, out=s[:, 1:])
+            w = s[:, 1:] - np.minimum(np.minimum.accumulate(s[:, :-1], axis=1), -carry[:, None])
+            crossed = (w >= self.threshold) & (np.arange(w.shape[1]) < (lengths - start)[:, None])
+            first = np.where((first < 0) & crossed.any(axis=1), start + crossed.argmax(axis=1), first)
+            if ((first >= 0) | (lengths <= start + w.shape[1])).all():
+                break
+            carry = np.maximum(w[:, -1], 0.0)
+        return first >= 0, np.where(first >= 0, first, lengths - 1), w
 
     def _scan(self, z: np.ndarray) -> StepResult | None:
         [hit], [stop], w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
         self._time += int(stop) + 1
-        self._score = float(w[0, stop])
+        self._score = float(w[0, stop % _SCAN_CHUNK])
         return self._alarm(self._score) if hit else None
 
 
@@ -595,8 +605,9 @@ class ClassifierBankDetector(_Detector):
 
     The state is a ``(P, m)`` matrix of the last ``m`` checkpoints
     ``C(k-1)``, one row per (class, rival) pair, whose last column is the
-    current sums ``C(n)``.  ``step``, ``run`` and ``run_to_alarm`` all run one
-    blocked scan over a matrix of pair scores (see ``_scan_blocks``).
+    current sums ``C(n)``.  ``step`` and ``run`` walk it with one blocked
+    scan over a matrix of pair scores (see ``_scan_blocks``); ``run_to_alarm``
+    and the trial engine scan it up to the alarm (see ``_scan_rows``).
     """
 
     def __init__(self, bank: ClassBank, threshold: float, *, window: int | None = None,
@@ -624,6 +635,7 @@ class ClassifierBankDetector(_Detector):
     def reset(self) -> None:
         self._checkpoints = np.zeros((self.num_classes ** 2, 1))
         self._stats = np.full(self.num_classes, _NEG_INF)
+        self._block = _FIRST_BLOCK
 
     def class_statistics(self) -> list[float]:
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
@@ -632,18 +644,19 @@ class ClassifierBankDetector(_Detector):
     def _scan_blocks(self, z: np.ndarray, stop_on_alarm: bool):
         """The classifier's recursion over the columns of a ``(P, m)`` score matrix, in blocks.
 
-        Blocks start at ``_FIRST_BLOCK`` observations (again after a reset) and
-        double, each capped so its ``(P, block, width)`` difference tensor holds
-        at most ``_BLOCK_ELEMENTS`` entries (or one observation).  In a block
-        the running sums are a cumsum from the carried-in sums, which is
-        sequential addition exactly; each window is a strided view of the
-        checkpoints padded in front with ``+inf`` (a start point that never
-        wins the max).  Yields per block the ``(M, c)`` class statistics of
-        the ``c`` columns it consumed, their maximum and its alarms, ending a
-        block at an alarm that resets or stops; stores the state at the end.
+        Blocks start at ``_FIRST_BLOCK`` observations after a reset and double
+        after each full block, across calls, each capped so its ``(P, block,
+        width)`` difference tensor holds at most ``_BLOCK_ELEMENTS`` entries (or
+        one observation).  In a block the running sums are a cumsum from the
+        carried-in sums, which is sequential addition exactly; each window is a
+        strided view of the checkpoints padded in front with ``+inf`` (a start
+        point that never wins the max).  Yields per block the ``(M, c)`` class
+        statistics of the ``c`` columns it consumed, their maximum and its
+        alarms, ending a block at an alarm that resets or stops; stores the
+        state at the end.
         """
         m, n = self.num_classes, z.shape[1]
-        checkpoints, last, start, size = self._checkpoints, self._stats, 0, _FIRST_BLOCK
+        checkpoints, last, start, size = self._checkpoints, self._stats, 0, self._block
         while start < n:
             held = checkpoints.shape[1]
             cap = _BLOCK_ELEMENTS // (z.shape[0] * min(self._span, held + size))
@@ -674,14 +687,15 @@ class ClassifierBankDetector(_Detector):
             stop = width + cut
             checkpoints, last = line[:, max(width - held, stop - self._span):stop], stats[:, cut - 1]
             start += cut
-            size *= 2
+            size *= 2 if block == size else 1
             if cut_here and self.reset_on_alarm:
                 self.reset()
-                checkpoints, last, size = self._checkpoints, self._stats, _FIRST_BLOCK
+                checkpoints, last, size = self._checkpoints, self._stats, self._block
             if cut_here and stop_on_alarm:
                 break
         self._checkpoints = checkpoints.copy()
         self._stats = last.copy()
+        self._block = size
         self._time += start
 
     def _walk(self, z, stop_on_alarm: bool = False):
@@ -694,11 +708,69 @@ class ClassifierBankDetector(_Detector):
             decided_col += [c if a else None for c, a in zip((stats.argmax(axis=0) + 1).tolist(), alarms)]
         return stats_col, alarm_col, decided_col
 
+    def _window_stats(self, line: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The ``(M, S)`` class statistics of the observations whose sums are ``line[:, rows, cols]``,
+        each over the up to ``_span`` checkpoints before it in its row: the differences, rival
+        minima and window maxima of ``_scan_blocks``, so the same floats.  A window shorter than
+        the widest repeats its row's first checkpoint, which changes no maximum."""
+        m, width, flat = self.num_classes, int(min(self._span, cols.max())), line.reshape(len(line), -1)
+        piece = max(1, _BLOCK_ELEMENTS // (len(line) * width))  # cells per difference tensor
+        out = np.empty((m, rows.size))
+        for lo in range(0, rows.size, piece):
+            row, at = rows[lo:lo + piece] * line.shape[2], cols[lo:lo + piece]  # flat indices
+            windows = np.maximum(row[:, None], (row + at)[:, None] + np.arange(-width, 0))
+            diff = flat[:, row + at, None] - np.take(flat, windows, axis=1)
+            out[:, lo:lo + piece] = diff.reshape(m, m, -1, width).min(axis=1).max(axis=2)
+        return out
+
+    def _scan_rows(self, z: np.ndarray, lengths, held: np.ndarray | None = None):
+        """Scan the ``(P, B, n)`` pair scores of ``B`` runs (int array ``lengths``) from this unchanged
+        state, or from each row's checkpoints ``held`` ``(P, B, h)``, in blocks of ``_SCAN_CHUNK``.
+
+        The sums are ``_scan_blocks``' sequential ``add.accumulate``.  ``U_l(n) = min_{m != l}
+        (C_lm(n) - min_{j < n} C_lm(j))``, ``j`` over the block's checkpoints, bounds class ``l``'s
+        windowed statistic from above exactly: every window start is such a ``j``, ``fl(a - b)``
+        does not increase in ``b``, and a max over starts of a rival minimum never exceeds the
+        rival minimum of the maxima.  So the statistic is evaluated only where ``max_l U_l(n)``
+        reaches the threshold, in column order, up to each row's first alarm.  Returns per row
+        whether it alarmed, where it stopped (first alarm, else last observation) and its class
+        (0 if none), then the last block's checkpoints and sums ``(P, B, h + c)``."""
+        m, rows = self.num_classes, z.shape[1]
+        if held is None:
+            held = np.broadcast_to(self._checkpoints[:, None], (len(z), rows, self._checkpoints.shape[1]))
+        first, decided = np.full(rows, -1), np.zeros(rows, dtype=int)
+        for start in range(0, z.shape[2], _SCAN_CHUNK):
+            h = held.shape[2]
+            line = np.concatenate([held, z[:, :, start:start + _SCAN_CHUNK]], axis=2)
+            np.add.accumulate(line[:, :, h - 1:], axis=2, out=line[:, :, h - 1:])
+            low = np.minimum.accumulate(line[:, :, :-1], axis=2)[:, :, h - 1:]
+            bound = (line[:, :, h:] - low).reshape(m, m, rows, -1).min(axis=1).max(axis=0)
+            cand = (bound >= self.threshold) & (np.arange(bound.shape[1]) < (lengths - start)[:, None])
+            cand[first >= 0] = False
+            take = 1
+            while cand.any():  # each row's next 1, 2, 4, ... candidate columns
+                now = cand & (np.cumsum(cand, axis=1) <= take)
+                r, c = np.nonzero(now)
+                stats = self._window_stats(line, r, h + c)
+                cell = np.full(cand.shape, r.size)  # where a cell alarms, its index in r and c
+                cell[r, c] = np.where(stats.max(axis=0) >= self.threshold, np.arange(r.size), r.size)
+                cell = cell.min(axis=1)  # each row's first alarm
+                hit = cell < r.size
+                first[hit], decided[hit] = start + c[cell[hit]], stats[:, cell[hit]].argmax(axis=0) + 1
+                cand &= ~now
+                cand[hit], take = False, 2 * take
+            if ((first >= 0) | (lengths <= start + bound.shape[1])).all():
+                break
+            held = line[:, :, max(0, line.shape[2] - self._span):]
+        return first >= 0, np.where(first >= 0, first, lengths - 1), decided, line
+
     def _scan(self, z: np.ndarray) -> StepResult | None:
-        for stats, best, crossed in self._scan_blocks(z, stop_on_alarm=True):
-            pass
-        decided = int(stats[:, -1].argmax()) + 1  # ties go to the smallest class index
-        return _new_tuple(StepResult, (self._time, best[-1].item(), True, decided)) if crossed[-1] else None
+        [hit], [stop], [decided], line = self._scan_rows(z[:, None], np.array([z.shape[1]]))
+        at = line.shape[2] + stop - min(stop // _SCAN_CHUNK * _SCAN_CHUNK + _SCAN_CHUNK, z.shape[1])
+        self._stats = self._window_stats(line, np.zeros(1, dtype=int), np.array([at]))[:, 0]
+        self._checkpoints = line[:, 0, max(0, at + 1 - self._span):at + 1].copy()
+        self._time += int(stop) + 1
+        return self._alarm(self._stats.max().item(), int(decided)) if hit else None
 
 
 def _walk_blocks(detector, observations, stop_on_alarm: bool = False):

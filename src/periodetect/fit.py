@@ -53,12 +53,18 @@ def resample_cycle(cycle, period: int) -> np.ndarray:
 
 def median_smooth(series, window: int) -> np.ndarray:
     """Trailing-window median filter; windows are partial at the start."""
+    return _trailing_median(series, window, lower=False)
+
+
+def _trailing_median(series, window: int, lower: bool) -> np.ndarray:
+    """``median_smooth``; ``lower`` takes an even window's lower middle value, so counts stay counts."""
     if window < 1:
         raise ValueError("window must be >= 1")
     values = np.asarray(series, dtype=float)
     out = np.empty_like(values)
     for i in range(values.size):
-        out[i] = np.median(values[max(0, i - window + 1):i + 1])
+        cells = values[max(0, i - window + 1):i + 1]
+        out[i] = np.quantile(cells, 0.5, method="lower") if lower else np.median(cells)
     return out
 
 

@@ -6,7 +6,8 @@ Philox generator keyed by ``(s, i)``, so serial and multi-worker executions
 produce bit-identical reports, and per-trial results never depend on how
 trials are partitioned across workers.  The engine re-keys one generator
 per trial, and it scores and scans trials of similar length as one bounded
-matrix (the classifier trial by trial), so its memory stays flat in trials.
+matrix (classifier trials in groups, in rounds of growing length), so its
+memory stays flat in trials.
 
 Censoring is never silent: every report carries the number of trials whose
 outcome was cut off by the horizon, and the affected estimates are bounds
@@ -294,12 +295,13 @@ class TrialPlan:
         slots = np.arange(self.start_time, self.horizon) % self.pre.period
         return (*_mean_std(self.pre, slots), *_mean_std(laws[-1], slots))
 
-    def _gaussian_obs(self, tables, normals: np.ndarray, nu, lo: int = 0) -> np.ndarray:
-        """Observations ``lo, lo + 1, ...`` from their standard normals, as ``sample_with_change``
-        forms them (for a batch of trials when ``nu`` is a column)."""
+    def _gaussian_obs(self, tables, normals: np.ndarray, nu: np.ndarray, lengths, lo: int = 0) -> np.ndarray:
+        """Observations ``lo, lo + 1, ...`` of trials with change points ``nu`` from their normals, as
+        ``sample_with_change`` forms them; past each trial's length 0, scored and never scanned."""
         mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
-        before = self.start_time + np.arange(lo + 1, lo + 1 + mp.size) < nu  # observation numbers
-        return np.where(before, mp, mq) + np.where(before, sp, sq) * normals
+        before = self.start_time + np.arange(lo + 1, lo + 1 + mp.size) < nu[:, None]  # observation numbers
+        drawn = np.arange(mp.size) < lengths[:, None]
+        return np.where(drawn, np.where(before, mp, mq) + np.where(before, sp, sq) * normals, 0.0)
 
 
 def _trial_streams(master_seed: int):
@@ -349,15 +351,49 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
     return plans
 
 
+def _classifier_trials(det, plan: TrialPlan, rekey, tables, indices, nu, tau, decided) -> None:
+    """Classifier trials in groups of about ``_SCAN_CHUNK`` draws, in rounds of ``_FIRST_BLOCK * 2^r``
+    draws up to each alarm, each round scanned from the checkpoints the last left.  Past round 0 a
+    Gaussian trial redraws its stream (cheaper than keeping every generator's state); without
+    Gaussian tables a trial draws its whole stream in round 0."""
+    keys = indices.tolist()
+    group = max(1, _SCAN_CHUNK // (_FIRST_BLOCK if tables is not None else plan.horizon - plan.start_time))
+    for js in np.split(np.arange(len(keys)), np.arange(group, len(keys), group)):
+        n, draws = np.empty(js.size, dtype=int), []
+        for r, j in enumerate(js.tolist()):
+            rng = rekey(keys[j])
+            nu[j], n[r], obs = plan._draw(rng, lazy=tables is not None)
+            draws.append(obs if tables is None else rng.standard_normal(min(n[r], _FIRST_BLOCK)))
+        live, lo, size, carry = np.flatnonzero(n), 0, _FIRST_BLOCK, None
+        while live.size:
+            lengths = np.minimum(n[live] - lo, size)
+            x = np.zeros((live.size, lengths.max()))
+            for r, (j, m) in enumerate(zip(live.tolist(), lengths.tolist())):
+                if lo and tables is not None:  # redraw the stream up to this round's end
+                    rng = rekey(keys[js[j]])
+                    plan._draw(rng, lazy=True)
+                    draws[j] = rng.standard_normal(lo + m)
+                x[r, :m] = draws[j][lo:lo + m]
+            if tables is not None:
+                x = plan._gaussian_obs(tables, x, nu[js[live]], lengths, lo)
+            z = det._llr.profile(x, (det.time + lo) % det.period)
+            hit, stop, found, line = det._scan_rows(z, lengths, carry)
+            tau[js[live[hit]]], decided[js[live[hit]]] = det.time + lo + stop[hit] + 1, found[hit]
+            going = ~hit & (n[live] > lo + size)
+            carry = line[:, going, max(0, line.shape[2] - det._span):]
+            live, lo, size = live[going], lo + size, 2 * size
+
+
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (detector, plan, master_seed), indices = args
     nu = np.empty(indices.size)
     tau = np.full(indices.size, np.nan)
     decided = np.zeros(indices.size, dtype=int)
     rekey, tables = _trial_streams(master_seed), plan._gaussian_tables()
-    # the classifier scans trial by trial
-    batched = not isinstance(detector, ClassifierBankDetector)
-    det = detector.fresh(start_time=plan.start_time) if batched else None
+    det = detector.fresh(start_time=plan.start_time)
+    if isinstance(det, ClassifierBankDetector):
+        _classifier_trials(det, plan, rekey, tables, indices, nu, tau, decided)
+        return nu, tau, decided
     buckets = {}  # b -> [(trial, its draws)] for lengths in (2^(b-1), 2^b]
 
     def flush(b):
@@ -366,26 +402,15 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = np.zeros((len(rows), lengths.max()))
         for r, (_, draws) in enumerate(rows):
             x[r, :len(draws)] = draws
-        if tables is not None:  # the padding stays 0: scored, never scanned
-            drawn = np.arange(x.shape[1]) < lengths[:, None]
-            x = np.where(drawn, plan._gaussian_obs(tables, x, nu[js][:, None]), 0.0)
+        if tables is not None:
+            x = plan._gaussian_obs(tables, x, nu[js], lengths)
         hit, stop, *_ = det._scan_rows(det._llr.profile(x, det.time % det.period), lengths)
         tau[js[hit]] = det.time + stop[hit] + 1
 
     for j, i in enumerate(indices.tolist()):
         rng = rekey(i)
         nu[j], n, obs = plan._draw(rng, lazy=tables is not None)
-        if not batched:
-            run, hit = detector.fresh(start_time=plan.start_time).run_to_alarm, None
-            lo, size = 0, _FIRST_BLOCK
-            while hit is None and lo < n:  # Gaussian draws: growing chunks up to the alarm
-                m = n if tables is None else min(size, n - lo)
-                hit = run(obs if tables is None else
-                          plan._gaussian_obs(tables, rng.standard_normal(m), nu[j], lo))
-                lo, size = lo + m, 2 * size
-            if hit is not None:
-                tau[j], decided[j] = hit.time_index, hit.decided_class or 0
-        elif n:
+        if n:
             b = (n - 1).bit_length()
             buckets.setdefault(b, []).append((j, obs if tables is None else rng.standard_normal(n)))
             if len(buckets[b]) << b >= _SCAN_CHUNK:  # one scan block of scores per component

@@ -210,6 +210,19 @@ class TestFitCommand:
         assert abs(law.slots[0].mean - 0.0) < 0.05
         assert abs(law.slots[1].mean - 5.0) < 0.05
 
+    @pytest.mark.parametrize("window, rates", [(2, [4.5, 2.0, 2.5, 3.5]), (3, [4.5, 2.0, 3.0, 3.5])])
+    def test_fit_poisson_smooths_counts_to_observed_counts(self, tmp_path, capsys, window, rates):
+        # a window of two counts, even one partial at a cycle start, takes the lower one
+        csv_path = tmp_path / "counts.csv"
+        counts = [3, 4, 5, 6, 6, 1, 2, 2]
+        csv_path.write_text("time,value\n" + "\n".join(f"{i},{v}" for i, v in enumerate(counts)) + "\n")
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(
+            ["fit", "--input", csv_path, "--format", "long", "--period", "4", "--family", "poisson",
+             "--smooth-window", window, "--out", out], capsys)
+        assert code == 0, err
+        assert [d.rate for d in IpidLaw.from_dict(json.loads(out.read_text())).slots] == rates
+
     def test_fit_respects_config_file_with_flag_override(self, tmp_path, capsys):
         csv_path = tmp_path / "train.csv"
         csv_path.write_text("time,value\n" + "\n".join(f"{i},{i % 3}" for i in range(30)) + "\n")

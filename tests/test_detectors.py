@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from periodetect.detectors import (
     ShiryaevDetector,
     StepResult,
     _SlotLlr,
+    _walk_blocks,
     robust_shiryaev,
     run,
     write_trajectory_csv,
@@ -659,6 +661,21 @@ class TestPosteriorOddsCore:
         assert abs(whole._log_odds[0] - chunk_ends[-1]) <= 1e-9
 
 
+def test_cusum_long_stream_score_tracks_the_walk():
+    # about 50 nats of drift per sample: over 10^6 samples one cumulative sum reaches 5e7,
+    # where its rounding alone exceeds 1e-10
+    pre, post = gaussian_law([0.0, 0.5, 1.0, 0.5], 0.0025), gaussian_law([0.5, 1.0, 1.5, 1.0], 0.0025)
+    n = 10**6
+    xs = np.array([0.0, 0.5, 1.0, 0.5])[np.arange(n) % 4] + 0.05 * np.random.default_rng(0).standard_normal(n)
+    walked = CusumDetector(pre, post, 1e9)
+    for _ in _walk_blocks(walked, xs):
+        pass
+    closed = CusumDetector(pre, post, 1e9)
+    assert closed.run_to_alarm(xs) is None
+    assert closed.time == walked.time == n
+    assert abs(closed.score - walked.score) <= 1e-10
+
+
 FIVE_DETECTORS = {
     **ODDS_DETECTORS,
     "cusum": lambda **kw: CusumDetector(ODDS_PRE, ODDS_POST, 3.0, **kw),
@@ -925,6 +942,75 @@ class TestClassifierScan:
         assert quiet.run_to_alarm(xs) is None
         assert quiet.time == n
         assert quiet.class_statistics() == [-math.inf] + want[-1][1]
+
+    @pytest.mark.parametrize("window", [50, 5, None])
+    @pytest.mark.parametrize("kind", sorted(SCAN_BANKS))
+    def test_batch_scan_equals_run_to_alarm_on_each_row(self, kind, window):
+        det = ClassifierBankDetector(SCAN_BANKS[kind], 3.0 if window == 5 else 6.0, window=window, start_time=5)
+        run(det, scan_stream(kind, 70, seed=1, change_at=70, first_slot=5))
+        lengths = np.array([1, 10, 64, 200, 300, 300, 150])
+        x = np.zeros((lengths.size, lengths.max()))
+        for r, length in enumerate(lengths.tolist()):
+            x[r, :length] = scan_stream(kind, length, seed=10 + r, change_at=20 * r, first_slot=det.time)
+        time, stats = det.time, det.class_statistics()
+        hit, stop, decided, _ = det._scan_rows(det._llr.profile(x, det.time % det.period), lengths)
+        assert det.time == time and det.class_statistics() == stats
+        for r, length in enumerate(lengths.tolist()):
+            alone = copy.deepcopy(det).run_to_alarm(x[r, :length])
+            if alone is None:
+                assert (hit[r], stop[r], decided[r]) == (False, length - 1, 0)
+            else:
+                assert (hit[r], stop[r], decided[r]) == (True, alone.time_index - time - 1, alone.decided_class)
+        assert hit.any() and not hit.all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_is_at_least_the_windowed_statistic(self, seed):
+        rng = np.random.default_rng(seed)
+        period, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        # means far from zero, so the sums are large and their rounding is coarse
+        laws = tuple(gaussian_law(1e3 + rng.normal(0.0, 0.5, period), float(rng.uniform(0.5, 2.0)))
+                     for _ in range(m + 1))
+        window = [None, 1, 3, 50][seed % 4]
+        det = ClassifierBankDetector(ClassBank(period, laws), math.inf, window=window)
+        xs = np.array([d.mean for d in laws[1].slots])[np.arange(300) % period] + rng.standard_normal(300)
+        z = det._llr.profile(xs, 0)
+        stats = np.concatenate([s for s, _, _ in det._scan_blocks(z, stop_on_alarm=False)], axis=1)
+        sums = np.add.accumulate(np.concatenate([np.zeros((len(z), 1)), z], axis=1), axis=1)
+        low = np.minimum.accumulate(sums[:, :-1], axis=1)
+        bound = (sums[:, 1:] - low).reshape(m, m, -1).min(axis=1)
+        assert (bound >= stats).all()
+        # a threshold equal to one column's statistic: the scan alarms where the walk does
+        threshold = stats.max(axis=0)[int(rng.integers(0, 300))]
+        want = run(ClassifierBankDetector(ClassBank(period, laws), threshold, window=window), xs,
+                   stop_on_alarm=True)[-1]
+        assert ClassifierBankDetector(ClassBank(period, laws), threshold, window=window).run_to_alarm(xs) == want
+
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("window", [50, 5])
+    def test_scan_across_blocks_equals_stepping(self, window, reset_on_alarm):
+        def make():
+            return ClassifierBankDetector(SCAN_BANKS["gaussian"], 8.0 if window == 50 else 5.0,
+                                          window=window, reset_on_alarm=reset_on_alarm, start_time=5)
+
+        # a carry-in longer than the window, then a climb across the first block edge
+        warmup = scan_stream("gaussian", 80, seed=5, change_at=80, first_slot=5)
+        xs = scan_stream("gaussian", 2 * _SCAN_CHUNK + 300, seed=6, change_at=_SCAN_CHUNK - 30, first_slot=85)
+        stepped, batch = make(), make()
+        run(stepped, warmup)
+        run(batch, warmup)
+        want = []
+        for x in xs:
+            result = stepped.step(x)
+            want.append((result, stepped.class_statistics()))
+        hits = []
+        while batch.time - 85 < len(xs) and len(hits) < 30:
+            hit = batch.run_to_alarm(xs[batch.time - 85:])
+            assert batch.class_statistics() == want[batch.time - 86][1]
+            if hit is None:
+                break
+            hits.append(hit)
+        assert hits == [result for result, _ in want if result.alarm][:len(hits)]
+        assert hits[0].time_index > _SCAN_CHUNK + 85 - 30
 
     def test_scan_temporaries_do_not_grow_with_the_stream(self):
         # beyond the (P, n) score matrix, a window-50 scan holds one capped block

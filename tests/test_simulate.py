@@ -512,6 +512,9 @@ ORACLE_BANK = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]), gaussian_l
 # period 3, so a chunk of 64 draws ends mid-period
 ORACLE_BANK3 = ClassBank(3, tuple(gaussian_law(m) for m in ([0.0, 0.5, 1.0], [0.7, 1.2, 1.7],
                                                             [-0.7, -0.2, 0.3], [0.7, 1.2, 0.3])))
+# adjacent classes 0.25 sd apart, so alarms take hundreds of samples
+SLOW_BANK = ClassBank(1, (gaussian_law([0.0]), gaussian_law([0.25]), gaussian_law([0.5])))
+POIS_BANK = ClassBank(3, (POIS_PRE, POIS_POST, IpidLaw(3, (Poisson(1.0), Poisson(7.0), Poisson(3.0)))))
 ORACLE_MEANS = np.sin(math.pi * (np.arange(24) + 0.5) / 24)
 ORACLE_FAMILY = MultislotFamily(24, gaussian_law(ORACLE_MEANS), gaussian_law(ORACLE_MEANS + 0.5),
                                 tuple(frozenset(range(k, k + 4)) for k in range(0, 24, 4)), (1 / 6,) * 6)
@@ -572,6 +575,23 @@ def _oracle_cases():
     cases.append(("add", shq, 200, dict(pre=PRE, post=POST, change=FixedChange(3), trials=1)))
     # every trial has zero length: nu = 1, so pfa draws nothing
     cases.append(("pfa", shq, 60, dict(pre=PRE, prior=ExplicitPrior((1.0,)))))
+    # the classifier's rounds: the full history, and alarms after the third round (past 448 draws),
+    # over several groups of trials
+    cases.append(("misclass", ClassifierBankDetector(SLOW_BANK, 14.0), 1500, dict(true_class=2)))
+    cases.append(("misclass", ClassifierBankDetector(SLOW_BANK, 12.0, window=300), 1500,
+                  dict(true_class=2, trials=150)))
+    # a window of 5, where the bound is loose and candidate columns fail
+    cases.append(("misclass", ClassifierBankDetector(ORACLE_BANK3, 4.0, window=5), 400, dict(true_class=3)))
+    # counts: each trial draws its whole stream, over several groups
+    cases.append(("misclass", ClassifierBankDetector(POIS_BANK, 8.0, window=40), 100,
+                  dict(true_class=1, trials=100)))
+    # trials censored at the horizon
+    cases.append(("misclass", ClassifierBankDetector(ORACLE_BANK3, 14.0, window=50), 70, dict(true_class=2)))
+    # pinned and natural arms; pfa trials of every length, some of none
+    bank_det = ClassifierBankDetector(ORACLE_BANK3, 8.0, window=20)
+    cases.append(("worst_case", bank_det, 200, dict(pre=ORACLE_BANK3.laws[0], post=ORACLE_BANK3.laws[2],
+                                                    change_points=[1, 2, 5])))
+    cases.append(("pfa", bank_det, 100, dict(pre=ORACLE_BANK3.laws[0], prior=GeometricPrior(0.05))))
     return cases
 
 
@@ -625,7 +645,8 @@ class TestTrialEngine:
         [(_, plan)] = trial_plans("add", det, inputs["pre"], inputs["post"], horizon, change=inputs["change"])
         _, tau, _ = run_trials(det, plan, 12, 700 + odds)
         assert np.all((tau > 4096) & (tau < 4500))  # the climb from nu = 4000 spans the block edge
-        [bank] = [i for i, c in enumerate(cases) if c[0] == "misclass" and c[1].period == 3]
+        [bank] = [i for i, c in enumerate(cases)
+                  if c[0] == "misclass" and c[1].period == 3 and c[1].window == 50 and c[2] == 400]
         _, det, horizon, inputs = cases[bank]
         [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=2)
         _, tau, _ = run_trials(det, plan, 12, 700 + bank)
@@ -655,6 +676,49 @@ class TestTrialEngine:
             tracemalloc.stop()
         # holding every trial's draws would add 900 trials x about 1500 samples x 8 bytes (10 MB);
         # the per-trial output arrays add 900 x 3 x 8 bytes
+        assert peaks[1000] - peaks[100] < 900 * 3 * 8 + 512 * 1024, peaks
+
+    def test_classifier_cases_reach_their_rounds(self, monkeypatch):
+        cases = _oracle_cases()
+
+        def outcome(pick):
+            [case] = [i for i, c in enumerate(cases) if c[0] == "misclass" and pick(c[1], c[2])]
+            _, det, horizon, inputs = cases[case]
+            [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=inputs["true_class"])
+            return run_trials(det, plan, inputs.get("trials", 12), 700 + case)
+
+        assert np.nanmax(outcome(lambda det, h: det.window == 300)[1]) > 448  # a fourth round
+        assert np.isnan(outcome(lambda det, h: h == 70)[1]).any()  # censored at the horizon
+        # window 5: more windowed statistics evaluated than trials alarm, so candidates failed
+        evaluated = []
+        window_stats = ClassifierBankDetector._window_stats
+
+        def counted(det, line, rows, cols):
+            evaluated.append(rows.size)
+            return window_stats(det, line, rows, cols)
+
+        monkeypatch.setattr(ClassifierBankDetector, "_window_stats", counted)
+        _, tau, _ = outcome(lambda det, h: det.window == 5)
+        assert sum(evaluated) > 2 * np.count_nonzero(~np.isnan(tau))
+
+    def test_misclass_never_runs_a_trial_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the engine ran a classifier trial on its own")
+
+        monkeypatch.setattr(ClassifierBankDetector, "run_to_alarm", refuse)
+        det = ClassifierBankDetector(ORACLE_BANK3, 14.0, window=50)
+        assert estimate_misclass(det, 2, 200, 400, 3).details["alarmed_trials"] > 0
+
+    def test_misclass_peak_memory_does_not_grow_with_trials(self):
+        det = ClassifierBankDetector(SLOW_BANK, 12.0, window=50)
+        [(_, plan)] = trial_plans("misclass", det, None, None, 1500, true_class=2)
+        peaks = {}
+        for trials in (100, 1000):
+            tracemalloc.start()
+            run_trials(det, plan, trials, 5)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # holding every trial's draws and pair scores would add 900 trials x 1500 x 10 x 8 bytes
         assert peaks[1000] - peaks[100] < 900 * 3 * 8 + 512 * 1024, peaks
 
     def test_plans_are_labelled_for_the_dump(self):
