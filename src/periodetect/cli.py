@@ -325,6 +325,8 @@ def _predicted_for(metric: str, kind: str, scenario: dict, opts: dict,
 def _cmd_evaluate(opts) -> int:
     if opts["scenario"] is None:
         raise ValueError("evaluate needs --scenario")
+    if opts["dump_trials"] < 0:
+        raise ValueError("--dump-trials must be >= 0")
     if opts["dump_trials"] and not opts["dump_dir"]:
         raise ValueError("--dump-trials needs --dump-dir")
     scenario = _load_json(opts["scenario"])
@@ -371,7 +373,7 @@ def _cmd_evaluate(opts) -> int:
     if opts["dump_trials"]:
         plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
                                      true_class=true_class, change_points=change_points)
-        _dump_trials(int(opts["dump_trials"]), opts["dump_dir"], plans, detector, seed)
+        _dump_trials(min(opts["dump_trials"], trials), opts["dump_dir"], plans, detector, seed)
     _write_json(opts["out"], payload)
     return 0
 

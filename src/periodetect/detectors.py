@@ -83,10 +83,7 @@ _SCAN_CHUNK = 4096
 # this length (plus one period) once, at construction.
 _PROFILE_RUN = 1024
 
-# Observations in the first block of the classifier walk and the first round of its
-# trials, which double from there: typical runs alarm within a few dozen samples.  Each
-# difference tensor is capped at _BLOCK_ELEMENTS float64 entries (1 MiB).
-_FIRST_BLOCK = 64
+# Cap on the entries of each classifier difference tensor (float64, so 1 MiB).
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -263,6 +260,10 @@ class _Detector:
     ``(K, n)`` score matrix up to the first alarm and returns it, or None.
     """
 
+    # the trial engine's first scan of a trial (all of it if None), then rounds twice as long, each
+    # resumed from the last _span columns of the state _scan_rows returns after (hit, stop, class)
+    _first_scan = None
+
     def __init__(self, period: int, reset_on_alarm: bool, start_time: int):
         self.period = period
         self.reset_on_alarm = bool(reset_on_alarm)
@@ -376,8 +377,8 @@ class _PosteriorOdds(_Detector):
         With ``S_0 = 0`` and ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
         ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``, in blocks of
         ``_SCAN_CHUNK`` columns that carry each row's log-odds.  Returns per row whether it
-        alarmed and where it stopped (first alarm, else last observation), then the last
-        block's log-odds and log statistic, where a batch of one stopped."""
+        alarmed, where it stopped (first alarm, else last observation) and class 0, then the
+        last block's log-odds and log statistic, where a batch of one stopped."""
         carry, first = np.reshape(self._log_odds, (-1, 1)), np.full(z.shape[1], -1)
         for start in range(0, z.shape[2], _SCAN_CHUNK):
             s = np.cumsum(z[:, :, start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=2)
@@ -395,10 +396,10 @@ class _PosteriorOdds(_Detector):
             if ((first >= 0) | (lengths <= start + width)).all():
                 break
             carry = log_odds[:, :, -1]
-        return first >= 0, np.where(first >= 0, first, lengths - 1), log_odds, log_stat
+        return first >= 0, np.where(first >= 0, first, lengths - 1), np.zeros_like(first), log_odds, log_stat
 
     def _scan(self, z: np.ndarray) -> StepResult | None:
-        [hit], [stop], log_odds, log_stat = self._scan_rows(z[:, None], np.array([z.shape[1]]))
+        [hit], [stop], _, log_odds, log_stat = self._scan_rows(z[:, None], np.array([z.shape[1]]))
         k = stop % _SCAN_CHUNK  # its column in the last block
         self._log_odds = log_odds[:, 0, k].tolist()
         self._time += int(stop) + 1
@@ -495,10 +496,10 @@ class CusumDetector(_Detector):
             if ((first >= 0) | (lengths <= start + w.shape[1])).all():
                 break
             carry = np.maximum(w[:, -1], 0.0)
-        return first >= 0, np.where(first >= 0, first, lengths - 1), w
+        return first >= 0, np.where(first >= 0, first, lengths - 1), np.zeros_like(first), w
 
     def _scan(self, z: np.ndarray) -> StepResult | None:
-        [hit], [stop], w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
+        [hit], [stop], _, w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
         self._time += int(stop) + 1
         self._score = float(w[0, stop % _SCAN_CHUNK])
         return self._alarm(self._score) if hit else None
@@ -610,6 +611,8 @@ class ClassifierBankDetector(_Detector):
     and the trial engine scan it up to the alarm (see ``_scan_rows``).
     """
 
+    _first_scan = 64  # also the walk's first block: typical runs alarm within a few dozen samples
+
     def __init__(self, bank: ClassBank, threshold: float, *, window: int | None = None,
                  reset_on_alarm: bool = False, start_time: int = 0):
         if window is not None and window < 1:
@@ -635,7 +638,7 @@ class ClassifierBankDetector(_Detector):
     def reset(self) -> None:
         self._checkpoints = np.zeros((self.num_classes ** 2, 1))
         self._stats = np.full(self.num_classes, _NEG_INF)
-        self._block = _FIRST_BLOCK
+        self._block = self._first_scan
 
     def class_statistics(self) -> list[float]:
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
@@ -644,7 +647,7 @@ class ClassifierBankDetector(_Detector):
     def _scan_blocks(self, z: np.ndarray, stop_on_alarm: bool):
         """The classifier's recursion over the columns of a ``(P, m)`` score matrix, in blocks.
 
-        Blocks start at ``_FIRST_BLOCK`` observations after a reset and double
+        Blocks start at ``_first_scan`` observations after a reset and double
         after each full block, across calls, each capped so its ``(P, block,
         width)`` difference tensor holds at most ``_BLOCK_ELEMENTS`` entries (or
         one observation).  In a block the running sums are a cumsum from the

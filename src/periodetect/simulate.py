@@ -4,10 +4,10 @@ Trial independence and reproducibility come from counter-based random
 streams: trial ``i`` of a run with master seed ``s`` always draws from a
 Philox generator keyed by ``(s, i)``, so serial and multi-worker executions
 produce bit-identical reports, and per-trial results never depend on how
-trials are partitioned across workers.  The engine re-keys one generator
-per trial, and it scores and scans trials of similar length as one bounded
-matrix (classifier trials in groups, in rounds of growing length), so its
-memory stays flat in trials.
+trials are partitioned across workers.  One scheduler runs every detector's
+trials in rounds of growing length, re-keying one generator per round and
+scanning rounds of similar length as one bounded matrix, so its memory stays
+flat in trials.
 
 Censoring is never silent: every report carries the number of trials whose
 outcome was cut off by the horizon, and the affected estimates are bounds
@@ -24,7 +24,7 @@ import numpy as np
 
 from .densities import Gaussian
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, prior_from_dict
-from .detectors import _FIRST_BLOCK, _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
+from .detectors import _SCAN_CHUNK, MultistreamMixture
 
 _U64 = np.uint64
 
@@ -102,6 +102,8 @@ def sample_with_change(rng: np.random.Generator, pre: IpidLaw, post: IpidLaw | N
     per observation; otherwise each slot of ``pre``, then of ``post``, draws
     its observations in turn.
     """
+    if post is not None and post.period != pre.period:
+        raise ValueError("pre and post laws must share one period")
     if horizon <= start:
         return np.empty(0)
     slots = np.arange(start, horizon) % pre.period
@@ -267,11 +269,10 @@ class TrialPlan:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.change, DrawnChange) and self.change.prior is None:
             raise ValueError("a drawn change point needs a prior")
-        if not (isinstance(self.change, NoChange) or self.stop_before_change):
-            if self.post is None:
-                raise ValueError("a post-change law is required unless the scenario is NoChange")
-            if self.post.period != self.pre.period:
-                raise ValueError("pre and post laws must share one period")
+        if self.post is None and not (isinstance(self.change, NoChange) or self.stop_before_change):
+            raise ValueError("a post-change law is required unless the scenario is NoChange")
+        if self.post is not None and self.post.period != self.pre.period:
+            raise ValueError("pre and post laws must share one period")
 
     def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
         """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
@@ -351,72 +352,56 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
     return plans
 
 
-def _classifier_trials(det, plan: TrialPlan, rekey, tables, indices, nu, tau, decided) -> None:
-    """Classifier trials in groups of about ``_SCAN_CHUNK`` draws, in rounds of ``_FIRST_BLOCK * 2^r``
-    draws up to each alarm, each round scanned from the checkpoints the last left.  Past round 0 a
-    Gaussian trial redraws its stream (cheaper than keeping every generator's state); without
-    Gaussian tables a trial draws its whole stream in round 0."""
-    keys = indices.tolist()
-    group = max(1, _SCAN_CHUNK // (_FIRST_BLOCK if tables is not None else plan.horizon - plan.start_time))
-    for js in np.split(np.arange(len(keys)), np.arange(group, len(keys), group)):
-        n, draws = np.empty(js.size, dtype=int), []
-        for r, j in enumerate(js.tolist()):
-            rng = rekey(keys[j])
-            nu[j], n[r], obs = plan._draw(rng, lazy=tables is not None)
-            draws.append(obs if tables is None else rng.standard_normal(min(n[r], _FIRST_BLOCK)))
-        live, lo, size, carry = np.flatnonzero(n), 0, _FIRST_BLOCK, None
-        while live.size:
-            lengths = np.minimum(n[live] - lo, size)
-            x = np.zeros((live.size, lengths.max()))
-            for r, (j, m) in enumerate(zip(live.tolist(), lengths.tolist())):
-                if lo and tables is not None:  # redraw the stream up to this round's end
-                    rng = rekey(keys[js[j]])
-                    plan._draw(rng, lazy=True)
-                    draws[j] = rng.standard_normal(lo + m)
-                x[r, :m] = draws[j][lo:lo + m]
-            if tables is not None:
-                x = plan._gaussian_obs(tables, x, nu[js[live]], lengths, lo)
-            z = det._llr.profile(x, (det.time + lo) % det.period)
-            hit, stop, found, line = det._scan_rows(z, lengths, carry)
-            tau[js[live[hit]]], decided[js[live[hit]]] = det.time + lo + stop[hit] + 1, found[hit]
-            going = ~hit & (n[live] > lo + size)
-            carry = line[:, going, max(0, line.shape[2] - det._span):]
-            live, lo, size = live[going], lo + size, 2 * size
-
-
 def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials ``indices`` of a plan in rounds: a trial's first ``_first_scan`` draws (all if None),
+    then rounds twice as long up to its alarm, each redrawn from the trial's stream (cheaper than
+    keeping its generator) and resumed from the state the last left.  A round of ``m`` draws waits
+    in a bucket, scanned once it holds a scan block of scores per component; the rest drain last."""
     (detector, plan, master_seed), indices = args
-    nu = np.empty(indices.size)
-    tau = np.full(indices.size, np.nan)
-    decided = np.zeros(indices.size, dtype=int)
+    keys = indices.tolist()
+    nu, tau, decided = np.empty(len(keys)), np.full(len(keys), np.nan), np.zeros(len(keys), dtype=int)
     rekey, tables = _trial_streams(master_seed), plan._gaussian_tables()
+    lazy = tables is not None  # draw normals, not observations
     det = detector.fresh(start_time=plan.start_time)
-    if isinstance(det, ClassifierBankDetector):
-        _classifier_trials(det, plan, rekey, tables, indices, nu, tau, decided)
-        return nu, tau, decided
-    buckets = {}  # b -> [(trial, its draws)] for lengths in (2^(b-1), 2^b]
+    first = det._first_scan or plan.horizon
+    buckets = {}  # lo << 6 | b, m in (2^(b-1), 2^b] -> [(trial, its draws lo .., its length, held state)]
 
-    def flush(b):
-        rows = buckets.pop(b)
-        js, lengths = np.array([j for j, _ in rows]), np.array([len(draws) for _, draws in rows])
+    def flush(key) -> None:
+        lo, rows = key >> 6, buckets.pop(key)
+        js, draws, counts, held = zip(*rows)
+        js, lengths = np.array(js), np.array([len(d) for d in draws])
         x = np.zeros((len(rows), lengths.max()))
-        for r, (_, draws) in enumerate(rows):
-            x[r, :len(draws)] = draws
-        if tables is not None:
-            x = plan._gaussian_obs(tables, x, nu[js], lengths)
-        hit, stop, *_ = det._scan_rows(det._llr.profile(x, det.time % det.period), lengths)
-        tau[js[hit]] = det.time + stop[hit] + 1
+        for r, d in enumerate(draws):
+            x[r, :len(d)] = d
+        if lazy:
+            x = plan._gaussian_obs(tables, x, nu[js], lengths, lo)
+        z = det._llr.profile(x, (det.time + lo) % det.period)
+        hit, stop, found, state, *_ = det._scan_rows(z, lengths, *([np.stack(held, axis=1)] if lo else []))
+        tau[js[hit]], decided[js[hit]] = det.time + lo + stop[hit] + 1, found[hit]
+        for r in np.flatnonzero(~hit & (np.array(counts) > lo + lengths)).tolist():  # the next round
+            j, end, count = int(js[r]), lo + int(lengths[r]), counts[r]
+            m = min(count - end, 2 * (end - lo))
+            rng = rekey(keys[j])
+            _, _, draws = plan._draw(rng, lazy)
+            draws = rng.standard_normal(end + m)[end:] if lazy else draws[end:end + m].copy()
+            key = end << 6 | (m - 1).bit_length()
+            held = state[:, r, max(0, state.shape[2] - det._span):].copy()
+            buckets.setdefault(key, []).append((j, draws, count, held))
+            if len(buckets[key]) << (key & 63) >= _SCAN_CHUNK:
+                flush(key)
 
-    for j, i in enumerate(indices.tolist()):
+    for j, i in enumerate(keys):  # first rounds, inlined: this loop runs once per trial
         rng = rekey(i)
-        nu[j], n, obs = plan._draw(rng, lazy=tables is not None)
-        if n:
-            b = (n - 1).bit_length()
-            buckets.setdefault(b, []).append((j, obs if tables is None else rng.standard_normal(n)))
+        nu[j], count, draws = plan._draw(rng, lazy)
+        if count:
+            m = count if count < first else first
+            draws = rng.standard_normal(m) if lazy else draws[:m].copy()  # the stream is not held
+            b = (m - 1).bit_length()
+            buckets.setdefault(b, []).append((j, draws, count, None))
             if len(buckets[b]) << b >= _SCAN_CHUNK:  # one scan block of scores per component
                 flush(b)
-    for b in sorted(buckets):
-        flush(b)
+    while buckets:  # in increasing lo
+        flush(min(buckets))
     return nu, tau, decided
 
 
@@ -531,7 +516,7 @@ def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_s
     )
 
 
-def estimate_misclass(detector: ClassifierBankDetector, true_class: int, trials: int, horizon: int,
+def estimate_misclass(detector, true_class: int, trials: int, horizon: int,
                       master_seed: int, *, workers: int = 1, predicted: float | None = None,
                       budget: float | None = None) -> MonteCarloReport:
     """Fraction of alarmed trials that name the wrong class, with the change at sample one.

@@ -351,6 +351,31 @@ class TestTrialDump:
         header = (dump_dir / "trial_0000.csv").read_text().splitlines()[0]
         assert header == "time_index,slot,observation,statistic,alarm,decided_class"
 
+    def test_dump_stops_at_the_trials_the_report_counted(self, tmp_path, capsys):
+        pre, post = gaussian_law_dict([0.0, 0.0]), gaussian_law_dict([10.0, 10.0])
+        scenario = {"metric": "worst_case", "detector": {"kind": "cusum", "threshold": 5.0},
+                    "pre": pre, "post": post, "trials": 50, "horizon": 40, "seed": 8}
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps(scenario))
+        dump_dir = tmp_path / "dumps"
+        code, _, err = run_cli(
+            ["evaluate", "--scenario", sc_path, "--trials", "2", "--out", tmp_path / "report.json",
+             "--dump-trials", "5", "--dump-dir", dump_dir], capsys)
+        assert code == 0, err
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["trials"] == 2
+        assert sorted(p.name for p in dump_dir.iterdir()) == [
+            f"nu{nu}_{arm}_trial_{i:04d}.csv" for nu in (1, 2) for arm in ("natural", "pinned")
+            for i in range(2)]
+
+    def test_negative_dump_count_rejected(self, tmp_path, models, capsys):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl")
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--trials", "3", "--out", out,
+                                "--dump-trials", "-1", "--dump-dir", tmp_path / "dumps"], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "--dump-trials must be >= 0"}
+        assert not out.exists() and not (tmp_path / "dumps").exists()
+
     def test_worst_case_dumps_both_arms_of_every_change_point(self, tmp_path, capsys):
         pre, post = gaussian_law_dict([0.0, 0.0]), gaussian_law_dict([10.0, 10.0])
         scenario = {"metric": "worst_case", "detector": {"kind": "cusum", "threshold": 200.0},

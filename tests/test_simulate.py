@@ -44,6 +44,7 @@ from periodetect.simulate import (
     mexican_hat_wavelet,
     run_trials,
     sample_law,
+    sample_with_change,
     signal_law,
     trial_plans,
     trial_rng,
@@ -421,6 +422,15 @@ class TestTrialRng:
         assert obs[0] > 50.0 and obs[2] > 50.0
         assert obs[1] < 50.0 and obs[3] < 50.0
 
+    @pytest.mark.parametrize("post", [gaussian_law([1.0, 2.0, 3.0]), gaussian_law([1.0])])
+    def test_laws_of_different_periods_rejected(self, post):
+        with pytest.raises(ValueError, match="^pre and post laws must share one period$"):
+            sample_with_change(trial_rng(1), gaussian_law([0.0, 100.0]), post, 3, 8)
+
+    def test_a_plan_rejects_a_post_law_of_another_period_it_never_draws(self):
+        with pytest.raises(ValueError, match="^pre and post laws must share one period$"):
+            TrialPlan(PRE, gaussian_law([1.0]), NoChange(), 10)
+
 
 # ---------------------------------------------------------------- engine oracle
 # The per-trial loop every estimator ran before the trial engine existed, with
@@ -515,6 +525,9 @@ ORACLE_BANK3 = ClassBank(3, tuple(gaussian_law(m) for m in ([0.0, 0.5, 1.0], [0.
 # adjacent classes 0.25 sd apart, so alarms take hundreds of samples
 SLOW_BANK = ClassBank(1, (gaussian_law([0.0]), gaussian_law([0.25]), gaussian_law([0.5])))
 POIS_BANK = ClassBank(3, (POIS_PRE, POIS_POST, IpidLaw(3, (Poisson(1.0), Poisson(7.0), Poisson(3.0)))))
+# rates 10-20% apart, so alarms take a median of about 150 samples
+SLOW_POIS_BANK = ClassBank(3, (POIS_PRE, IpidLaw(3, (Poisson(2.4), Poisson(5.6), Poisson(3.4))),
+                               IpidLaw(3, (Poisson(1.7), Poisson(4.5), Poisson(2.6)))))
 ORACLE_MEANS = np.sin(math.pi * (np.arange(24) + 0.5) / 24)
 ORACLE_FAMILY = MultislotFamily(24, gaussian_law(ORACLE_MEANS), gaussian_law(ORACLE_MEANS + 0.5),
                                 tuple(frozenset(range(k, k + 4)) for k in range(0, 24, 4)), (1 / 6,) * 6)
@@ -592,6 +605,10 @@ def _oracle_cases():
     cases.append(("worst_case", bank_det, 200, dict(pre=ORACLE_BANK3.laws[0], post=ORACLE_BANK3.laws[2],
                                                     change_points=[1, 2, 5])))
     cases.append(("pfa", bank_det, 100, dict(pre=ORACLE_BANK3.laws[0], prior=GeometricPrior(0.05))))
+    # counts past the first round: each round redraws its trial's whole stream and keeps its own
+    # draws, and later rounds fill their buckets
+    cases.append(("misclass", ClassifierBankDetector(SLOW_POIS_BANK, 6.0, window=100), 600,
+                  dict(true_class=1, trials=80)))
     return cases
 
 
@@ -720,6 +737,66 @@ class TestTrialEngine:
             tracemalloc.stop()
         # holding every trial's draws and pair scores would add 900 trials x 1500 x 10 x 8 bytes
         assert peaks[1000] - peaks[100] < 900 * 3 * 8 + 512 * 1024, peaks
+
+    def test_odds_and_cusum_trials_are_drawn_once(self, monkeypatch):
+        rekeyed = []
+
+        def counted(seed):
+            rekey = _trial_streams(seed)
+
+            def counting(i):
+                rekeyed.append(i)
+                return rekey(i)
+
+            return counting
+
+        monkeypatch.setattr("periodetect.simulate._trial_streams", counted)
+        for det in (ShiryaevDetector(PRE, POST, 0.05, 0.9), CusumDetector(PRE, POST, 3.0)):
+            for metric, post, kw in (("pfa", None, dict(prior=GeometricPrior(0.02))),
+                                     ("add", POST, dict(change=FixedChange(100)))):
+                [(_, plan)] = trial_plans(metric, det, PRE, post, 300, **kw)
+                rekeyed.clear()
+                run_trials(det, plan, 200, 3)
+                assert sorted(rekeyed) == list(range(200)), (type(det).__name__, metric)
+
+    def test_later_rounds_flush_full_buckets_before_the_drain(self, monkeypatch):
+        # a bucket is scanned as soon as it holds _SCAN_CHUNK draws, so a later-round scan that
+        # large came from a full bucket, not from the drain at the end
+        cases = _oracle_cases()
+        [case] = [i for i, c in enumerate(cases) if c[0] == "misclass" and c[1].bank is SLOW_POIS_BANK]
+        _, det, horizon, inputs = cases[case]
+        full = []
+        scan_rows = ClassifierBankDetector._scan_rows
+
+        def counted(self, z, lengths, *held):
+            full.append(bool(held) and z.shape[1] << int(lengths.max() - 1).bit_length() >= _SCAN_CHUNK)
+            return scan_rows(self, z, lengths, *held)
+
+        monkeypatch.setattr(ClassifierBankDetector, "_scan_rows", counted)
+        [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=inputs["true_class"])
+        run_trials(det, plan, inputs["trials"], 700 + case)
+        assert sum(full) >= 2
+
+    def test_misclass_counts_hold_no_whole_streams(self, monkeypatch):
+        horizon = 200_000
+        det = ClassifierBankDetector(SLOW_POIS_BANK, 6.0, window=100)
+        [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=1)
+        held = []
+        scan_rows = ClassifierBankDetector._scan_rows
+
+        def measured(self, *args):
+            held.append(tracemalloc.get_traced_memory()[0])  # what the engine holds while it scans
+            return scan_rows(self, *args)
+
+        run_trials(det, plan, 1, 5)  # imports done outside the trace
+        monkeypatch.setattr(ClassifierBankDetector, "_scan_rows", measured)
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        _, tau, _ = run_trials(det, plan, 30, 5)
+        tracemalloc.stop()
+        assert np.nanmax(tau) > 192  # some trials redraw their stream for a third round
+        # one whole stream is horizon x 8 bytes (1.6 MB); a bucket of first rounds holds 64 x 64 draws
+        assert max(held) - base < horizon * 8 // 2, held
 
     def test_plans_are_labelled_for_the_dump(self):
         det = CusumDetector(PRE, POST, 2.5)
