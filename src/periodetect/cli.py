@@ -203,7 +203,7 @@ def _cmd_fit(opts) -> int:
     else:
         raise ValueError(f"unknown input format {opts['format']!r}")
     rows = cycles.cycles
-    if opts["smooth_window"]:
+    if opts["smooth_window"] is not None:
         lower = opts["family"] == "poisson"  # a count's smoothed value must stay a count
         rows = tuple(tuple(_trailing_median(c, int(opts["smooth_window"]), lower)) for c in rows)
     cycles = CycleSet(cycles=rows, target_period=cycles.target_period, label=opts["label"])
@@ -256,7 +256,7 @@ def _scenario_models(scenario: dict) -> dict:
     if "post" not in models and family is not None and "true_slots" in scenario:
         models["post"] = post_change_law(family, scenario["true_slots"])
     if "post" not in models and bank is not None and true_class is not None:
-        models["post"] = bank.laws[true_class]
+        models["post"] = bank.class_law(true_class)
     return models
 
 
@@ -340,7 +340,7 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError("trials must be >= 1")
     horizon = int(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"])
     seed = int(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0))
-    workers = int(opts["workers"] or 1)
+    workers = int(opts["workers"])
     models = _scenario_models(scenario)
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
     true_class = scenario.get("true_class")

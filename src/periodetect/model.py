@@ -287,6 +287,12 @@ class ClassBank:
     def num_classes(self) -> int:
         return len(self.laws) - 1
 
+    def class_law(self, k: int) -> IpidLaw:
+        """The post-change law of class ``k``, one of 1..M."""
+        if not 1 <= k <= self.num_classes:
+            raise ValueError(f"true_class must lie in 1..{self.num_classes}")
+        return self.laws[k]
+
     def contributing_slots(self) -> tuple[int, ...]:
         if self.active_slots is None:
             return tuple(range(self.period))

@@ -1,13 +1,14 @@
 """Scenario generation and Monte Carlo performance estimation.
 
-Trial independence and reproducibility come from counter-based random
-streams: trial ``i`` of a run with master seed ``s`` always draws from a
-Philox generator keyed by ``(s, i)``, so serial and multi-worker executions
-produce bit-identical reports, and per-trial results never depend on how
-trials are partitioned across workers.  One scheduler runs every detector's
-trials in rounds of growing length, re-keying one generator per round and
-scanning rounds of similar length as one bounded matrix, so its memory stays
-flat in trials.
+Trial ``i`` of a run with master seed ``s`` always draws from a Philox
+generator keyed by ``(s, i)``, so serial and multi-worker runs give
+bit-identical reports.  One scheduler runs every detector's trials in rounds
+of growing length, re-keying one generator per round and scanning rounds of
+similar length as one bounded matrix; a full matrix waits on a work list
+drained between trials, so no scan runs inside another and memory stays flat
+in trials.  The sampler and the scheduler form an all-Gaussian observation
+in one place, ``_gaussian_obs``: ``mean + std * normal`` from tables of the
+pre- and post-change laws.
 
 Censoring is never silent: every report carries the number of trials whose
 outcome was cut off by the horizon, and the affected estimates are bounds
@@ -24,7 +25,7 @@ import numpy as np
 
 from .densities import Gaussian
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, prior_from_dict
-from .detectors import _SCAN_CHUNK, MultistreamMixture
+from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
 _U64 = np.uint64
 
@@ -82,10 +83,20 @@ class ScenarioSpec:
         TrialPlan(self.pre, self.post, self.change, self.horizon)  # checks the description
 
 
-def _mean_std(law: IpidLaw, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and standard deviations of an all-Gaussian law's slots at ``slots``."""
-    return (np.array([d.mean for d in law.slots])[slots],
-            np.array([math.sqrt(d.variance) for d in law.slots])[slots])
+def _gaussian_tables(pre: IpidLaw, post: IpidLaw, start: int, horizon: int) -> tuple[np.ndarray, ...] | None:
+    """Observation numbers ``start + 1 .. horizon``, each with its slot's pre- and post-change mean
+    and standard deviation, or None unless every slot of both laws is Gaussian."""
+    if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
+        t = np.arange(start + 1, horizon + 1)
+        return (t, *(np.array(values)[(t - 1) % pre.period] for law in (pre, post) for values in (
+            [d.mean for d in law.slots], [math.sqrt(d.variance) for d in law.slots])))
+
+
+def _gaussian_obs(tables, normals: np.ndarray, nu, lo: int = 0) -> np.ndarray:
+    """Observations ``lo, lo + 1, ...`` of ``tables`` as ``mean + std * normal``, with the pre-change
+    law's mean and std before the change point ``nu`` (a column: one per row of ``normals``)."""
+    t, mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
+    return np.where(before := t < nu, mp, mq) + np.where(before, sp, sq) * normals
 
 
 def sample_law(rng: np.random.Generator, law: IpidLaw, n: int, start_slot: int = 0) -> np.ndarray:
@@ -99,23 +110,19 @@ def sample_with_change(rng: np.random.Generator, pre: IpidLaw, post: IpidLaw | N
 
     Observation ``t`` sits in slot ``(t - 1) mod T``.  Without ``post`` every
     observation follows ``pre``.  All-Gaussian laws draw one standard normal
-    per observation; otherwise each slot of ``pre``, then of ``post``, draws
-    its observations in turn.
+    per observation and form it as the trial engine does (``_gaussian_obs``);
+    otherwise each slot of ``pre``, then of ``post``, draws its observations
+    in turn.
     """
     if post is not None and post.period != pre.period:
         raise ValueError("pre and post laws must share one period")
     if horizon <= start:
         return np.empty(0)
-    slots = np.arange(start, horizon) % pre.period
-    n = slots.size
+    n = horizon - start
     split = n if post is None or nu > horizon else max(0, math.ceil(nu) - 1 - start)
-    if split == n:
-        post = pre
-    if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
-        means, stds = _mean_std(pre, slots)
-        if post is not pre:
-            means[split:], stds[split:] = _mean_std(post, slots[split:])
-        return means + stds * rng.standard_normal(n)
+    post = pre if split == n else post
+    if (tables := _gaussian_tables(pre, post, start, horizon)) is not None:
+        return _gaussian_obs(tables, rng.standard_normal(n), nu)
     out = np.empty(n)
     for law, lo, hi in ((pre, 0, split), (post, split, n)):
         for s in range(law.period):
@@ -265,6 +272,8 @@ class TrialPlan:
     start_time: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "horizon", int(self.horizon))
+        object.__setattr__(self, "start_time", int(self.start_time))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.change, DrawnChange) and self.change.prior is None:
@@ -285,24 +294,6 @@ class TrialPlan:
         last = min(nu - 1, self.horizon) if self.stop_before_change else self.horizon
         return nu, max(0, last - self.start_time), None if lazy else sample_with_change(
             rng, self.pre, self.post, nu, last, start=self.start_time)
-
-    def _gaussian_tables(self) -> tuple[np.ndarray, ...] | None:
-        """Pre- and post-change means and stds at each observation up to the horizon, or None unless
-        every law a trial can draw from is Gaussian (so ``sample_with_change`` draws one normal each)."""
-        laws = [self.pre] if self.post is None or self.stop_before_change or isinstance(
-            self.change, NoChange) else [self.pre, self.post]
-        if not all(isinstance(d, Gaussian) for law in laws for d in law.slots):
-            return None
-        slots = np.arange(self.start_time, self.horizon) % self.pre.period
-        return (*_mean_std(self.pre, slots), *_mean_std(laws[-1], slots))
-
-    def _gaussian_obs(self, tables, normals: np.ndarray, nu: np.ndarray, lengths, lo: int = 0) -> np.ndarray:
-        """Observations ``lo, lo + 1, ...`` of trials with change points ``nu`` from their normals, as
-        ``sample_with_change`` forms them; past each trial's length 0, scored and never scanned."""
-        mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
-        before = self.start_time + np.arange(lo + 1, lo + 1 + mp.size) < nu[:, None]  # observation numbers
-        drawn = np.arange(mp.size) < lengths[:, None]
-        return np.where(drawn, np.where(before, mp, mq) + np.where(before, sp, sq) * normals, 0.0)
 
 
 def _trial_streams(master_seed: int):
@@ -339,7 +330,9 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
     if metric == "arl":
         return [("", TrialPlan(pre, None, NoChange(), horizon))]
     if metric == "misclass":
-        law = detector.bank.laws[true_class]
+        if not isinstance(detector, ClassifierBankDetector):
+            raise ValueError("misclass needs the classifier detector")
+        law = detector.bank.class_law(true_class)
         return [("", TrialPlan(law, law, FixedChange(1), horizon))]
     if metric != "worst_case":
         raise ValueError(f"unknown metric {metric!r}")
@@ -356,52 +349,57 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trials ``indices`` of a plan in rounds: a trial's first ``_first_scan`` draws (all if None),
     then rounds twice as long up to its alarm, each redrawn from the trial's stream (cheaper than
     keeping its generator) and resumed from the state the last left.  A round of ``m`` draws waits
-    in a bucket, scanned once it holds a scan block of scores per component; the rest drain last."""
+    in a bucket; a bucket holding a scan block of scores per component goes onto the work list,
+    which is scanned before the next trial enters, and the rest drain last, in increasing ``lo``."""
     (detector, plan, master_seed), indices = args
     keys = indices.tolist()
     nu, tau, decided = np.empty(len(keys)), np.full(len(keys), np.nan), np.zeros(len(keys), dtype=int)
-    rekey, tables = _trial_streams(master_seed), plan._gaussian_tables()
-    lazy = tables is not None  # draw normals, not observations
+    pre_only = plan.post is None or plan.stop_before_change or isinstance(plan.change, NoChange)
+    tables = _gaussian_tables(plan.pre, plan.pre if pre_only else plan.post, plan.start_time, plan.horizon)
+    rekey, lazy = _trial_streams(master_seed), tables is not None  # draw normals, not observations
     det = detector.fresh(start_time=plan.start_time)
     first = det._first_scan or plan.horizon
     buckets = {}  # lo << 6 | b, m in (2^(b-1), 2^b] -> [(trial, its draws lo .., its length, held state)]
+    work = []  # (lo, rows) of full buckets, taken out of ``buckets``
 
-    def flush(key) -> None:
-        lo, rows = key >> 6, buckets.pop(key)
+    def enter(j: int, lo: int = 0, most: int = first, held=None) -> None:
+        """Put trial ``j``'s draws ``lo .. lo + most`` (up to its length) in their bucket."""
+        rng = rekey(keys[j])
+        nu[j], count, draws = plan._draw(rng, lazy)
+        m = count - lo if count - lo < most else most  # once per trial, so no min() call
+        if m > 0:
+            if lazy and lo:
+                rng.standard_normal(lo)  # the normals of the rounds before
+            draws = rng.standard_normal(m) if lazy else draws[lo:lo + m].copy()  # no stream held
+            key = lo << 6 | (m - 1).bit_length()
+            buckets.setdefault(key, []).append((j, draws, count, held))
+            if len(buckets[key]) << (key & 63) >= _SCAN_CHUNK:  # one scan block of scores per component
+                work.append((lo, buckets.pop(key)))
+
+    def scan(lo: int, rows) -> None:
         js, draws, counts, held = zip(*rows)
         js, lengths = np.array(js), np.array([len(d) for d in draws])
         x = np.zeros((len(rows), lengths.max()))
         for r, d in enumerate(draws):
             x[r, :len(d)] = d
-        if lazy:
-            x = plan._gaussian_obs(tables, x, nu[js], lengths, lo)
+        if lazy:  # past a trial's length, its padding is scored and never scanned
+            x = _gaussian_obs(tables, x, nu[js, None], lo)
         z = det._llr.profile(x, (det.time + lo) % det.period)
         hit, stop, found, state, *_ = det._scan_rows(z, lengths, *([np.stack(held, axis=1)] if lo else []))
         tau[js[hit]], decided[js[hit]] = det.time + lo + stop[hit] + 1, found[hit]
         for r in np.flatnonzero(~hit & (np.array(counts) > lo + lengths)).tolist():  # the next round
-            j, end, count = int(js[r]), lo + int(lengths[r]), counts[r]
-            m = min(count - end, 2 * (end - lo))
-            rng = rekey(keys[j])
-            _, _, draws = plan._draw(rng, lazy)
-            draws = rng.standard_normal(end + m)[end:] if lazy else draws[end:end + m].copy()
-            key = end << 6 | (m - 1).bit_length()
-            held = state[:, r, max(0, state.shape[2] - det._span):].copy()
-            buckets.setdefault(key, []).append((j, draws, count, held))
-            if len(buckets[key]) << (key & 63) >= _SCAN_CHUNK:
-                flush(key)
+            end = lo + int(lengths[r])
+            enter(int(js[r]), end, 2 * (end - lo), state[:, r, max(0, state.shape[2] - det._span):].copy())
 
-    for j, i in enumerate(keys):  # first rounds, inlined: this loop runs once per trial
-        rng = rekey(i)
-        nu[j], count, draws = plan._draw(rng, lazy)
-        if count:
-            m = count if count < first else first
-            draws = rng.standard_normal(m) if lazy else draws[:m].copy()  # the stream is not held
-            b = (m - 1).bit_length()
-            buckets.setdefault(b, []).append((j, draws, count, None))
-            if len(buckets[b]) << b >= _SCAN_CHUNK:  # one scan block of scores per component
-                flush(b)
-    while buckets:  # in increasing lo
-        flush(min(buckets))
+    for j in range(len(keys)):
+        enter(j)
+        while work:  # in the order the buckets filled
+            scan(*work.pop(0))
+    while work or buckets:  # then the rest, in increasing lo
+        if not work:
+            key = min(buckets)
+            work.append((key >> 6, buckets.pop(key)))
+        scan(*work.pop(0))
     return nu, tau, decided
 
 
@@ -413,10 +411,10 @@ def run_trials(detector, plan: TrialPlan, trials: int, master_seed: int,
     alarm time ``tau`` (nan if none within the horizon) and the decided class
     (0 if none).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 1 or workers < 1:
+        raise ValueError("trials and workers must be >= 1")
     args = [((detector, plan, master_seed), chunk)
-            for chunk in np.array_split(np.arange(trials), max(1, min(workers, trials)))]
+            for chunk in np.array_split(np.arange(trials), min(workers, trials))]
     if len(args) == 1:
         parts = [_run_chunk(args[0])]
     else:
@@ -527,8 +525,6 @@ def estimate_misclass(detector, true_class: int, trials: int, horizon: int,
     mean-time-to-false-alarm target ``beta``, the concrete misclassification
     bound ``mean(tau) / beta`` is attached for reference.
     """
-    if not (1 <= true_class <= detector.num_classes):
-        raise ValueError(f"true_class must lie in 1..{detector.num_classes}")
     [(_, plan)] = trial_plans("misclass", detector, None, None, horizon, true_class=true_class)
     _, tau, decided = run_trials(detector, plan, trials, master_seed, workers=workers)
     alarmed = ~np.isnan(tau)

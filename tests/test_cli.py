@@ -223,6 +223,18 @@ class TestFitCommand:
         assert code == 0, err
         assert [d.rate for d in IpidLaw.from_dict(json.loads(out.read_text())).slots] == rates
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_fit_rejects_a_smoothing_window_below_one(self, tmp_path, capsys, window):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_text("time,value\n" + "\n".join(f"{i},{i % 4}" for i in range(16)) + "\n")
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(
+            ["fit", "--input", csv_path, "--format", "long", "--period", "4", "--family", "poisson",
+             "--smooth-window", window, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "window must be >= 1"}
+        assert not out.exists()
+
     def test_fit_respects_config_file_with_flag_override(self, tmp_path, capsys):
         csv_path = tmp_path / "train.csv"
         csv_path.write_text("time,value\n" + "\n".join(f"{i},{i % 3}" for i in range(30)) + "\n")
@@ -659,6 +671,31 @@ class TestEvaluateChecks:
         assert json.loads(err) == {
             "error": "ValueError",
             "message": "a post-change law is required unless the scenario is NoChange"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, true_class, message", [
+        ("cusum", 1, "misclass needs the classifier detector"),
+        ("classifier", 5, "true_class must lie in 1..2"),
+        ("cusum", 0, "true_class must lie in 1..2")])
+    def test_misclass_input_errors_are_value_errors(self, tmp_path, capsys, kind, true_class, message):
+        bank = {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)], "active_slots": None}
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps({
+            "metric": "misclass", "detector": {"kind": kind, "alpha": 0.05, "beta": 100, "threshold": 4.0},
+            "bank": bank, "true_class": true_class, "trials": 5, "horizon": 100, "seed": 3}))
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, models, capsys, workers):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl", {"trials": 5, "horizon": 50})
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--workers", workers, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "trials and workers must be >= 1"}
         assert not out.exists()
 
     def test_multistream_is_rejected(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,24 @@ class TestEstimateAdd:
         assert pinned.details["lower_bound_when_censored"] is False
 
 
+class TestPlanHorizons:
+    def test_a_float_horizon_gives_the_integer_horizons_report(self):
+        det = CusumDetector(PRE, POST, 3.0)
+        assert (estimate_add(det, PRE, POST, FixedChange(3), 40, 50.0, 9).to_dict()
+                == estimate_add(det, PRE, POST, FixedChange(3), 40, 50, 9).to_dict())
+        assert (estimate_arl(det, PRE, 40, 50.0, 9).to_dict() == estimate_arl(det, PRE, 40, 50, 9).to_dict())
+        plan = TrialPlan(PRE, POST, FixedChange(4), 10.0, start_time=2.0)
+        assert (plan.horizon, plan.start_time) == (10, 2)
+        np.testing.assert_array_equal(plan.draw(1, 0)[1], TrialPlan(PRE, POST, FixedChange(4), 10, start_time=2)
+                                      .draw(1, 0)[1])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        [(_, plan)] = trial_plans("arl", CusumDetector(PRE, POST, 3.0), PRE, None, 20)
+        with pytest.raises(ValueError, match="^trials and workers must be >= 1$"):
+            run_trials(CusumDetector(PRE, POST, 3.0), plan, 5, 1, workers=workers)
+
+
 class TestEstimateArl:
     def test_immediate_alarm(self):
         det = CusumDetector(PRE, POST, -1e6)
@@ -270,6 +289,19 @@ class TestEstimateMisclass:
         det = ClassifierBankDetector(bank, 5.0)
         with pytest.raises(ValueError):
             estimate_misclass(det, 2, 10, 50, master_seed=51)
+
+    @pytest.mark.parametrize("true_class", [0, 2, 5, -1])
+    def test_a_class_outside_the_bank_is_a_value_error(self, true_class):
+        det = ClassifierBankDetector(ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]))), 5.0)
+        with pytest.raises(ValueError, match=r"^true_class must lie in 1\.\.1$"):
+            trial_plans("misclass", det, None, None, 50, true_class=true_class)
+
+    def test_misclass_needs_the_classifier(self):
+        det = CusumDetector(PRE, POST, 3.0)
+        for estimate in (lambda: estimate_misclass(det, 1, 10, 50, master_seed=51),
+                         lambda: trial_plans("misclass", det, PRE, POST, 50, true_class=1)):
+            with pytest.raises(ValueError, match="^misclass needs the classifier detector$"):
+                estimate()
 
 
 class TestWorstCaseDelay:
@@ -454,21 +486,21 @@ def _ref_sample_law(rng, law, n, start_slot=0):
     return out
 
 
-def _ref_sample_with_change(rng, pre, post, nu, horizon):
-    if horizon <= 0:
+def _ref_sample_with_change(rng, pre, post, nu, horizon, start=0):
+    if horizon <= start:
         return np.empty(0)
-    times = np.arange(1, horizon + 1)
+    times = np.arange(start + 1, horizon + 1)
     slots = (times - 1) % pre.period
     pre_mask = times < nu
     if post is None or pre_mask.all():
-        return _ref_sample_law(rng, pre, horizon)
+        return _ref_sample_law(rng, pre, times.size, start_slot=start % pre.period)
     if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
         means = np.where(pre_mask, np.array([d.mean for d in pre.slots])[slots],
                          np.array([d.mean for d in post.slots])[slots])
         stds = np.where(pre_mask, np.array([math.sqrt(d.variance) for d in pre.slots])[slots],
                         np.array([math.sqrt(d.variance) for d in post.slots])[slots])
-        return means + stds * rng.standard_normal(horizon)
-    out = np.empty(horizon)
+        return means + stds * rng.standard_normal(times.size)
+    out = np.empty(times.size)
     for law, mask in ((pre, pre_mask), (post, ~pre_mask)):
         for s in range(law.period):
             idx = np.nonzero(mask & (slots == s))[0]
@@ -531,6 +563,25 @@ SLOW_POIS_BANK = ClassBank(3, (POIS_PRE, IpidLaw(3, (Poisson(2.4), Poisson(5.6),
 ORACLE_MEANS = np.sin(math.pi * (np.arange(24) + 0.5) / 24)
 ORACLE_FAMILY = MultislotFamily(24, gaussian_law(ORACLE_MEANS), gaussian_law(ORACLE_MEANS + 0.5),
                                 tuple(frozenset(range(k, k + 4)) for k in range(0, 24, 4)), (1 / 6,) * 6)
+
+
+class TestSamplerOracle:
+    # (nu, horizon, start): starts past 0, fractional and negative change points, change points at
+    # or before the start, past the horizon, and horizons at or before the start
+    INPUTS = [(5, 20, 0), (5, 20, 3), (6.5, 20, 2), (-2.5, 12, 0), (-3, 12, 4), (3, 12, 3), (2, 12, 7),
+              (7.25, 13, 7), (math.inf, 12, 4), (30, 20, 5), (20.5, 20, 1), (21, 20, 0), (4, 3, 3), (4, 2, 5)]
+
+    @pytest.mark.parametrize("pre, post", [(PRE, POST), (PRE, None), (POIS_PRE, POIS_POST),
+                                           (MIXED_PRE, MIXED_POST), (MIXED_PRE, None),
+                                           (POIS_PRE, IpidLaw(3, (Gaussian(2.0, 1.0),) * 3)),
+                                           (IpidLaw(3, (Gaussian(2.0, 1.0),) * 3), POIS_POST)])
+    def test_sample_with_change_equals_the_reference(self, pre, post):
+        for k, (nu, horizon, start) in enumerate(self.INPUTS):
+            got_rng, want_rng = trial_rng(k, 1), trial_rng(k, 1)
+            got = sample_with_change(got_rng, pre, post, nu, horizon, start=start)
+            want = _ref_sample_with_change(want_rng, pre, post, nu, horizon, start=start)
+            np.testing.assert_array_equal(got, want, err_msg=str((nu, horizon, start)))
+            assert got_rng.random(4).tolist() == want_rng.random(4).tolist()  # as many bits drawn
 
 
 def _oracle_cases():
@@ -776,6 +827,29 @@ class TestTrialEngine:
         [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=inputs["true_class"])
         run_trials(det, plan, inputs["trials"], 700 + case)
         assert sum(full) >= 2
+
+    def test_every_scan_runs_at_one_stack_depth(self, monkeypatch):
+        # a bucket that fills while another is scanned waits on the work list, so no scan runs
+        # inside another and the matrices of one are freed before the next
+        cases = _oracle_cases()
+        [case] = [i for i, c in enumerate(cases) if c[0] == "misclass" and c[1].bank is SLOW_POIS_BANK]
+        _, det, horizon, inputs = cases[case]
+        depths, later = [], []
+        scan_rows = ClassifierBankDetector._scan_rows
+
+        def measured(self, z, lengths, *held):
+            frame, depth = sys._getframe(), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            depths.append(depth)
+            later.append(bool(held))
+            return scan_rows(self, z, lengths, *held)
+
+        monkeypatch.setattr(ClassifierBankDetector, "_scan_rows", measured)
+        [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=inputs["true_class"])
+        run_trials(det, plan, inputs["trials"], 700 + case)
+        assert sum(later) >= 2 and not all(later)  # later rounds as well as first ones
+        assert len(set(depths)) == 1, depths
 
     def test_misclass_counts_hold_no_whole_streams(self, monkeypatch):
         horizon = 200_000
