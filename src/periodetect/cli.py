@@ -32,6 +32,7 @@ from .model import (
     IpidLaw,
     MultislotFamily,
     MultistreamConfig,
+    _whole_number,
     post_change_law,
     prior_from_dict,
 )
@@ -264,8 +265,8 @@ def _cmd_simulate(opts) -> int:
     if opts["scenario"] is None or opts["out"] is None:
         raise ValueError("simulate needs --scenario and --out")
     scenario = _load_json(opts["scenario"])
-    horizon = int(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"])
-    seed = int(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0))
+    horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
+    seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
     change = simulate.change_from_dict(scenario.get("change", {"type": "nochange"}))
     models = _scenario_models(scenario)
     if "streams" in models:
@@ -335,11 +336,11 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError(f"unknown metric {metric!r}")
     det_spec = dict(scenario.get("detector", {}))
     kind = det_spec.get("kind")
-    trials = int(opts["trials"] if opts["trials"] is not None else scenario["trials"])
+    trials = _whole_number(opts["trials"] if opts["trials"] is not None else scenario["trials"], "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    horizon = int(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"])
-    seed = int(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0))
+    horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
+    seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
     workers = int(opts["workers"])
     models = _scenario_models(scenario)
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
@@ -363,7 +364,7 @@ def _cmd_evaluate(opts) -> int:
     elif metric == "misclass":
         if true_class is None:
             raise ValueError("misclass estimation needs 'true_class'")
-        report = simulate.estimate_misclass(detector, int(true_class), trials, horizon, seed, **mc)
+        report = simulate.estimate_misclass(detector, true_class, trials, horizon, seed, **mc)
     else:
         report = simulate.worst_case_delay(detector, pre, post, trials, horizon, seed,
                                            change_points=change_points, workers=workers)

@@ -46,10 +46,13 @@ exceeds the minimum of maxima; so the statistic is evaluated only where
 ``max_l U_l(n)`` reaches the threshold.  Every scan scores its whole input
 first, so an invalid observation raises and leaves the detector as it was.
 
-The first three share one posterior-odds core: per component ``k`` the odds
-follow ``R_n = e^{z_n} (R_{n-1} + rho) / (1 - rho)`` (Shiryaev 1963), the
-statistic is ``sum_k w_k R_k`` (one component of weight 1 for the Shiryaev
-rule), and the alarm compares its logarithm with the log threshold.
+The first four share one core, one recursion over an operation ``(+)`` and
+addition: per component ``k``, ``L_n = (L_{n-1} (+) a) - b + z_n``.  With
+``(+) = logaddexp``, ``a = ln rho`` and ``b = ln(1 - rho)``, ``L`` is the log
+posterior odds (Shiryaev 1963), the statistic is ``sum_k w_k e^{L_k}`` (one
+component of weight 1 for the Shiryaev rule) and the alarm compares its
+logarithm with the log threshold; with ``(+) = max`` and ``a = b = 0``, ``L``
+is the CUSUM score.
 
 With ``reset_on_alarm`` detectors zero their statistic after each alarm and
 keep monitoring, which is the continuous-monitoring mode used for repeated
@@ -322,20 +325,19 @@ class _Detector:
 
 
 class _PosteriorOdds(_Detector):
-    """Posterior odds of a geometric-prior change, mixed over K components.
+    """The one-statistic core: per component ``L_n = (L_{n-1} (+) a) - b + z_n``, mixed over K.
 
-    Component ``k`` keeps its log-odds ``L_k``, updated as
-    ``L_n = logaddexp(L_{n-1}, ln rho) - ln(1 - rho) + z_n``; the log
-    statistic is ``logsumexp_k(ln w_k + L_k)`` and the rule alarms when it
-    reaches the log threshold of the observation's slot.  Subclasses supply
-    ``_display``, which maps the log statistic to the reported statistic.
+    ``(+)`` is the ufunc ``_plus``: ``np.logaddexp`` for posterior odds, ``np.maximum`` for
+    CUSUM.  The log statistic is ``logsumexp_k(ln w_k + L_k)`` and the rule alarms when it
+    reaches the log threshold of the observation's slot.  Subclasses supply ``_display``,
+    which maps the log statistic to the reported statistic.
     """
 
-    def __init__(self, period: int, rho: float, log_weights, log_thresholds,
+    _plus = np.logaddexp
+
+    def __init__(self, period: int, a: float, b: float, log_weights, log_thresholds,
                  reset_on_alarm: bool, start_time: int):
-        self.rho = float(rho)
-        self._ln_rho = math.log(rho) if rho > 0.0 else _NEG_INF
-        self._ln_1m_rho = math.log1p(-rho)
+        self._a, self._b = a, b
         self._log_weights = list(log_weights)
         self._log_thresholds = list(log_thresholds)
         # log thresholds of _SCAN_CHUNK consecutive observations from any start slot
@@ -353,12 +355,12 @@ class _PosteriorOdds(_Detector):
         return total
 
     def _walk(self, z, stop_on_alarm: bool = False):
-        ln_rho, ln_1m_rho, log_thresholds = self._ln_rho, self._ln_1m_rho, self._log_thresholds
+        a, b, log_thresholds = self._a, self._b, self._log_thresholds
         log_odds, time, stats, alarms = self._log_odds, self._time, [], []
         for zs in zip(*z):
             carried, log_odds = log_odds, []  # a loop, not a comprehension, as in _SlotLlr.values
             for lo, x in zip(carried, zs):
-                log_odds.append(_logaddexp(lo, ln_rho) - ln_1m_rho + x)
+                log_odds.append(_logaddexp(lo, a) - b + x)
             log_stat = self._log_stat(log_odds)
             stats.append(self._display(log_stat))
             alarms.append(alarm := log_stat >= log_thresholds[time % self.period])
@@ -374,18 +376,18 @@ class _PosteriorOdds(_Detector):
     def _scan_rows(self, z: np.ndarray, lengths):
         """Scan the ``(K, B, n)`` scores of ``B`` runs (int array ``lengths``) from this unchanged state.
 
-        With ``S_0 = 0`` and ``S_n = sum_{i <= n} (z_i - ln(1 - rho))``, the log-odds are
-        ``L_n = S_n + logaddexp(L_0, ln rho - S_0, ..., ln rho - S_{n-1})``, in blocks of
-        ``_SCAN_CHUNK`` columns that carry each row's log-odds.  Returns per row whether it
+        With ``S_0 = 0`` and ``S_n = sum_{i <= n} (z_i - b)``, the statistics are
+        ``L_n = S_n + ((L_0 (+) a) (+) (a - S_1) (+) ... (+) (a - S_{n-1}))``, in blocks of
+        ``_SCAN_CHUNK`` columns that carry each row's ``L``.  Returns per row whether it
         alarmed, where it stopped (first alarm, else last observation) and class 0, then the
-        last block's log-odds and log statistic, where a batch of one stopped."""
-        carry, first = np.reshape(self._log_odds, (-1, 1)), np.full(z.shape[1], -1)
+        last block's ``L`` and log statistic, where a batch of one stopped."""
+        plus, carry, first = self._plus, np.reshape(self._log_odds, (-1, 1)), np.full(z.shape[1], -1)
         for start in range(0, z.shape[2], _SCAN_CHUNK):
-            s = np.cumsum(z[:, :, start:start + _SCAN_CHUNK] - self._ln_1m_rho, axis=2)
-            entry = self._ln_rho - s
+            s = np.cumsum(z[:, :, start:start + _SCAN_CHUNK] - self._b, axis=2)
+            entry = self._a - s
             entry[:, :, 1:] = entry[:, :, :-1]
-            entry[:, :, 0] = np.logaddexp(carry, self._ln_rho)
-            log_odds = s + np.logaddexp.accumulate(entry, axis=2)
+            entry[:, :, 0] = plus(carry, self._a)
+            log_odds = s + plus.accumulate(entry, axis=2)
             # components in order, each row contiguous
             log_stat = log_odds[0] + self._log_weights[0] if len(z) == 1 else np.logaddexp.reduce(
                 log_odds + np.reshape(self._log_weights, (-1, 1, 1)), axis=0)
@@ -426,10 +428,11 @@ class ShiryaevDetector(_PosteriorOdds):
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
         self.pre = pre
         self.post = post
+        self.rho = float(rho)
         self.threshold = threshold
         self._llr = _SlotLlr([(post.slots, pre.slots)])
-        super().__init__(pre.period, rho, [0.0], _threshold_logits(threshold, pre.period),
-                         reset_on_alarm, start_time)
+        super().__init__(pre.period, math.log(rho) if rho > 0.0 else _NEG_INF, math.log1p(-rho), [0.0],
+                         _threshold_logits(threshold, pre.period), reset_on_alarm, start_time)
 
     @property
     def belief(self) -> float:
@@ -448,8 +451,12 @@ def robust_shiryaev(pre: IpidLaw, least_favorable: IpidLaw, rho: float, threshol
     return ShiryaevDetector(pre, least_favorable, rho, threshold, **kwargs)
 
 
-class CusumDetector(_Detector):
-    """Cumulative-sum score test between a baseline law and one alternative law."""
+class CusumDetector(_PosteriorOdds):
+    """Cumulative-sum score test between a baseline law and one alternative law: the core with
+    ``(+) = max`` and ``a = b = 0``, so ``W_n = max(W_{n-1}, 0) + z_n`` from ``W_0 = 0``."""
+
+    _plus = np.maximum
+    _display = float
 
     def __init__(self, baseline: IpidLaw, alternative: IpidLaw, threshold: float,
                  *, reset_on_alarm: bool = False, start_time: int = 0):
@@ -459,50 +466,30 @@ class CusumDetector(_Detector):
         self.alternative = alternative
         self.threshold = float(threshold)
         self._llr = _SlotLlr([(alternative.slots, baseline.slots)])
-        super().__init__(baseline.period, reset_on_alarm, start_time)
+        super().__init__(baseline.period, 0.0, 0.0, [0.0], [self.threshold] * baseline.period,
+                         reset_on_alarm, start_time)
 
     def reset(self) -> None:
-        self._score = 0.0
+        self._log_odds = [0.0]
 
     @property
     def score(self) -> float:
-        return self._score
+        return self._log_odds[0]
 
     def _walk(self, z, stop_on_alarm: bool = False):
-        score, stats, alarms = self._score, [], []
+        # the core's walk with (+) = max, at a tenth of its cost per column, which detect pays per row
+        [score], stats, alarms = self._log_odds, [], []
         for x in z[0]:
             score = (score if score > 0.0 else 0.0) + x
             stats.append(score)
             alarms.append(alarm := score >= self.threshold)
             if alarm and self.reset_on_alarm:
                 self.reset()
-                score = self._score
+                [score] = self._log_odds
             if alarm and stop_on_alarm:
                 break
-        self._score, self._time = score, self._time + len(stats)
+        self._log_odds, self._time = [score], self._time + len(stats)
         return stats, alarms, [None] * len(stats)
-
-    def _scan_rows(self, z: np.ndarray, lengths):
-        """``_PosteriorOdds._scan_rows`` for ``W_n = S_n - min_{j < n} S_j`` (the carried-in score in
-        the prefix floor), in blocks of ``_SCAN_CHUNK`` columns that carry each row's score, ending
-        with the last block's scores."""
-        carry, first = np.full(z.shape[1], max(self._score, 0.0)), np.full(z.shape[1], -1)
-        for start in range(0, z.shape[2], _SCAN_CHUNK):
-            s = np.zeros((z.shape[1], min(_SCAN_CHUNK, z.shape[2] - start) + 1))
-            np.cumsum(z[0, :, start:start + _SCAN_CHUNK], axis=1, out=s[:, 1:])
-            w = s[:, 1:] - np.minimum(np.minimum.accumulate(s[:, :-1], axis=1), -carry[:, None])
-            crossed = (w >= self.threshold) & (np.arange(w.shape[1]) < (lengths - start)[:, None])
-            first = np.where((first < 0) & crossed.any(axis=1), start + crossed.argmax(axis=1), first)
-            if ((first >= 0) | (lengths <= start + w.shape[1])).all():
-                break
-            carry = np.maximum(w[:, -1], 0.0)
-        return first >= 0, np.where(first >= 0, first, lengths - 1), np.zeros_like(first), w
-
-    def _scan(self, z: np.ndarray) -> StepResult | None:
-        [hit], [stop], _, w = self._scan_rows(z[:, None], np.array([z.shape[1]]))
-        self._time += int(stop) + 1
-        self._score = float(w[0, stop % _SCAN_CHUNK])
-        return self._alarm(self._score) if hit else None
 
 
 class _OddsMixture(_PosteriorOdds):
@@ -514,10 +501,11 @@ class _OddsMixture(_PosteriorOdds):
                  reset_on_alarm: bool, start_time: int):
         if not (0.0 < rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        self.rho = float(rho)
         self.threshold = float(threshold)
         log_threshold = math.log(self.threshold) if self.threshold > 0.0 else _NEG_INF
-        super().__init__(period, rho, [math.log(w) for w in weights], [log_threshold] * period,
-                         reset_on_alarm, start_time)
+        super().__init__(period, math.log(rho), math.log1p(-rho), [math.log(w) for w in weights],
+                         [log_threshold] * period, reset_on_alarm, start_time)
 
     @property
     def statistic(self) -> float:

@@ -10,6 +10,7 @@ evaluable densities.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,6 +123,8 @@ def read_long_csv(path, period: int, value_column: str = "value") -> CycleSet:
                 values.append(float(raw))
             except (TypeError, ValueError):
                 raise ValueError(f"line {lineno}: cannot parse {raw!r} as a number") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"line {lineno}: value must be finite, got {raw!r}")
     n_cycles = len(values) // period
     if n_cycles == 0:
         raise ValueError(f"need at least one full cycle of {period} samples, got {len(values)}")
@@ -144,6 +147,8 @@ def read_cycles_csv(path, period: int | None = None) -> CycleSet:
                 cycles.append(tuple(float(c) for c in cells))
             except ValueError:
                 raise ValueError(f"line {lineno}: cannot parse row as numbers") from None
+            if not all(map(math.isfinite, cycles[-1])):
+                raise ValueError(f"line {lineno}: values must be finite")
     if not cycles:
         raise ValueError("no cycles found")
     return CycleSet(cycles=tuple(cycles), target_period=period if period is not None else len(cycles[0]))

@@ -9,6 +9,7 @@ and observation ``T + 1`` wraps back to the first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -17,6 +18,13 @@ import numpy as np
 from .densities import SlotDensity, density_from_dict, density_to_dict
 
 _WEIGHT_TOL = 1e-9
+
+
+def _whole_number(value, name: str) -> int:
+    """``value`` as an int when it is a whole number (``2`` or ``2.0``); else a ValueError naming ``name``."""
+    if isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +297,7 @@ class ClassBank:
 
     def class_law(self, k: int) -> IpidLaw:
         """The post-change law of class ``k``, one of 1..M."""
+        k = _whole_number(k, "true_class")
         if not 1 <= k <= self.num_classes:
             raise ValueError(f"true_class must lie in 1..{self.num_classes}")
         return self.laws[k]

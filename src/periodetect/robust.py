@@ -135,6 +135,11 @@ class UncertaintyFamily:
         return cls(period=obj["period"], slots=tuple(slots))
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x6C666C], dtype=np.uint64)))
 
@@ -142,6 +147,7 @@ def _rng(seed: int) -> np.random.Generator:
 def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity,
                     *, samples: int = 100_000, seed: int = 0) -> bool:
     """True when ``g`` pushes the score ``Z = log gbar(X)/f(X)`` stochastically above ``gbar``."""
+    _check_samples(samples)
     if not (type(f) is type(g_bar) is type(g)):
         raise ValueError("dominance is defined within one family only")
     if g == g_bar:
@@ -190,6 +196,7 @@ def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily,
     against the boundary plus interior probes.  The proposed law must itself
     belong to the family.
     """
+    _check_samples(samples)
     if pre.period != proposed.period or pre.period != family.period:
         raise ValueError("pre law, proposed law, and family must share one period")
     violations = []
@@ -219,6 +226,7 @@ def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
     for a member dominated by all others; if none exists the family is not
     stochastically bounded and no least favorable law exists.
     """
+    _check_samples(samples)
     if pre.period != family.period:
         raise ValueError("pre law and family must share one period")
     slots = []

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .densities import Gaussian
-from .model import ChangePointPrior, IpidLaw, MultistreamConfig, prior_from_dict
+from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _whole_number, prior_from_dict
 from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
 _U64 = np.uint64
@@ -47,7 +47,7 @@ class FixedChange:
     nu: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", int(self.nu))
+        object.__setattr__(self, "nu", _whole_number(self.nu, "change point"))
         if self.nu < 1:
             raise ValueError("change points are 1-based")
 
@@ -336,8 +336,11 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
         return [("", TrialPlan(law, law, FixedChange(1), horizon))]
     if metric != "worst_case":
         raise ValueError(f"unknown metric {metric!r}")
+    if change_points is not None and len(change_points) == 0:
+        raise ValueError("change_points must name at least one change point")
     plans = []
-    for nu in change_points if change_points is not None else range(1, pre.period + 1):
+    for nu in range(1, pre.period + 1) if change_points is None else change_points:
+        nu = _whole_number(nu, "change_points")
         if not (1 <= nu <= horizon):
             raise ValueError(f"change point {nu} outside 1..horizon")
         plans += [(f"nu{nu}_natural_", TrialPlan(pre, post, FixedChange(nu), horizon)),

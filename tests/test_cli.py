@@ -235,6 +235,27 @@ class TestFitCommand:
         assert json.loads(err) == {"error": "ValueError", "message": "window must be >= 1"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_fit_long_rejects_a_non_finite_value_with_its_line(self, tmp_path, capsys, bad):
+        csv_path = tmp_path / "train.csv"
+        values = ["0.5", "1.0", "0.7", bad, "0.2", "0.9"]
+        csv_path.write_text("time,value\n" + "\n".join(f"{i},{v}" for i, v in enumerate(values)) + "\n")
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(["fit", "--input", csv_path, "--format", "long", "--period", "2",
+                                "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"line 5: value must be finite, got '{bad}'"}
+        assert not out.exists()
+
+    def test_fit_cycles_rejects_a_non_finite_value_with_its_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "cycles.csv"
+        csv_path.write_text("0.5,1.0\n0.7,nan\n0.2,0.9\n")
+        out = tmp_path / "model.json"
+        code, _, err = run_cli(["fit", "--input", csv_path, "--format", "cycles", "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "line 2: values must be finite"}
+        assert not out.exists()
+
     def test_fit_respects_config_file_with_flag_override(self, tmp_path, capsys):
         csv_path = tmp_path / "train.csv"
         csv_path.write_text("time,value\n" + "\n".join(f"{i},{i % 3}" for i in range(30)) + "\n")
@@ -293,6 +314,20 @@ class TestInfoAndLfl:
              "--family", fam_path, "--out", "-"], capsys)
         assert code == 0, err
         assert json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("action", ["select", "validate"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_lfl_samples_below_one_rejected(self, tmp_path, capsys, action, samples):
+        pre_path, fam_path = tmp_path / "pre.json", tmp_path / "family.json"
+        pre_path.write_text(json.dumps(gaussian_law_dict([0.0])))
+        fam_path.write_text(json.dumps({"period": 1, "slots": [{"type": "finite", "candidates": [
+            {"type": "poisson", "rate": 1.5}, {"type": "poisson", "rate": 2.0}]}]}))
+        out = tmp_path / "lfl.json"
+        code, _, err = run_cli(["lfl", action, "--model", pre_path, "--model2", pre_path, "--family", fam_path,
+                                "--samples", samples, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"samples must be >= 1, got {samples}"}
+        assert not out.exists()
 
     def test_lfl_select_failure_is_machine_readable(self, tmp_path, capsys):
         pre_path = tmp_path / "pre.json"
@@ -676,6 +711,7 @@ class TestEvaluateChecks:
     @pytest.mark.parametrize("kind, true_class, message", [
         ("cusum", 1, "misclass needs the classifier detector"),
         ("classifier", 5, "true_class must lie in 1..2"),
+        ("classifier", 2.5, "true_class must be a whole number, got 2.5"),
         ("cusum", 0, "true_class must lie in 1..2")])
     def test_misclass_input_errors_are_value_errors(self, tmp_path, capsys, kind, true_class, message):
         bank = {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)], "active_slots": None}
@@ -687,6 +723,63 @@ class TestEvaluateChecks:
         code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out], capsys)
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    def test_whole_float_scenario_fields_run_as_their_ints(self, tmp_path, capsys):
+        bank = {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)], "active_slots": None}
+        outputs = []
+        for number in (int, float):
+            true_class = number(2)
+            sc_path = tmp_path / f"sc_{true_class}.json"
+            sc_path.write_text(json.dumps({
+                "metric": "misclass", "detector": {"kind": "classifier", "beta": 100, "window": 20},
+                "bank": bank, "true_class": true_class, "trials": number(20), "horizon": number(200),
+                "seed": number(3), "change": {"type": "fixed", "nu": number(4)}}))
+            report, obs = tmp_path / f"report_{true_class}.json", tmp_path / f"obs_{true_class}.csv"
+            code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", report], capsys)
+            assert code == 0, err
+            code, _, err = run_cli(["simulate", "--scenario", sc_path, "--out", obs, "--summary",
+                                    tmp_path / "summary.json"], capsys)
+            assert code == 0, err
+            outputs.append((json.loads(report.read_text()), obs.read_bytes()))
+        (one, one_obs), (two, two_obs) = outputs
+        one.pop("config"), two.pop("config")
+        assert one == two and one_obs == two_obs
+
+    def test_whole_float_change_points_run_and_dump_as_ints(self, tmp_path, models, capsys):
+        runs = []
+        for points in ([2], [2.0]):
+            sc = TestEvaluate().make_scenario(tmp_path, models, "worst_case", {
+                "detector": {"kind": "cusum", "beta": 50.0}, "change_points": points, "trials": 20})
+            out, dump_dir = tmp_path / f"report_{points[0]}.json", tmp_path / f"dump_{points[0]}"
+            code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out,
+                                    "--dump-trials", "1", "--dump-dir", dump_dir], capsys)
+            assert code == 0, err
+            report = json.loads(out.read_text())
+            report.pop("config")
+            runs.append((report, {p.name: p.read_bytes() for p in dump_dir.iterdir()}))
+        assert runs[0] == runs[1]
+        assert sorted(runs[1][1]) == ["nu2_natural_trial_0000.csv", "nu2_pinned_trial_0000.csv"]
+
+    @pytest.mark.parametrize("points, message", [
+        ([1.5], "change_points must be a whole number, got 1.5"),
+        ([], "change_points must name at least one change point")])
+    def test_invalid_change_points_rejected(self, tmp_path, models, capsys, points, message):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "worst_case", {
+            "detector": {"kind": "cusum", "beta": 50.0}, "change_points": points, "trials": 5})
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_a_fractional_horizon_is_rejected(self, tmp_path, models, capsys, command):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl", {"horizon": 100.7, "trials": 5})
+        out = tmp_path / "out"
+        code, _, err = run_cli([command, "--scenario", sc, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "horizon must be a whole number, got 100.7"}
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

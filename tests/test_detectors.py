@@ -193,14 +193,14 @@ class TestCusum:
     def test_plain_accumulation(self):
         pre, post = gaussian_law([0.0]), gaussian_law([1.0])
         det = CusumDetector(pre, post, 1e9)
-        det._score = 0.5
+        det._log_odds = [0.5]
         res = det.step(0.8)  # llr = x - 0.5 = 0.3
         assert res.statistic == pytest.approx(0.8, rel=1e-12)
 
     def test_reset_before_add(self):
         pre, post = gaussian_law([0.0]), gaussian_law([1.0])
         det = CusumDetector(pre, post, 1e9)
-        det._score = -2.0
+        det._log_odds = [-2.0]
         res = det.step(1.5)  # llr = 1.0; negative score clamps to 0 first
         assert res.statistic == pytest.approx(1.0, rel=1e-12)
 
@@ -246,7 +246,7 @@ class TestCusum:
         aged = CusumDetector(pre, post, 1e9)
         for x in np.random.default_rng(3).normal(0, 1, 3):
             aged.step(x)
-        aged._score = 0.0
+        aged._log_odds = [0.0]
         for x in (0.4, -1.2, 2.0):
             a = fresh.step(x).statistic
             b = aged.step(x).statistic
@@ -601,18 +601,20 @@ def batch_alarms(det, xs):
 
 
 def displayed(det):
+    if isinstance(det, CusumDetector):
+        return det.score
     return det.belief if isinstance(det, ShiryaevDetector) else det.statistic
 
 
 class TestPosteriorOddsCore:
     @pytest.mark.parametrize("reset_on_alarm", [False, True])
-    @pytest.mark.parametrize("kind", sorted(ODDS_DETECTORS))
+    @pytest.mark.parametrize("kind", [*sorted(ODDS_DETECTORS), "cusum"])
     def test_batch_scan_matches_stepwise_run(self, kind, reset_on_alarm):
         # a carry-in state from earlier steps, then a stream spanning several scan chunks
         warmup = odds_stream(kind, 18, seed=1)
         xs = odds_stream(kind, 2 * _SCAN_CHUNK + 123, seed=2)
-        batch = ODDS_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
-        stepped = ODDS_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
+        batch = FIVE_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
+        stepped = FIVE_DETECTORS[kind](reset_on_alarm=reset_on_alarm)
         run(batch, warmup)
         run(stepped, warmup)
         got = batch_alarms(batch, xs)
@@ -623,6 +625,12 @@ class TestPosteriorOddsCore:
                                    rtol=1e-9)
         assert batch.time == stepped.time
         assert displayed(batch) == pytest.approx(displayed(stepped), rel=1e-9)
+
+    def test_cusum_has_no_scan_of_its_own(self):
+        # CUSUM is the core with max for logaddexp, so one closed form and one chunk restart serve both
+        assert "_scan_rows" not in CusumDetector.__dict__ and "_scan" not in CusumDetector.__dict__
+        assert CusumDetector._scan_rows is ShiryaevDetector._scan_rows
+        assert not hasattr(CusumDetector(ODDS_PRE, ODDS_POST, 3.0), "rho")
 
     def test_a_climb_across_the_block_edge_carries_its_log_odds(self):
         n, nu = 2 * _SCAN_CHUNK, _SCAN_CHUNK - 40

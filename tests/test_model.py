@@ -167,6 +167,17 @@ class TestClassBank:
         with pytest.raises(ValueError):
             ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0, 2.0])))
 
+    @pytest.mark.parametrize("k", [2.0, 2])
+    def test_class_law_takes_a_whole_float(self, k):
+        bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]), gaussian_law([2.0])))
+        assert bank.class_law(k) is bank.laws[2]
+
+    @pytest.mark.parametrize("k", [1.5, float("nan"), "2"])
+    def test_class_law_rejects_a_value_that_is_no_whole_number(self, k):
+        bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]), gaussian_law([2.0])))
+        with pytest.raises(ValueError, match="^true_class must be a whole number"):
+            bank.class_law(k)
+
     def test_json_round_trip(self):
         bank = ClassBank(2, (gaussian_law([0, 0]), gaussian_law([1, 0]), gaussian_law([0, 2])),
                          active_slots=frozenset({0, 1}))

@@ -46,6 +46,16 @@ class TestDominance:
         second = dominance_check(f, gbar, g, samples=20_000, seed=5)
         assert first == second
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, samples):
+        pre, lfl = gaussian_law([0.0]), gaussian_law([0.5])
+        family = UncertaintyFamily(1, (FiniteSlotFamily((Gaussian(0.5, 1.0), Gaussian(1.0, 1.0))),))
+        for check in (lambda: dominance_check(Poisson(1.0), Poisson(1.2), Poisson(1.5), samples=samples),
+                      lambda: validate_lfl(pre, lfl, family, samples=samples),
+                      lambda: select_lfl(pre, family, samples=samples)):
+            with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+                check()
+
     def test_cross_family_rejected(self):
         with pytest.raises(ValueError):
             dominance_check(Gaussian(0, 1), Gaussian(1, 1), Poisson(1.0))

@@ -393,6 +393,26 @@ class TestTrialChecks:
         with pytest.raises(ValueError, match="post-change law is required"):
             worst_case_delay(det, PRE, None, trials=5, horizon=50, master_seed=1)
 
+    def test_whole_float_change_points_label_and_run_as_ints(self):
+        det = CusumDetector(PRE, POST, 2.5)
+        got = trial_plans("worst_case", det, PRE, POST, 50, change_points=[2.0, 3])
+        want = trial_plans("worst_case", det, PRE, POST, 50, change_points=[2, 3])
+        assert [label for label, _ in got] == ["nu2_natural_", "nu2_pinned_", "nu3_natural_", "nu3_pinned_"]
+        assert got == want
+        assert FixedChange(4.0) == FixedChange(4)
+
+    @pytest.mark.parametrize("change_points, message", [
+        ([1.5], "change_points must be a whole number, got 1.5"),
+        ([], "change_points must name at least one change point")])
+    def test_invalid_change_points_raise(self, change_points, message):
+        det = CusumDetector(PRE, POST, 2.5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            worst_case_delay(det, PRE, POST, trials=5, horizon=50, master_seed=1, change_points=change_points)
+
+    def test_a_fixed_change_point_must_be_whole(self):
+        with pytest.raises(ValueError, match="^change point must be a whole number, got 2.5$"):
+            FixedChange(2.5)
+
     def test_pfa_without_a_prior_raises(self):
         det = ShiryaevDetector(PRE, POST, 0.05, 0.99)
         with pytest.raises(ValueError, match="prior"):
