@@ -5,9 +5,9 @@ CSV through a detector), ``simulate`` (realize a scenario), ``evaluate``
 (Monte Carlo performance report), ``info`` (information numbers), and
 ``lfl`` (validate or select a least favorable law).
 
-Every option a subcommand declares is resolved once, in ``main``, with
-precedence flags > ``--config`` file > defaults, and every output embeds the
-resolved configuration for provenance.  Errors leave a
+Each option's type, choices and default are declared once, in ``build_parser``;
+a ``--config`` value is checked against that declaration and becomes the default,
+so a flag beats it.  Every output embeds the resolved options.  Errors leave a
 machine-readable JSON object on stderr and a nonzero exit code.
 """
 
@@ -18,6 +18,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import operator
 import os
 import sys
@@ -195,18 +196,13 @@ def _build_detector(kind: str, opts: dict, models: dict):
 def _cmd_fit(opts) -> int:
     if opts["input"] is None or opts["out"] is None:
         raise ValueError("fit needs --input and --out")
-    if opts["format"] == "long":
-        if opts["period"] is None:
-            raise ValueError("long-format input needs --period")
-        cycles = read_long_csv(opts["input"], int(opts["period"]))
-    elif opts["format"] == "cycles":
-        cycles = read_cycles_csv(opts["input"], opts["period"])
-    else:
-        raise ValueError(f"unknown input format {opts['format']!r}")
+    if opts["format"] == "long" and opts["period"] is None:
+        raise ValueError("long-format input needs --period")
+    cycles = (read_long_csv if opts["format"] == "long" else read_cycles_csv)(opts["input"], opts["period"])
     rows = cycles.cycles
     if opts["smooth_window"] is not None:
         lower = opts["family"] == "poisson"  # a count's smoothed value must stay a count
-        rows = tuple(tuple(_trailing_median(c, int(opts["smooth_window"]), lower)) for c in rows)
+        rows = tuple(tuple(_trailing_median(c, opts["smooth_window"], lower)) for c in rows)
     cycles = CycleSet(cycles=rows, target_period=cycles.target_period, label=opts["label"])
     law = fit_gaussian(cycles) if opts["family"] == "gaussian" else fit_poisson(cycles)
     payload = law.to_dict()
@@ -341,7 +337,6 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError("trials must be >= 1")
     horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
     seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
-    workers = int(opts["workers"])
     models = _scenario_models(scenario)
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
     true_class = scenario.get("true_class")
@@ -352,7 +347,7 @@ def _cmd_evaluate(opts) -> int:
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
     change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
     change_points = scenario.get("change_points")
-    mc = {"workers": workers, "predicted": predicted, "budget": budget}
+    mc = {"workers": opts["workers"], "predicted": predicted, "budget": budget}
     if metric == "pfa":
         if prior is None:
             raise ValueError("pfa estimation needs a prior")
@@ -367,7 +362,7 @@ def _cmd_evaluate(opts) -> int:
         report = simulate.estimate_misclass(detector, true_class, trials, horizon, seed, **mc)
     else:
         report = simulate.worst_case_delay(detector, pre, post, trials, horizon, seed,
-                                           change_points=change_points, workers=workers)
+                                           change_points=change_points, workers=opts["workers"])
     payload = report.to_dict()
     payload["config"] = {**opts, "metric": metric, "detector": det_spec,
                          "trials": trials, "horizon": horizon, "seed": seed}
@@ -419,12 +414,9 @@ def _cmd_lfl(opts, action) -> int:
         if opts["model2"] is None:
             raise ValueError("lfl validate needs --model2 (the proposed law)")
         proposed = IpidLaw.from_dict(_load_json(opts["model2"]))
-        report = robust.validate_lfl(pre, proposed, family,
-                                     samples=int(opts["samples"]), seed=int(opts["seed"]))
-        payload = report.to_dict()
+        payload = robust.validate_lfl(pre, proposed, family, samples=opts["samples"], seed=opts["seed"]).to_dict()
     else:
-        law = robust.select_lfl(pre, family, samples=int(opts["samples"]), seed=int(opts["seed"]))
-        payload = law.to_dict()
+        payload = robust.select_lfl(pre, family, samples=opts["samples"], seed=opts["seed"]).to_dict()
     payload["config"] = opts
     _write_json(opts["out"], payload)
     return 0
@@ -444,12 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a periodic model from cycle data")
     add_common(p_fit)
     p_fit.add_argument("--input", help="input CSV")
-    p_fit.add_argument("--format", choices=["long", "cycles"], default=None,
-                       help="'long' = time,value rows; 'cycles' = one cycle per row")
+    p_fit.add_argument("--format", choices=["long", "cycles"], default="long",
+                       help="'long' = time,value rows; 'cycles' = one cycle per row (default: %(default)s)")
     p_fit.add_argument("--period", type=int)
-    p_fit.add_argument("--family", choices=["gaussian", "poisson"], default=None)
+    p_fit.add_argument("--family", choices=["gaussian", "poisson"], default="gaussian",
+                       help="(default: %(default)s)")
     p_fit.add_argument("--smooth-window", dest="smooth_window", type=int)
-    p_fit.add_argument("--label", default=None)
+    p_fit.add_argument("--label", default="", help="(default: empty)")
 
     p_det = sub.add_parser("detect", help="run a detector over an observation CSV")
     add_common(p_det)
@@ -463,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--beta", type=float)
     p_det.add_argument("--threshold", type=float)
     p_det.add_argument("--window", type=int)
-    p_det.add_argument("--reset-on-alarm", dest="reset_on_alarm", action="store_const", const=True)
+    p_det.add_argument("--reset-on-alarm", dest="reset_on_alarm", action="store_true", help="(default: off)")
     p_det.add_argument("--input", help="observation CSV")
     p_det.add_argument("--trajectory", help="trajectory CSV path")
 
@@ -480,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--trials", type=int)
     p_eval.add_argument("--horizon", type=int)
     p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--workers", type=int)
-    p_eval.add_argument("--dump-trials", dest="dump_trials", type=int)
+    p_eval.add_argument("--workers", type=int, default=1, help="worker processes (default: %(default)s)")
+    p_eval.add_argument("--dump-trials", dest="dump_trials", type=int, default=0, help="(default: %(default)s)")
     p_eval.add_argument("--dump-dir", dest="dump_dir")
 
     p_info = sub.add_parser("info", help="information numbers and delay predictions")
@@ -499,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model")
         p.add_argument("--model2")
         p.add_argument("--family")
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples (default: %(default)s)")
+        p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     return parser
 
 
@@ -514,23 +507,36 @@ _COMMANDS = {
 }
 
 
-# the options whose default is not None, by command
-_DEFAULTS = {
-    "fit": {"format": "long", "family": "gaussian", "label": ""},
-    "detect": {"reset_on_alarm": False},
-    "evaluate": {"workers": 1, "dump_trials": 0},
-    "lfl": {"samples": 100_000, "seed": 0},
-}
+def _config_value(action: argparse.Action, value):
+    """A ``--config`` value as its option declares it: a whole number (``2`` or ``2.0``) for an int
+    option, a number for a float option, true or false for a switch, else a string among its choices."""
+    name = action.option_strings[0]
+    if action.type is int:
+        return _whole_number(value, name)
+    kind, what = ((bool, "true or false") if action.nargs == 0 else (numbers.Real, "a number")
+                  if action.type is float else (str, "a string"))
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):  # true is no number
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _load_json(args.config) if args.config else {}
-        defaults = _DEFAULTS.get(args.command, {})
-        # every option the subcommand declares, in order: its flag, else its --config value, else its default
-        opts = {key: flag if flag is not None else config[key] if key in config else defaults.get(key)
-                for key, flag in vars(args).items() if key not in ("command", "lfl_action", "config")}
+        if args.config:
+            leaf = parser  # the subparser that parsed args: the command's, or for lfl its action's
+            while subs := [a for a in leaf._actions if isinstance(a, argparse._SubParsersAction)]:
+                leaf = subs[0].choices[getattr(args, subs[0].dest)]
+            # each checked --config value becomes its option's default, so that parsing again gives every
+            # option its flag, else its --config value, else its declared default
+            config = _load_json(args.config)
+            leaf.set_defaults(**{a.dest: _config_value(a, config[a.dest]) for a in leaf._actions
+                                 if a.dest not in ("help", "config") and config.get(a.dest) is not None})
+            args = parser.parse_args(argv)
+        opts = {key: value for key, value in vars(args).items() if key not in ("command", "lfl_action", "config")}
         handler = _COMMANDS[args.command]
         return handler(opts, args.lfl_action) if args.command == "lfl" else handler(opts)
     except Exception as exc:  # argparse errors exit on their own

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Gaussian, Poisson, llr
-from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds
+from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds, _whole_number
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -603,7 +603,7 @@ class ClassifierBankDetector(_Detector):
 
     def __init__(self, bank: ClassBank, threshold: float, *, window: int | None = None,
                  reset_on_alarm: bool = False, start_time: int = 0):
-        if window is not None and window < 1:
+        if window is not None and (window := _whole_number(window, "window")) < 1:
             raise ValueError("window must be >= 1 when given")
         self.bank = bank
         self.threshold = float(threshold)

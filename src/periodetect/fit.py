@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import FITTED_RATE_FLOOR, FITTED_VARIANCE_FLOOR, Gaussian, Poisson
-from .model import ClassBank, IpidLaw
+from .model import ClassBank, IpidLaw, _whole_number
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class CycleSet:
     def __post_init__(self) -> None:
         cycles = tuple(tuple(float(v) for v in c) for c in self.cycles)
         object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "target_period", int(self.target_period))
+        object.__setattr__(self, "target_period", _whole_number(self.target_period, "target period"))
         if not cycles:
             raise ValueError("need at least one cycle")
         if any(len(c) == 0 for c in cycles):
@@ -101,8 +101,7 @@ def restrict_slots(bank: ClassBank, slots) -> ClassBank:
     Raises when some pair of laws coincides on the subset, since the
     restricted bank could then never tell them apart.
     """
-    subset = frozenset(int(i) for i in slots)
-    return ClassBank(period=bank.period, laws=bank.laws, active_slots=subset)
+    return ClassBank(period=bank.period, laws=bank.laws, active_slots=tuple(slots))
 
 
 def read_long_csv(path, period: int, value_column: str = "value") -> CycleSet:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import kl
-from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig
+from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, _candidate
 
 
 class DetectorKind(enum.Enum):
@@ -58,18 +58,14 @@ def info_number(pre: IpidLaw, post: IpidLaw) -> float:
 
 def info_multislot(family: MultislotFamily, changed_slots) -> float:
     """Information number of a candidate subset: changed slots contribute, others are zero."""
-    s = frozenset(int(i) for i in changed_slots)
-    if s not in family.candidates:
-        raise ValueError(f"unknown candidate {sorted(s)}")
+    s = _candidate(family.candidates, changed_slots, "changed slots")
     total = sum(kl(family.base_post.slots[i], family.base_pre.slots[i]) for i in s)
     return total / family.period
 
 
 def info_multistream(config: MultistreamConfig, changed_streams) -> float:
     """Summed per-stream information numbers over the changed streams."""
-    b = frozenset(int(i) for i in changed_streams)
-    if b not in config.candidates:
-        raise ValueError(f"unknown candidate {sorted(b)}")
+    b = _candidate(config.candidates, changed_streams, "changed streams")
     return sum(info_number(config.streams[i][0], config.streams[i][1]) for i in b)
 
 
@@ -93,6 +89,16 @@ def info_matrix(bank: ClassBank) -> tuple[np.ndarray, float]:
     return out, float(np.nanmin(out))
 
 
+def _checked_budget(kind: DetectorKind, budget) -> float:
+    """``budget`` as a float: ``alpha`` in (0, 1) for a Bayesian kind, else ``beta`` > 1."""
+    budget = float(budget)
+    if kind in _BAYESIAN_KINDS and not (0.0 < budget < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {budget}")
+    if kind not in _BAYESIAN_KINDS and not (budget > 1.0):
+        raise ValueError(f"beta must exceed 1, got {budget}")
+    return budget
+
+
 def threshold(kind: DetectorKind, budget: float, num_classes: int | None = None) -> float:
     """Alarm threshold achieving the named false-alarm budget.
 
@@ -103,22 +109,17 @@ def threshold(kind: DetectorKind, budget: float, num_classes: int | None = None)
     score test and ``log(4 * M * beta)`` for an M-class bank.
     """
     kind = DetectorKind(kind)
+    budget = _checked_budget(kind, budget)
+    if kind is DetectorKind.SHIRYAEV:
+        return 1.0 - budget
     if kind in _BAYESIAN_KINDS:
-        alpha = float(budget)
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if kind is DetectorKind.SHIRYAEV:
-            return 1.0 - alpha
-        return (1.0 - alpha) / alpha
-    beta = float(budget)
-    if not (beta > 1.0):
-        raise ValueError(f"beta must exceed 1, got {beta}")
+        return (1.0 - budget) / budget
     if kind is DetectorKind.CUSUM:
-        return math.log(beta)
+        return math.log(budget)
     if kind is DetectorKind.CLASSIFIER:
         if num_classes is None or num_classes < 1:
             raise ValueError("classifier threshold needs the number of classes M >= 1")
-        return math.log(4.0 * num_classes * beta)
+        return math.log(4.0 * num_classes * budget)
     raise ValueError(f"unhandled kind {kind}")
 
 
@@ -133,18 +134,13 @@ def asymptotic_delay(kind: DetectorKind, budget: float, info: float, tail_expone
     info = float(info)
     if not (info > 0.0):
         raise ValueError(f"information number must be > 0, got {info}")
+    budget = _checked_budget(kind, budget)
     if kind in _BAYESIAN_KINDS:
-        alpha = float(budget)
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         d = float(tail_exponent)
         if d < 0.0:
             raise ValueError("tail exponent must be >= 0")
-        return abs(math.log(alpha)) / (info + d)
-    beta = float(budget)
-    if not (beta > 1.0):
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    return math.log(beta) / info
+        return abs(math.log(budget)) / (info + d)
+    return math.log(budget) / info
 
 
 def window_size(beta: float, min_info: float, epsilon: float) -> int:

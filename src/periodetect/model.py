@@ -21,10 +21,28 @@ _WEIGHT_TOL = 1e-9
 
 
 def _whole_number(value, name: str) -> int:
-    """``value`` as an int when it is a whole number (``2`` or ``2.0``); else a ValueError naming ``name``."""
-    if isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer():
+    """``value`` as an int when a whole number (``2`` or ``2.0``, not a bool); else a ValueError naming ``name``."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if whole and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
+def _index_set(values, limit: int, name: str) -> frozenset:
+    """``values`` as a nonempty set of whole numbers in ``0..limit - 1``; else a ValueError naming ``name``."""
+    s = frozenset(_whole_number(i, f"an index of {name}") for i in values)
+    if not s:
+        raise ValueError(f"{name} must be nonempty")
+    if not all(0 <= i < limit for i in s):
+        raise ValueError(f"{name} {sorted(s)} outside 0..{limit - 1}")
+    return s
+
+
+def _candidate(candidates, values, name: str) -> frozenset:
+    """The one of ``candidates`` whose indices are ``values``; else a ValueError naming ``name``."""
+    if (s := frozenset(_whole_number(i, f"an index of {name}") for i in values)) not in candidates:
+        raise ValueError(f"unknown candidate {sorted(s)}; not in the declared family")
+    return s
 
 
 @dataclass(frozen=True)
@@ -35,7 +53,7 @@ class IpidLaw:
     slots: tuple[SlotDensity, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", _whole_number(self.period, "period"))
         object.__setattr__(self, "slots", tuple(self.slots))
         if self.period < 1:
             raise ValueError("period must be >= 1")
@@ -171,17 +189,10 @@ def prior_from_dict(obj: dict) -> ChangePointPrior:
 
 
 def _normalize_candidates(candidates, limit: int, what: str) -> tuple[frozenset, ...]:
-    out = []
-    for cand in candidates:
-        s = frozenset(int(i) for i in cand)
-        if not s:
-            raise ValueError(f"empty {what} candidate")
-        if any(i < 0 or i >= limit for i in s):
-            raise ValueError(f"{what} candidate {sorted(s)} outside 0..{limit - 1}")
-        out.append(s)
+    out = tuple(_index_set(cand, limit, f"{what} candidate") for cand in candidates)
     if not out:
         raise ValueError(f"need at least one {what} candidate")
-    return tuple(out)
+    return out
 
 
 def _check_weights(weights, count: int) -> tuple[float, ...]:
@@ -212,7 +223,7 @@ class MultislotFamily:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", _whole_number(self.period, "period"))
         if self.base_pre.period != self.period or self.base_post.period != self.period:
             raise ValueError("base laws must share the family period")
         cands = _normalize_candidates(self.candidates, self.period, "slot")
@@ -244,9 +255,7 @@ class MultislotFamily:
 
 def post_change_law(family: MultislotFamily, changed_slots) -> IpidLaw:
     """Law with the changed density on ``changed_slots`` and the baseline elsewhere."""
-    s = frozenset(int(i) for i in changed_slots)
-    if s not in family.candidates:
-        raise ValueError(f"unknown candidate {sorted(s)}; not in the declared family")
+    s = _candidate(family.candidates, changed_slots, "changed slots")
     slots = tuple(
         family.base_post.slots[i] if i in s else family.base_pre.slots[i] for i in range(family.period)
     )
@@ -268,7 +277,7 @@ class ClassBank:
     active_slots: frozenset | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", _whole_number(self.period, "period"))
         object.__setattr__(self, "laws", tuple(self.laws))
         if len(self.laws) < 2:
             raise ValueError("a class bank needs the baseline law plus at least one alternative")
@@ -276,12 +285,7 @@ class ClassBank:
             if law.period != self.period:
                 raise ValueError("all bank laws must share one period")
         if self.active_slots is not None:
-            s = frozenset(int(i) for i in self.active_slots)
-            if not s:
-                raise ValueError("active slot set must be nonempty")
-            if any(i < 0 or i >= self.period for i in s):
-                raise ValueError("active slots outside 0..period-1")
-            object.__setattr__(self, "active_slots", s)
+            object.__setattr__(self, "active_slots", _index_set(self.active_slots, self.period, "active_slots"))
         slots = sorted(self.active_slots) if self.active_slots is not None else range(self.period)
         m = len(self.laws) - 1
         for a in range(m + 1):
@@ -316,11 +320,10 @@ class ClassBank:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ClassBank":
-        active = obj.get("active_slots")
         return cls(
             period=obj["period"],
             laws=tuple(IpidLaw.from_dict(d) for d in obj["laws"]),
-            active_slots=frozenset(active) if active is not None else None,
+            active_slots=obj.get("active_slots"),
         )
 
 

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .densities import Gaussian, Poisson, SlotDensity, density_from_dict, density_to_dict, llr
-from .model import IpidLaw
+from .model import IpidLaw, _whole_number
 
 GRID_POINTS = 201
 _GRID_QUANTILES = (0.001, 0.999)
@@ -114,7 +114,7 @@ class UncertaintyFamily:
     slots: tuple[SlotFamily, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "period", int(self.period))
+        object.__setattr__(self, "period", _whole_number(self.period, "period"))
         object.__setattr__(self, "slots", tuple(self.slots))
         if len(self.slots) != self.period:
             raise ValueError(f"expected {self.period} slot families, got {len(self.slots)}")

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .densities import Gaussian
-from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _whole_number, prior_from_dict
+from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _candidate, _whole_number, prior_from_dict
 from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
 _U64 = np.uint64
@@ -78,9 +78,9 @@ class ScenarioSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "seed", int(self.seed))
-        TrialPlan(self.pre, self.post, self.change, self.horizon)  # checks the description
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
+        # the plan checks the description
+        object.__setattr__(self, "horizon", TrialPlan(self.pre, self.post, self.change, self.horizon).horizon)
 
 
 def _gaussian_tables(pre: IpidLaw, post: IpidLaw, start: int, horizon: int) -> tuple[np.ndarray, ...] | None:
@@ -152,12 +152,7 @@ def generate_multistream(config: MultistreamConfig, changed_streams, change: Cha
 
     Streams outside ``changed_streams`` follow their pre-change law throughout.
     """
-    if changed_streams is not None:
-        b = frozenset(int(i) for i in changed_streams)
-        if b not in config.candidates:
-            raise ValueError(f"unknown candidate {sorted(b)}")
-    else:
-        b = frozenset()
+    b = frozenset() if changed_streams is None else _candidate(config.candidates, changed_streams, "changed streams")
     rng = trial_rng(seed)
     nu = _draw_nu(rng, change)
     cols = []
@@ -272,8 +267,8 @@ class TrialPlan:
     start_time: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "start_time", int(self.start_time))
+        object.__setattr__(self, "horizon", _whole_number(self.horizon, "horizon"))
+        object.__setattr__(self, "start_time", _whole_number(self.start_time, "start time"))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.change, DrawnChange) and self.change.prior is None:

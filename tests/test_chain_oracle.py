@@ -1,0 +1,61 @@
+"""Page's CUSUM Monte Carlo estimates against the exact run lengths of a Brook-Evans chain.
+
+The acceptance gate C4 checks only ``arl >= beta``, which an engine that cut
+every run length in half would still pass on this model, whose ARL at
+``beta = 50`` is about 721.  Here the estimates must agree with the chain
+of ``oracle_chain.py`` within four standard errors plus the chain's own
+discretization error, read as the change in its value from ``N`` to ``2N``
+cells.  The master seeds were fixed before the first run.
+"""
+
+import math
+
+import pytest
+
+from periodetect.densities import Gaussian
+from periodetect.detectors import CusumDetector
+from periodetect.model import IpidLaw
+from periodetect.simulate import FixedChange, estimate_add, estimate_arl
+
+pytest.importorskip("scipy")
+from oracle_chain import cusum_run_length  # noqa: E402  (needs scipy)
+
+PRE_MEANS, POST_MEANS = [0.0, 0.5, 1.0, 0.5], [0.3, 1.0, 1.9, 0.6]
+BETA = 50.0
+TRIALS = 4000
+CELLS = 400
+
+
+def unit_variance_law(means):
+    return IpidLaw(len(means), tuple(Gaussian(m, 1.0) for m in means))
+
+
+def chain(data_means):
+    """The chain's expected run length at ``CELLS`` and ``2 * CELLS`` cells, and their difference."""
+    coarse, fine = (cusum_run_length(PRE_MEANS, POST_MEANS, 1.0, data_means, math.log(BETA), n)
+                    for n in (CELLS, 2 * CELLS))
+    return fine, abs(fine - coarse)
+
+
+@pytest.fixture(scope="module")
+def detector():
+    return CusumDetector(unit_variance_law(PRE_MEANS), unit_variance_law(POST_MEANS), math.log(BETA))
+
+
+def test_arl_matches_the_chain(detector):
+    exact, discretization = chain(PRE_MEANS)
+    assert exact == pytest.approx(720.98, abs=0.005)  # ARL 720.93, 720.98 and 720.99 at 400, 800 and 1600 cells
+    # a run past 10^4 samples has probability about exp(-10^4 / 721) per trial
+    rep = estimate_arl(detector, detector.baseline, TRIALS, 10_000, master_seed=1972)
+    assert rep.censored_trials == 0
+    assert abs(rep.estimate - exact) <= 4.0 * rep.std_error + discretization, (rep.estimate, rep.std_error, exact)
+
+
+def test_zero_state_delay_matches_the_chain(detector):
+    run_length, discretization = chain(POST_MEANS)
+    exact = run_length - 1.0  # with the change at observation 1 the delay is tau - 1
+    assert exact == pytest.approx(24.33, abs=0.005)
+    rep = estimate_add(detector, detector.baseline, detector.alternative, FixedChange(1), TRIALS, 2000,
+                       master_seed=539)
+    assert rep.censored_trials == 0 and rep.details["qualifying_trials"] == TRIALS
+    assert abs(rep.estimate - exact) <= 4.0 * rep.std_error + discretization, (rep.estimate, rep.std_error, exact)

@@ -1053,6 +1053,9 @@ def option_values(tmp_path):
 class TestOptionsDeclaredOnce:
     # keys that a command adds to the resolved options in the config it embeds
     EXTRA = {("fit",): {"cycles_used"}, ("detect",): {"threshold_used"}, ("evaluate",): {"metric", "detector"}}
+    # the options whose declared default is not None
+    DEFAULTS = {"fit": {"format": "long", "family": "gaussian", "label": ""}, "detect": {"reset_on_alarm": False},
+                "evaluate": {"workers": 1, "dump_trials": 0}, "lfl": {"samples": 100_000, "seed": 0}}
 
     def test_every_option_is_embedded_and_set_from_a_config_file(self, tmp_path, capsys):
         declared, values = declared_options(), option_values(tmp_path)
@@ -1070,3 +1073,120 @@ class TestOptionsDeclaredOnce:
             assert set(embedded) == options - {"config"} | self.EXTRA.get(command, set()), command
             assert {key: embedded[key] for key in values[command]} == values[command], command
             assert embedded["out"] == str(out)
+
+    def test_whole_float_int_options_are_embedded_as_ints(self, tmp_path, capsys):
+        for command, options in declared_options().items():
+            actions = leaf_actions(command)
+            values = option_values(tmp_path)[command]
+            ints = {key: value for key, value in values.items() if actions[key].type is int}
+            out = tmp_path / f"{'_'.join(command)}.json"
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps({**values, **{k: float(v) for k, v in ints.items()}, "out": str(out)}))
+            code, _, err = run_cli([*command, "--config", config_path], capsys)
+            assert code == 0, (command, err)
+            written = tmp_path / "summary.json" if command == ("simulate",) else out
+            embedded = json.loads(written.read_text())["config"]
+            assert {key: embedded[key] for key in ints} == ints, command
+            assert all(type(embedded[key]) is int for key in ints), command
+
+    def test_a_null_config_value_leaves_the_declared_default(self, tmp_path, capsys):
+        for command, options in declared_options().items():
+            defaults = self.DEFAULTS.get(command[0], {})
+            assert defaults == {key: action.default for key, action in leaf_actions(command).items()
+                                if key in options and action.default is not None}
+            out = tmp_path / f"{'_'.join(command)}.json"
+            config_path = tmp_path / "config.json"
+            values = {**option_values(tmp_path)[command], **dict.fromkeys(defaults)}
+            config_path.write_text(json.dumps({**values, "out": str(out)}))
+            code, _, err = run_cli([*command, "--config", config_path], capsys)
+            assert code == 0, (command, err)
+            written = tmp_path / "summary.json" if command == ("simulate",) else out
+            embedded = json.loads(written.read_text())["config"]
+            assert {key: embedded[key] for key in defaults} == defaults, command
+
+
+def leaf_actions(command):
+    """{dest: action} of the subparser that ``command`` (its argv words) names."""
+    parser = build_parser()
+    for word in command:
+        [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = subs.choices[word]
+    return {a.dest: a for a in parser._actions}
+
+
+def typed_options(check):
+    """(command, option) for every declared option whose action passes ``check``."""
+    return [(command, dest) for command, options in declared_options().items()
+            for dest, action in sorted(leaf_actions(command).items()) if dest in options and check(action)]
+
+
+class TestConfigValuesAreChecked:
+    """A --config value passes its option's declared type and choices, as a flag does, and a flag beats it."""
+
+    def run_config(self, tmp_path, capsys, command, config, argv=()):
+        out = tmp_path / "out.json"
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**config, "out": str(out)}))
+        code, _, err = run_cli([*command, "--config", config_path, *argv], capsys)
+        return code, err, out
+
+    @pytest.mark.parametrize("command, dest", typed_options(lambda a: a.type is int))
+    @pytest.mark.parametrize("bad", [2.5, "2", True])
+    def test_an_int_option_rejects_what_is_no_whole_number(self, tmp_path, capsys, command, dest, bad):
+        option = leaf_actions(command)[dest].option_strings[0]
+        code, err, out = self.run_config(tmp_path, capsys, command, {**option_values(tmp_path)[command], dest: bad})
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"{option} must be a whole number, got {bad!r}"}
+        assert not out.exists()
+        assert not (tmp_path / "traj.csv").exists() and not (tmp_path / "dumps").exists()
+
+    @pytest.mark.parametrize("command, dest", typed_options(lambda a: a.choices is not None))
+    def test_a_choices_option_rejects_an_unlisted_value(self, tmp_path, capsys, command, dest):
+        action = leaf_actions(command)[dest]
+        bad = action.choices[0].capitalize()
+        code, err, out = self.run_config(tmp_path, capsys, command, {**option_values(tmp_path)[command], dest: bad})
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message":
+                                   f"{action.option_strings[0]} must be one of {', '.join(action.choices)}, got {bad!r}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, dest, bad, expected", [
+        (("detect",), "alpha", "0.05", "a number"),
+        (("detect",), "threshold", True, "a number"),
+        (("detect",), "reset_on_alarm", "false", "true or false"),
+        (("detect",), "reset_on_alarm", 1, "true or false"),
+        (("detect",), "trajectory", 3.5, "a string"),
+        (("evaluate",), "scenario", ["sc.json"], "a string"),
+        (("fit",), "label", 7, "a string")])
+    def test_other_options_take_their_json_type(self, tmp_path, capsys, command, dest, bad, expected):
+        option = leaf_actions(command)[dest].option_strings[0]
+        code, err, out = self.run_config(tmp_path, capsys, command, {**option_values(tmp_path)[command], dest: bad})
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"{option} must be {expected}, got {bad!r}"}
+        assert not out.exists()
+
+    def test_each_option_takes_its_flag_else_its_config_value(self, tmp_path, capsys):
+        for command, options in declared_options().items():
+            actions, values = leaf_actions(command), option_values(tmp_path)[command]
+            flagged = list(values)[::2]
+
+            def config_value(key, value):
+                action = actions[key]
+                if key not in flagged:
+                    return float(value) if action.type is int else value
+                if action.choices is not None:
+                    return next(c for c in action.choices if c != value)
+                if action.type in (int, float):
+                    return value + 1
+                return False if value is True else value + ".unused"
+
+            argv = []
+            for key in flagged:
+                argv += [actions[key].option_strings[0]] + ([] if values[key] is True else [str(values[key])])
+            code, err, out = self.run_config(tmp_path, capsys, command,
+                                             {key: config_value(key, value) for key, value in values.items()}, argv)
+            assert code == 0, (command, err)
+            written = tmp_path / "summary.json" if command == ("simulate",) else out
+            embedded = json.loads(written.read_text())["config"]
+            assert {key: embedded[key] for key in values} == values, command
+            assert all(type(embedded[key]) is type(value) for key, value in values.items()), command

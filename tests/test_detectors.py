@@ -449,6 +449,17 @@ class TestClassifierBank:
                     classifier_oracle(bank, xs, n, label, window=5), rel=1e-9, abs=1e-12
                 )
 
+    def test_a_whole_float_window_is_its_int(self, bank):
+        xs = np.random.default_rng(8).normal(0.5, 1.0, 30)
+        got = run(ClassifierBankDetector(bank, 2.0, window=2.0), xs)
+        assert got == run(ClassifierBankDetector(bank, 2.0, window=2), xs)
+        assert ClassifierBankDetector(bank, 2.0, window=2.0).window == 2
+
+    @pytest.mark.parametrize("window", [2.5, "3", True])
+    def test_a_window_that_is_no_whole_number_is_rejected_when_built(self, bank, window):
+        with pytest.raises(ValueError, match=f"^window must be a whole number, got {window!r}$"):
+            ClassifierBankDetector(bank, 2.0, window=window)
+
     def test_decided_class_is_largest_crossed_statistic(self, bank):
         det = ClassifierBankDetector(bank, threshold=0.4)
         res = det.step(1.2)  # class 1 statistic 0.7, class 2 far below

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ from periodetect.simulate import sample_law, trial_rng
 
 def gaussian_law(means, variance=1.0):
     return IpidLaw(period=len(means), slots=tuple(Gaussian(m, variance) for m in means))
+
+
+@pytest.mark.parametrize("period", [3.5, "3", True])
+def test_a_target_period_that_is_no_whole_number_is_rejected(period):
+    assert CycleSet(((1.0, 2.0),), 3.0) == CycleSet(((1.0, 2.0),), 3)
+    with pytest.raises(ValueError, match=f"^target period must be a whole number, got {re.escape(repr(period))}$"):
+        CycleSet(((1.0, 2.0),), period)
 
 
 class TestResample:
@@ -150,6 +158,16 @@ class TestRestrictSlots:
         det = ClassifierBankDetector(restricted, 1e9)
         res = det.step(10.0)  # slot 0 is outside the active set
         assert res.statistic == 0.0
+
+    @pytest.mark.parametrize("slots, message", [
+        ([0.5], "an index of active_slots must be a whole number, got 0.5"),
+        ([], "active_slots must be nonempty"),
+        ([0, 2], "active_slots [0, 2] outside 0..1")])
+    def test_invalid_slots_rejected(self, slots, message):
+        bank = ClassBank(2, (gaussian_law([0, 0]), gaussian_law([1, 1]), gaussian_law([-1, 2])))
+        assert restrict_slots(bank, [1.0]) == restrict_slots(bank, {1})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            restrict_slots(bank, slots)
 
 
 class TestCsvIngestion:

@@ -68,6 +68,11 @@ class TestInfoMultislot:
         with pytest.raises(ValueError):
             info_multislot(shifted_family, {0, 1})
 
+    def test_changed_slots_are_whole_indices(self, shifted_family):
+        assert info_multislot(shifted_family, [0.0, 1, 2, 3, 4]) == info_multislot(shifted_family, range(5))
+        with pytest.raises(ValueError, match="^an index of changed slots must be a whole number, got 1.9$"):
+            info_multislot(shifted_family, [0, 1.9, 2, 3, 4])
+
     def test_additive_over_disjoint_subsets(self):
         pre = gaussian_law([0.0, 0.0, 0.0, 0.0])
         post = gaussian_law([0.5, 1.0, 0.25, 0.75])
@@ -203,3 +208,13 @@ class TestInfoMultistream:
         assert info_multistream(cfg, {0, 1}) == pytest.approx(2.5)
         with pytest.raises(ValueError):
             info_multistream(cfg, {1})
+
+    def test_changed_streams_are_whole_indices(self):
+        cfg = MultistreamConfig(
+            streams=((gaussian_law([0]), gaussian_law([1])), (gaussian_law([0]), gaussian_law([2]))),
+            candidates=(frozenset({0}), frozenset({0, 1})),
+            weights=(0.5, 0.5),
+        )
+        assert info_multistream(cfg, [0.0, 1]) == info_multistream(cfg, {0, 1})
+        with pytest.raises(ValueError, match="^an index of changed streams must be a whole number, got 0.5$"):
+            info_multistream(cfg, [0.5])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -249,3 +250,74 @@ def test_law_serialization_identity(slots):
     decoded = IpidLaw.from_dict(json.loads(encoded))
     assert decoded == law
     assert json.dumps(decoded.to_dict(), sort_keys=True) == encoded
+
+
+def law_dict(means):
+    return {"period": len(means), "slots": [{"type": "gaussian", "mean": m, "variance": 1.0} for m in means]}
+
+
+def family_dict(candidates, period=2):
+    return {"period": period, "pre": law_dict([0.0] * period), "post": law_dict([1.0] * period),
+            "candidates": candidates, "weights": [1.0 / len(candidates)] * len(candidates)}
+
+
+def streams_dict(candidates):
+    return {"streams": [{"pre": law_dict([0.0]), "post": law_dict([1.0])}] * 2,
+            "candidates": candidates, "weights": [1.0 / len(candidates)] * len(candidates)}
+
+
+def bank_dict(active_slots, period=2):
+    return {"period": period, "laws": [law_dict([m, m + 1.0][:period]) for m in (0.0, 1.0, 3.0)],
+            "active_slots": active_slots}
+
+
+class TestIndexSetsFromJson:
+    """Candidate subsets and active slots are sets of whole-number indices in range, as read from JSON."""
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (MultislotFamily.from_dict, family_dict([[0.7], [1.2]]),
+         "an index of slot candidate must be a whole number, got 0.7"),
+        (MultislotFamily.from_dict, family_dict([[0], []]), "slot candidate must be nonempty"),
+        (MultislotFamily.from_dict, family_dict([[0], [1, 2]]), "slot candidate [1, 2] outside 0..1"),
+        (MultislotFamily.from_dict, family_dict([[-1]]), "slot candidate [-1] outside 0..1"),
+        (MultistreamConfig.from_dict, streams_dict([[0], [0.5]]),
+         "an index of stream candidate must be a whole number, got 0.5"),
+        (MultistreamConfig.from_dict, streams_dict([[]]), "stream candidate must be nonempty"),
+        (MultistreamConfig.from_dict, streams_dict([[0, 2]]), "stream candidate [0, 2] outside 0..1"),
+        (ClassBank.from_dict, bank_dict([0.5]), "an index of active_slots must be a whole number, got 0.5"),
+        (ClassBank.from_dict, bank_dict(["1"]), "an index of active_slots must be a whole number, got '1'"),
+        (ClassBank.from_dict, bank_dict([]), "active_slots must be nonempty"),
+        (ClassBank.from_dict, bank_dict([0, 5]), "active_slots [0, 5] outside 0..1"),
+        (ClassBank.from_dict, bank_dict([-1]), "active_slots [-1] outside 0..1")])
+    def test_rejected(self, parse, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(obj)
+
+    @pytest.mark.parametrize("parse, make", [
+        (MultislotFamily.from_dict, lambda i: family_dict([[i], [1, 0]])),
+        (MultistreamConfig.from_dict, lambda i: streams_dict([[i], [0, 1]])),
+        (ClassBank.from_dict, lambda i: bank_dict([i]))])
+    def test_whole_floats_load_as_their_ints_and_fractions_are_rejected(self, parse, make):
+        assert parse(make(1.0)) == parse(make(1))
+        with pytest.raises(ValueError, match="must be a whole number, got 1.5$"):
+            parse(make(1.5))
+
+    def test_post_change_law_takes_whole_indices_only(self, family):
+        assert post_change_law(family, [1.0]) == post_change_law(family, [1])
+        with pytest.raises(ValueError, match="^an index of changed slots must be a whole number, got 1.5$"):
+            post_change_law(family, [1.5])
+        with pytest.raises(ValueError, match=re.escape("unknown candidate [0, 3]; not in the declared family")):
+            post_change_law(family, [0, 3])
+
+
+class TestPeriodsFromJson:
+    @pytest.mark.parametrize("parse, obj", [
+        (IpidLaw.from_dict, law_dict([0.0, 1.0])),
+        (MultislotFamily.from_dict, family_dict([[0], [1]])),
+        (ClassBank.from_dict, bank_dict(None))])
+    @pytest.mark.parametrize("period", [2.5, "2", True])
+    def test_a_period_that_is_no_whole_number_is_rejected(self, parse, obj, period):
+        model = parse({**obj, "period": 2.0})
+        assert model == parse(obj) and type(model.period) is int
+        with pytest.raises(ValueError, match=f"^period must be a whole number, got {re.escape(repr(period))}$"):
+            parse({**obj, "period": period})

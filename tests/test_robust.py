@@ -162,3 +162,11 @@ class TestFamilyJson:
         import json
 
         assert UncertaintyFamily.from_dict(json.loads(json.dumps(family.to_dict()))) == family
+
+    @pytest.mark.parametrize("period", [1.5, "1", True])
+    def test_a_period_that_is_no_whole_number_is_rejected(self, period):
+        obj = {"period": 1, "slots": [{"type": "interval", "direction": "ge",
+                                       "boundary": {"type": "gaussian", "mean": 0.1, "variance": 1.0}}]}
+        assert UncertaintyFamily.from_dict({**obj, "period": 1.0}) == UncertaintyFamily.from_dict(obj)
+        with pytest.raises(ValueError, match=f"^period must be a whole number, got {period!r}$"):
+            UncertaintyFamily.from_dict({**obj, "period": period})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -133,6 +134,18 @@ class TestGenerateMultistream:
         )
         with pytest.raises(ValueError):
             generate_multistream(cfg, {0, 1}, FixedChange(1), 10, seed=0)
+
+    def test_changed_streams_are_whole_indices(self):
+        cfg = MultistreamConfig(
+            streams=((gaussian_law([0.0]), gaussian_law([1.0])), (gaussian_law([0.0]), gaussian_law([2.0]))),
+            candidates=(frozenset({0}), frozenset({1})),
+            weights=(0.5, 0.5),
+        )
+        obs, nu = generate_multistream(cfg, [1.0], FixedChange(3), 20, seed=4)
+        want, want_nu = generate_multistream(cfg, [1], FixedChange(3), 20, seed=4)
+        assert nu == want_nu and np.array_equal(obs, want)
+        with pytest.raises(ValueError, match="^an index of changed streams must be a whole number, got 0.5$"):
+            generate_multistream(cfg, [0.5], FixedChange(3), 20, seed=4)
 
 
 class TestSignalLaw:
@@ -377,6 +390,17 @@ class TestTrialChecks:
     def test_invalid_descriptions_rejected(self, make, post, change, horizon, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make(PRE, post, change, horizon)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda h, s: TrialPlan(PRE, POST, FixedChange(3), h, start_time=s), "start time"),
+        (lambda h, s: ScenarioSpec(PRE, POST, FixedChange(3), h, seed=s), "seed")], ids=["plan", "scenario"])
+    @pytest.mark.parametrize("bad", [10.5, "10", True])
+    def test_horizon_and_clock_fields_must_be_whole(self, make, name, bad):
+        assert make(10.0, 2.0) == make(10, 2)
+        with pytest.raises(ValueError, match=f"^horizon must be a whole number, got {re.escape(repr(bad))}$"):
+            make(bad, 2)
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(bad))}$"):
+            make(10, bad)
 
     def test_plans_that_never_draw_past_the_change_need_no_post_law(self):
         TrialPlan(PRE, None, NoChange(), 10)
