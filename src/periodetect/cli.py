@@ -145,6 +145,10 @@ _DETECTORS = {
                         lambda m, rho, h, w, r: detectors.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
 }
 
+# a scenario's detector spec key -> the dest of the detect option whose declaration checks its value
+_SPEC_OPTIONS = {"threshold": "threshold", "alpha": "alpha", "beta": "beta", "rho": "prior_rho",
+                 "window": "window", "reset_on_alarm": "reset_on_alarm"}
+
 _MODEL_PARSERS = {"pre": IpidLaw.from_dict, "post": IpidLaw.from_dict, "family": MultislotFamily.from_dict,
                   "streams": MultistreamConfig.from_dict, "bank": ClassBank.from_dict}
 
@@ -332,6 +336,10 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError(f"unknown metric {metric!r}")
     det_spec = dict(scenario.get("detector", {}))
     kind = det_spec.get("kind")
+    detect = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["detect"]
+    declared = {a.dest: a for a in detect._actions}
+    checked = {key: _config_value(declared[dest], det_spec[key], f"detector {key}")
+               for key, dest in _SPEC_OPTIONS.items() if det_spec.get(key) is not None}
     trials = _whole_number(opts["trials"] if opts["trials"] is not None else scenario["trials"], "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -341,7 +349,7 @@ def _cmd_evaluate(opts) -> int:
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
     true_class = scenario.get("true_class")
     prior = prior_from_dict(scenario["prior"]) if "prior" in scenario else None
-    det_opts = {**det_spec, "prior_rho": det_spec.get("rho", getattr(prior, "rho", None))}
+    det_opts = {**det_spec, **checked, "prior_rho": det_spec.get("rho", getattr(prior, "rho", None))}
     detector = _build_detector(kind, det_opts, models)
     budget = det_opts.get(_DETECTORS[kind].budget)
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
@@ -507,10 +515,11 @@ _COMMANDS = {
 }
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(action: argparse.Action, value, name: str | None = None):
     """A ``--config`` value as its option declares it: a whole number (``2`` or ``2.0``) for an int
-    option, a number for a float option, true or false for a switch, else a string among its choices."""
-    name = action.option_strings[0]
+    option, a number for a float option, true or false for a switch, else a string among its choices.
+    Errors name ``name``, by default the option's flag."""
+    name = name or action.option_strings[0]
     if action.type is int:
         return _whole_number(value, name)
     kind, what = ((bool, "true or false") if action.nargs == 0 else (numbers.Real, "a number")

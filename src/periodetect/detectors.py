@@ -1,62 +1,25 @@
 """Streaming change detectors for periodic slot models.
 
 Every detector is a sequential state machine: ``step(x)`` consumes one
-observation, advances the internal clock, and reports the updated statistic
-together with the alarm decision.  Time indices are 1-based and global; the
-slot governing observation ``n`` is ``(n - 1) mod T``, so the per-sample
-log-likelihood-ratio function used at time ``n`` equals the one used at
-``n + T``.  Every detector alarms when its statistic reaches the threshold
-(``statistic >= threshold``, with per-slot thresholds where supported).
+observation, advances the clock and reports the statistic and the alarm
+decision.  Each class documents its statistic; these contracts hold for all
+five detectors:
 
-Statistics and post-alarm behavior:
-
-* :class:`ShiryaevDetector` tracks the posterior probability ``p_n`` that the
-  change has already happened, via ``p_n = q g_n(x) / (q g_n(x) + (1-q) f_n(x))``
-  with ``q = p_{n-1} + (1 - p_{n-1}) rho``, and alarms when ``p_n`` reaches
-  the (possibly per-slot) threshold.  The belief is stored as log-odds so the
-  recursion stays informative arbitrarily close to 1.
-* :class:`CusumDetector` runs ``W_n = max(W_{n-1}, 0) + z_n`` on per-sample
-  log-likelihood ratios; the positive part is applied before the add, so the
-  score itself may go negative.
-* :class:`MixtureShiryaev` runs one posterior recursion per candidate changed
-  slot subset and alarms when the weighted posterior odds reach a threshold.
-  The recursion requires a geometric change-point prior.
-* :class:`MultistreamMixture` is the same mixture over candidate changed
-  stream subsets; each component's per-sample score sums log-likelihood
-  ratios over its member streams.
-* :class:`ClassifierBankDetector` maintains cumulative pairwise
-  log-likelihood-ratio sums ``C_lm`` and, per class ``l``, the statistic
-  ``max_k min_{m != l} (C_lm(n) - C_lm(k-1))`` over window start points; it
-  alarms and names a class when any such statistic reaches the threshold.
-  The checkpoints ``C(k-1)`` form one numpy matrix, and the walk evaluates
-  the statistic with one blocked scan over it.
-
-Each family's per-observation recursion exists once, as ``_walk`` (see
-``_Detector``): ``step(x)`` walks one column, and :func:`run` and
-``periodetect detect`` walk the batch scores ``_ROW_BLOCK`` columns at a
-time, so ``run`` equals stepping bit for bit and ``detect`` holds no
-per-row results.  ``run_to_alarm`` runs ``_scan_rows``, the trial engine's
-batch scan, on a batch of one.  For posterior odds and CUSUM it is a closed
-form within 1e-9 relative and 1e-10 absolute error of the walk.  The
-classifier's gives the walk's floats: Page's CUSUM of each pair,
-``U_l(n) = min_{m != l} (C_lm(n) - min_{j < n} C_lm(j))``, is at least the
-windowed statistic in floating point too, as each window start is some
-``j``, ``fl(a - b)`` does not increase in ``b`` and a max of minima never
-exceeds the minimum of maxima; so the statistic is evaluated only where
-``max_l U_l(n)`` reaches the threshold.  Every scan scores its whole input
-first, so an invalid observation raises and leaves the detector as it was.
-
-The first four share one core, one recursion over an operation ``(+)`` and
-addition: per component ``k``, ``L_n = (L_{n-1} (+) a) - b + z_n``.  With
-``(+) = logaddexp``, ``a = ln rho`` and ``b = ln(1 - rho)``, ``L`` is the log
-posterior odds (Shiryaev 1963), the statistic is ``sum_k w_k e^{L_k}`` (one
-component of weight 1 for the Shiryaev rule) and the alarm compares its
-logarithm with the log threshold; with ``(+) = max`` and ``a = b = 0``, ``L``
-is the CUSUM score.
-
-With ``reset_on_alarm`` detectors zero their statistic after each alarm and
-keep monitoring, which is the continuous-monitoring mode used for repeated
-events.
+* Slots: time indices are 1-based and global, and observation ``n`` sits in
+  slot ``(n - 1) mod T``, so the score used at ``n`` equals the one at
+  ``n + T``.
+* Alarms: a detector alarms when its statistic reaches the threshold,
+  ``statistic >= threshold`` (per slot where supported).  With
+  ``reset_on_alarm`` it restarts its statistic after each alarm and keeps
+  monitoring.
+* Batches: :func:`run` and ``periodetect detect`` walk the recursion that
+  ``step`` takes a column at a time, ``_walk``, so ``run`` equals stepping
+  bit for bit.  ``run_to_alarm`` and the trial engine scan with
+  ``_scan_rows``; for posterior odds and CUSUM that is a closed form within
+  the C1 gates of the walk (relative error 1e-9 and absolute error 1e-10),
+  and the classifier's scan gives the walk's floats.
+* Invalid input: every path scores its whole input before it changes any
+  state, so an invalid observation raises and leaves the detector as it was.
 """
 
 from __future__ import annotations

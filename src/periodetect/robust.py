@@ -12,18 +12,22 @@ Dominance between two candidate laws is decided on the survival function of
 triples reduce to a mean comparison (``Z`` is linear in ``X``); all other
 cases are settled by Monte Carlo comparison of the two empirical survival
 curves on a quantile-anchored grid, with a three-standard-error tolerance
-per grid point.  Monte Carlo verdicts are deterministic given the seed.
+per grid point.  One pass, ``_violations``, audits ``gbar`` against all its
+rivals: ``gbar``'s samples are drawn once for all of them, every sample is
+scored through ``_SlotLlr``, and each rival draws from the generator state
+just after ``gbar``'s, so a rival's verdict does not depend on the others.
+Monte Carlo verdicts are deterministic given the seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian, Poisson, SlotDensity, density_from_dict, density_to_dict, llr
+from .densities import Gaussian, Poisson, SlotDensity, density_from_dict, density_to_dict
+from .detectors import _SlotLlr
 from .model import IpidLaw, _whole_number
 
 GRID_POINTS = 201
@@ -144,32 +148,40 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x6C666C], dtype=np.uint64)))
 
 
+def _violations(f: SlotDensity, g_bar: SlotDensity, rivals, samples: int, seed: int) -> list:
+    """The rivals that do not push ``Z`` stochastically above ``gbar``, in rival order."""
+    failed, z_bar = [], None
+    for g in rivals:
+        if not (type(f) is type(g_bar) is type(g)):
+            raise ValueError("dominance is defined within one family only")
+        if g == g_bar:
+            continue
+        if isinstance(f, Gaussian) and f.variance == g_bar.variance == g.variance:
+            if not (g_bar.mean - f.mean) / f.variance * (g.mean - g_bar.mean) >= 0.0:
+                failed.append(g)
+            continue
+        if z_bar is None:
+            rng, score = _rng(seed), _SlotLlr([((g_bar,), (f,))]).profile
+            z_bar = np.sort(score(g_bar.sample(rng, samples), 0)[0])
+            after_bar = rng.bit_generator.state
+            lo, hi = np.quantile(z_bar, _GRID_QUANTILES)
+            grid = np.array([lo]) if lo == hi else np.linspace(lo, hi, GRID_POINTS)
+            # P(Z >= t) as the share of sorted scores at or above t
+            p_bar = (samples - np.searchsorted(z_bar, grid)) / samples
+        rng.bit_generator.state = after_bar
+        z_g = np.sort(score(g.sample(rng, samples), 0)[0])
+        p_g = (samples - np.searchsorted(z_g, grid)) / samples
+        se = np.sqrt((p_g * (1 - p_g) + p_bar * (1 - p_bar)) / samples)
+        if (p_g < p_bar - 3.0 * se).any():
+            failed.append(g)
+    return failed
+
+
 def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity,
                     *, samples: int = 100_000, seed: int = 0) -> bool:
     """True when ``g`` pushes the score ``Z = log gbar(X)/f(X)`` stochastically above ``gbar``."""
     _check_samples(samples)
-    if not (type(f) is type(g_bar) is type(g)):
-        raise ValueError("dominance is defined within one family only")
-    if g == g_bar:
-        return True
-    if isinstance(f, Gaussian) and f.variance == g_bar.variance == g.variance:
-        slope = (g_bar.mean - f.mean) / f.variance
-        return slope * (g.mean - g_bar.mean) >= 0.0
-    rng = _rng(seed)
-    z_bar = np.array([llr(g_bar, f, x) for x in g_bar.sample(rng, samples)])
-    z_g = np.array([llr(g_bar, f, x) for x in g.sample(rng, samples)])
-    lo, hi = np.quantile(z_bar, _GRID_QUANTILES)
-    if lo == hi:
-        grid = np.array([lo])
-    else:
-        grid = np.linspace(lo, hi, GRID_POINTS)
-    for t in grid:
-        p_g = float(np.mean(z_g >= t))
-        p_bar = float(np.mean(z_bar >= t))
-        se = math.sqrt((p_g * (1 - p_g) + p_bar * (1 - p_bar)) / samples)
-        if p_g < p_bar - 3.0 * se:
-            return False
-    return True
+    return not _violations(f, g_bar, (g,), samples, seed)
 
 
 @dataclass(frozen=True)
@@ -199,21 +211,14 @@ def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily,
     _check_samples(samples)
     if pre.period != proposed.period or pre.period != family.period:
         raise ValueError("pre law, proposed law, and family must share one period")
-    violations = []
-    checked = 0
-    for i in range(family.period):
-        slot_family = family.slots[i]
-        if not slot_family.contains(proposed.slots[i]):
+    violations, checked = [], 0
+    for i, (slot_family, f, g_bar) in enumerate(zip(family.slots, pre.slots, proposed.slots)):
+        if not slot_family.contains(g_bar):
             raise ValueError(f"proposed slot {i} density is not a member of its declared family")
-        if isinstance(slot_family, FiniteSlotFamily):
-            rivals = slot_family.candidates
-        else:
-            rivals = (slot_family.boundary,) + slot_family.probes(pre.slots[i])
-        for cand in rivals:
-            checked += 1
-            if not dominance_check(pre.slots[i], proposed.slots[i], cand,
-                                   samples=samples, seed=seed + 7919 * i):
-                violations.append((i, cand))
+        rivals = (slot_family.candidates if isinstance(slot_family, FiniteSlotFamily)
+                  else (slot_family.boundary,) + slot_family.probes(f))
+        checked += len(rivals)
+        violations += [(i, g) for g in _violations(f, g_bar, rivals, samples, seed + 7919 * i)]
     return LflValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
@@ -230,9 +235,7 @@ def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
     if pre.period != family.period:
         raise ValueError("pre law and family must share one period")
     slots = []
-    for i in range(family.period):
-        slot_family = family.slots[i]
-        pre_d = pre.slots[i]
+    for i, (slot_family, pre_d) in enumerate(zip(family.slots, pre.slots)):
         if isinstance(slot_family, IntervalSlotFamily):
             if type(slot_family.boundary) is not type(pre_d):
                 raise ValueError(f"slot {i}: interval family and pre-change density are different families")
@@ -245,15 +248,9 @@ def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
                 )
             slots.append(slot_family.boundary)
             continue
-        chosen = None
-        for cand in slot_family.candidates:
-            if all(
-                dominance_check(pre_d, cand, other, samples=samples, seed=seed + 7919 * i)
-                for other in slot_family.candidates
-                if other != cand
-            ):
-                chosen = cand
-                break
+        cands = slot_family.candidates
+        chosen = next((c for c in cands
+                       if not _violations(pre_d, c, [g for g in cands if g != c], samples, seed + 7919 * i)), None)
         if chosen is None:
             raise NoLeastFavorableError(f"slot {i}: no candidate is dominated by all others")
         slots.append(chosen)

@@ -5,25 +5,29 @@ every run length in half would still pass on this model, whose ARL at
 ``beta = 50`` is about 721.  Here the estimates must agree with the chain
 of ``oracle_chain.py`` within four standard errors plus the chain's own
 discretization error, read as the change in its value from ``N`` to ``2N``
-cells.  The master seeds were fixed before the first run.
+cells, on equal-variance Gaussian slots and on Poisson slots.  The master
+seeds (1972 and 539 for the Gaussian law, 2826 and 303 for the Poisson law)
+were fixed before the first run.
 """
 
 import math
 
 import pytest
 
-from periodetect.densities import Gaussian
+from periodetect.densities import Gaussian, Poisson
 from periodetect.detectors import CusumDetector
 from periodetect.model import IpidLaw
 from periodetect.simulate import FixedChange, estimate_add, estimate_arl
 
 pytest.importorskip("scipy")
-from oracle_chain import cusum_run_length  # noqa: E402  (needs scipy)
+from oracle_chain import cusum_run_length, cusum_run_length_poisson  # noqa: E402  (needs scipy)
 
 PRE_MEANS, POST_MEANS = [0.0, 0.5, 1.0, 0.5], [0.3, 1.0, 1.9, 0.6]
 BETA = 50.0
 TRIALS = 4000
 CELLS = 400
+PRE_RATES, POST_RATES = [2.0, 3.0, 5.0, 3.0], [3.0, 4.0, 6.5, 4.0]
+POISSON_BETA = 20.0
 
 
 def unit_variance_law(means):
@@ -57,5 +61,38 @@ def test_zero_state_delay_matches_the_chain(detector):
     assert exact == pytest.approx(24.33, abs=0.005)
     rep = estimate_add(detector, detector.baseline, detector.alternative, FixedChange(1), TRIALS, 2000,
                        master_seed=539)
+    assert rep.censored_trials == 0 and rep.details["qualifying_trials"] == TRIALS
+    assert abs(rep.estimate - exact) <= 4.0 * rep.std_error + discretization, (rep.estimate, rep.std_error, exact)
+
+
+def poisson_chain(data_rates):
+    coarse, fine = (cusum_run_length_poisson(PRE_RATES, POST_RATES, data_rates, math.log(POISSON_BETA), n)
+                    for n in (CELLS, 2 * CELLS))
+    return fine, abs(fine - coarse)
+
+
+@pytest.fixture(scope="module")
+def poisson_detector():
+    def law(rates):
+        return IpidLaw(len(rates), tuple(Poisson(r) for r in rates))
+
+    return CusumDetector(law(PRE_RATES), law(POST_RATES), math.log(POISSON_BETA))
+
+
+def test_poisson_arl_matches_the_chain(poisson_detector):
+    exact, discretization = poisson_chain(PRE_RATES)
+    assert exact == pytest.approx(213.60, abs=0.005)  # ARL 212.79 and 213.60 at 400 and 800 cells
+    # a run past 4000 samples has probability about exp(-4000 / 214) per trial
+    rep = estimate_arl(poisson_detector, poisson_detector.baseline, 3000, 4000, master_seed=2826)
+    assert rep.censored_trials == 0
+    assert abs(rep.estimate - exact) <= 4.0 * rep.std_error + discretization, (rep.estimate, rep.std_error, exact)
+
+
+def test_poisson_zero_state_delay_matches_the_chain(poisson_detector):
+    run_length, discretization = poisson_chain(POST_RATES)
+    exact = run_length - 1.0
+    assert exact == pytest.approx(14.07, abs=0.005)
+    rep = estimate_add(poisson_detector, poisson_detector.baseline, poisson_detector.alternative, FixedChange(1),
+                       TRIALS, 500, master_seed=303)
     assert rep.censored_trials == 0 and rep.details["qualifying_trials"] == TRIALS
     assert abs(rep.estimate - exact) <= 4.0 * rep.std_error + discretization, (rep.estimate, rep.std_error, exact)

@@ -725,6 +725,23 @@ class TestEvaluateChecks:
         assert json.loads(err) == {"error": "ValueError", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "cusum", "beta": 50.0, "reset_on_alarm": "false"},
+         "detector reset_on_alarm must be true or false, got 'false'"),
+        ({"kind": "cusum", "beta": "50"}, "detector beta must be a number, got '50'"),
+        ({"kind": "cusum", "threshold": "3.0"}, "detector threshold must be a number, got '3.0'"),
+        ({"kind": "cusum", "threshold": True}, "detector threshold must be a number, got True"),
+        ({"kind": "shiryaev", "alpha": "0.05"}, "detector alpha must be a number, got '0.05'"),
+        ({"kind": "shiryaev", "alpha": 0.05, "rho": "0.01"}, "detector rho must be a number, got '0.01'"),
+        ({"kind": "cusum", "beta": 50.0, "window": 2.5}, "detector window must be a whole number, got 2.5")])
+    def test_detector_spec_values_take_their_declared_types(self, tmp_path, models, capsys, spec, message):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "arl", {"detector": spec, "trials": 5, "horizon": 50})
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+
     def test_whole_float_scenario_fields_run_as_their_ints(self, tmp_path, capsys):
         bank = {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)], "active_slots": None}
         outputs = []

@@ -1,12 +1,18 @@
+import math
+
+import numpy as np
 import pytest
 
-from periodetect.densities import Gaussian, Poisson
+from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.model import IpidLaw
 from periodetect.robust import (
+    _GRID_QUANTILES,
+    GRID_POINTS,
     FiniteSlotFamily,
     IntervalSlotFamily,
     NoLeastFavorableError,
     UncertaintyFamily,
+    _rng,
     dominance_check,
     select_lfl,
     validate_lfl,
@@ -170,3 +176,140 @@ class TestFamilyJson:
         assert UncertaintyFamily.from_dict({**obj, "period": 1.0}) == UncertaintyFamily.from_dict(obj)
         with pytest.raises(ValueError, match=f"^period must be a whole number, got {period!r}$"):
             UncertaintyFamily.from_dict({**obj, "period": period})
+
+
+def ref_dominance_check(f, g_bar, g, samples, seed):
+    """The per-sample dominance comparison: each sample scored by ``llr``, each grid point by its own mean."""
+    if not (type(f) is type(g_bar) is type(g)):
+        raise ValueError("dominance is defined within one family only")
+    if g == g_bar:
+        return True
+    if isinstance(f, Gaussian) and f.variance == g_bar.variance == g.variance:
+        slope = (g_bar.mean - f.mean) / f.variance
+        return slope * (g.mean - g_bar.mean) >= 0.0
+    rng = _rng(seed)
+    z_bar = np.array([llr(g_bar, f, x) for x in g_bar.sample(rng, samples)])
+    z_g = np.array([llr(g_bar, f, x) for x in g.sample(rng, samples)])
+    lo, hi = np.quantile(z_bar, _GRID_QUANTILES)
+    grid = np.array([lo]) if lo == hi else np.linspace(lo, hi, GRID_POINTS)
+    for t in grid:
+        p_g = float(np.mean(z_g >= t))
+        p_bar = float(np.mean(z_bar >= t))
+        se = math.sqrt((p_g * (1 - p_g) + p_bar * (1 - p_bar)) / samples)
+        if p_g < p_bar - 3.0 * se:
+            return False
+    return True
+
+
+def ref_validate(pre, proposed, family, samples, seed):
+    violations, checked = [], 0
+    for i, slot_family in enumerate(family.slots):
+        if isinstance(slot_family, FiniteSlotFamily):
+            rivals = slot_family.candidates
+        else:
+            rivals = (slot_family.boundary,) + slot_family.probes(pre.slots[i])
+        for cand in rivals:
+            checked += 1
+            if not ref_dominance_check(pre.slots[i], proposed.slots[i], cand, samples, seed + 7919 * i):
+                violations.append((i, cand))
+    return not violations, checked, tuple(violations)
+
+
+def ref_select(pre, family, samples, seed):
+    """The chosen density of each slot, None where no candidate is dominated by all others."""
+    slots = []
+    for i, slot_family in enumerate(family.slots):
+        if isinstance(slot_family, IntervalSlotFamily):
+            slots.append(slot_family.boundary)
+            continue
+        cands = slot_family.candidates
+        slots.append(next((c for c in cands if all(ref_dominance_check(pre.slots[i], c, g, samples, seed + 7919 * i)
+                                                   for g in cands if g != c)), None))
+    return slots
+
+
+def fuzz_triple(rng, gaussian, near_tie):
+    """(f, gbar, g) of one family; near a tie, g's parameters lie within 1% of gbar's."""
+    def near(value, spread):
+        return value * (1.0 + rng.uniform(-0.01, 0.01)) if near_tie else value * rng.uniform(*spread)
+
+    if not gaussian:
+        f = rng.uniform(0.5, 8.0)
+        g_bar = f * rng.uniform(0.5, 2.0)
+        return Poisson(f), Poisson(g_bar), Poisson(near(g_bar, (0.5, 2.0)))
+    f = Gaussian(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+    g_bar = Gaussian(f.mean + rng.uniform(-1.5, 1.5), f.variance * rng.uniform(0.4, 2.5))
+    mean = g_bar.mean + (rng.uniform(-0.01, 0.01) if near_tie else rng.uniform(-1.0, 1.0))
+    return f, g_bar, Gaussian(mean, near(g_bar.variance, (0.5, 2.0)))
+
+
+def fuzz_family(rng, gaussian):
+    """A pre-change law and an uncertainty family of 1 to 4 slots, finite or interval per slot."""
+    period = int(rng.integers(1, 5))
+    pre, slots = [], []
+    for _ in range(period):
+        if gaussian:
+            mean, variance = rng.uniform(-1.0, 1.0), rng.uniform(0.3, 2.0)
+            pre.append(Gaussian(mean, variance))
+            k = int(rng.integers(1, 4))
+            finite = FiniteSlotFamily(tuple(Gaussian(mean + d, variance * w) for d, w in
+                                            zip(rng.uniform(0.2, 1.5, k), rng.uniform(0.5, 2.0, k))))
+            interval = IntervalSlotFamily(Gaussian(mean + rng.uniform(0.1, 1.0), variance), "ge")
+        else:
+            rate = rng.uniform(1.0, 6.0)
+            pre.append(Poisson(rate))
+            finite = FiniteSlotFamily(tuple(Poisson(rate * m) for m in rng.uniform(1.05, 2.0, int(rng.integers(1, 4)))))
+            interval = IntervalSlotFamily(Poisson(rate * rng.uniform(1.05, 1.5)), "ge")
+        slots.append(finite if rng.random() < 0.7 else interval)
+    return IpidLaw(period, tuple(pre)), UncertaintyFamily(period, tuple(slots))
+
+
+class TestOneAuditMatchesThePerSampleComparison:
+    """The audit scores through ``_SlotLlr``, whose closed form may differ from ``llr`` by an ulp, and counts
+    with sorted scores; its verdicts must still be the per-sample comparison's.  The fuzz seeds were fixed
+    before the first run."""
+
+    def test_verdicts_on_a_fuzz_set(self):
+        rng = np.random.default_rng(2303_02826)
+        cases = [(*fuzz_triple(rng, gaussian=n % 2 == 1, near_tie=n % 3 == 0), int(rng.integers(0, 10_000)))
+                 for n in range(300)]
+        got = [dominance_check(f, g_bar, g, samples=500, seed=seed) for f, g_bar, g, seed in cases]
+        want = [ref_dominance_check(f, g_bar, g, 500, seed) for f, g_bar, g, seed in cases]
+        assert got == want
+        assert 0 < sum(got) < len(got)  # both verdicts occur
+
+    def test_validate_and_select_on_random_families(self):
+        rng = np.random.default_rng(17)
+        selections, reports = [], []
+        for n in range(24):
+            pre, family = fuzz_family(rng, gaussian=n % 2 == 1)
+            seed = int(rng.integers(0, 10_000))
+            want = ref_select(pre, family, 400, seed)
+            proposals = [IpidLaw(pre.period, tuple(
+                s.candidates[0] if isinstance(s, FiniteSlotFamily) else s.boundary for s in family.slots))]
+            if None in want:
+                with pytest.raises(NoLeastFavorableError, match=f"^slot {want.index(None)}: "):
+                    select_lfl(pre, family, samples=400, seed=seed)
+            else:
+                proposals.append(select_lfl(pre, family, samples=400, seed=seed))
+                assert proposals[-1].slots == tuple(want)
+            selections.append(None not in want)
+            for proposed in proposals:
+                report = validate_lfl(pre, proposed, family, samples=400, seed=seed)
+                assert (report.ok, report.checked, report.violations) == ref_validate(pre, proposed, family, 400, seed)
+                reports.append(report.ok)
+        assert set(selections) == set(reports) == {False, True}  # each outcome occurs
+
+    def test_validate_draws_each_proposed_slot_once(self, monkeypatch):
+        draws = []
+        real = Poisson.sample
+        monkeypatch.setattr(Poisson, "sample", lambda d, rng, size=None: draws.append(d) or real(d, rng, size))
+        rates = (1.0, 2.0, 3.0)
+        pre = IpidLaw(3, tuple(Poisson(r) for r in rates))
+        proposed = IpidLaw(3, tuple(Poisson(1.3 * r) for r in rates))
+        family = UncertaintyFamily(3, tuple(FiniteSlotFamily(tuple(Poisson(m * r) for m in (1.3, 1.5, 1.8)))
+                                            for r in rates))
+        assert validate_lfl(pre, proposed, family, samples=200).checked == 9
+        assert sorted(draws, key=lambda d: d.rate) == sorted(
+            [*proposed.slots, *(g for s in family.slots for g in s.candidates if g not in proposed.slots)],
+            key=lambda d: d.rate)
