@@ -332,41 +332,36 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError("--dump-trials needs --dump-dir")
     scenario = _load_json(opts["scenario"])
     metric = scenario.get("metric")
-    if metric not in ("pfa", "add", "arl", "misclass", "worst_case"):
-        raise ValueError(f"unknown metric {metric!r}")
     det_spec = dict(scenario.get("detector", {}))
     kind = det_spec.get("kind")
     detect = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["detect"]
     declared = {a.dest: a for a in detect._actions}
-    checked = {key: _config_value(declared[dest], det_spec[key], f"detector {key}")
-               for key, dest in _SPEC_OPTIONS.items() if det_spec.get(key) is not None}
+    # the spec as the options it stands for, nulls left out
+    det_opts = {dest: _config_value(declared[dest], det_spec[key], f"detector {key}")
+                for key, dest in _SPEC_OPTIONS.items() if det_spec.get(key) is not None}
     trials = _whole_number(opts["trials"] if opts["trials"] is not None else scenario["trials"], "trials")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
     seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
     models = _scenario_models(scenario)
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
     true_class = scenario.get("true_class")
     prior = prior_from_dict(scenario["prior"]) if "prior" in scenario else None
-    det_opts = {**det_spec, **checked, "prior_rho": det_spec.get("rho", getattr(prior, "rho", None))}
+    det_opts.setdefault("prior_rho", getattr(prior, "rho", None))
     detector = _build_detector(kind, det_opts, models)
     budget = det_opts.get(_DETECTORS[kind].budget)
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
     change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
     change_points = scenario.get("change_points")
+    plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
+                                 true_class=true_class, change_points=change_points)
     mc = {"workers": opts["workers"], "predicted": predicted, "budget": budget}
     if metric == "pfa":
-        if prior is None:
-            raise ValueError("pfa estimation needs a prior")
         report = simulate.estimate_pfa(detector, pre, prior, trials, horizon, seed, **mc)
     elif metric == "add":
         report = simulate.estimate_add(detector, pre, post, change, trials, horizon, seed, **mc)
     elif metric == "arl":
         report = simulate.estimate_arl(detector, pre, trials, horizon, seed, **mc)
     elif metric == "misclass":
-        if true_class is None:
-            raise ValueError("misclass estimation needs 'true_class'")
         report = simulate.estimate_misclass(detector, true_class, trials, horizon, seed, **mc)
     else:
         report = simulate.worst_case_delay(detector, pre, post, trials, horizon, seed,
@@ -375,8 +370,6 @@ def _cmd_evaluate(opts) -> int:
     payload["config"] = {**opts, "metric": metric, "detector": det_spec,
                          "trials": trials, "horizon": horizon, "seed": seed}
     if opts["dump_trials"]:
-        plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
-                                     true_class=true_class, change_points=change_points)
         _dump_trials(min(opts["dump_trials"], trials), opts["dump_dir"], plans, detector, seed)
     _write_json(opts["out"], payload)
     return 0

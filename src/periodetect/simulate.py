@@ -2,13 +2,8 @@
 
 Trial ``i`` of a run with master seed ``s`` always draws from a Philox
 generator keyed by ``(s, i)``, so serial and multi-worker runs give
-bit-identical reports.  One scheduler runs every detector's trials in rounds
-of growing length, re-keying one generator per round and scanning rounds of
-similar length as one bounded matrix; a full matrix waits on a work list
-drained between trials, so no scan runs inside another and memory stays flat
-in trials.  The sampler and the scheduler form an all-Gaussian observation
-in one place, ``_gaussian_obs``: ``mean + std * normal`` from tables of the
-pre- and post-change laws.
+bit-identical reports.  A scenario is checked once, before any trial runs:
+``trial_plans`` builds and checks its plans, and ``run_trials`` its counts.
 
 Censoring is never silent: every report carries the number of trials whose
 outcome was cut off by the horizon, and the affected estimates are bounds
@@ -407,8 +402,9 @@ def run_trials(detector, plan: TrialPlan, trials: int, master_seed: int,
 
     Returns per-trial arrays: the change point ``nu`` (inf if none), the first
     alarm time ``tau`` (nan if none within the horizon) and the decided class
-    (0 if none).
+    (0 if none), one entry per trial.
     """
+    trials, workers = _whole_number(trials, "trials"), _whole_number(workers, "workers")
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
     args = [((detector, plan, master_seed), chunk)
@@ -441,7 +437,7 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     censored = ~fa & (nu - 1 > horizon)
     est = float(fa.mean())
     return MonteCarloReport(
-        metric="pfa", trials=trials, estimate=est, std_error=_binomial_se(est, trials),
+        metric="pfa", trials=fa.size, estimate=est, std_error=_binomial_se(est, fa.size),
         censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
         details={"alarm_trials": int(fa.sum()), "lower_bound_when_censored": bool(censored.any())},
     )
@@ -464,7 +460,7 @@ def _add_report(detector, plan: TrialPlan, trials: int, master_seed: int, worker
     cond = delay[qualified]
     censored = int((~alarmed).sum())
     return MonteCarloReport(
-        metric="add", trials=trials, estimate=float(cond.mean()), std_error=_mean_se(cond),
+        metric="add", trials=tau.size, estimate=float(cond.mean()), std_error=_mean_se(cond),
         censored_trials=censored, **report,
         details={
             "qualifying_trials": int(qualified.sum()),
@@ -499,14 +495,12 @@ def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_s
     Run lengths are capped at ``horizon_cap``; with any censoring the estimate
     is a lower bound on the true average run length.
     """
-    if trials < 1 or horizon_cap < 1:
-        raise ValueError("trials and horizon_cap must be >= 1")
     [(_, plan)] = trial_plans("arl", detector, pre, None, horizon_cap)
     _, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
     censored = np.isnan(tau)
     values = np.where(censored, horizon_cap, tau)
     return MonteCarloReport(
-        metric="arl", trials=trials, estimate=float(values.mean()), std_error=_mean_se(values),
+        metric="arl", trials=tau.size, estimate=float(values.mean()), std_error=_mean_se(values),
         censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
         details={"horizon_cap": int(horizon_cap), "lower_bound_when_censored": bool(censored.any())},
     )
@@ -538,14 +532,14 @@ def estimate_misclass(detector, true_class: int, trials: int, horizon: int,
         "mean_stop_time": mean_tau,
         "stop_time_se": _mean_se(tau[alarmed]),
         "mean_delay": mean_tau - 1.0,
-        "stop_time_lower_bound_when_censored": n_alarmed < trials,
+        "stop_time_lower_bound_when_censored": n_alarmed < tau.size,
     }
     if budget is not None and budget > 0:
         details["misclass_bound_mean_tau_over_beta"] = mean_tau / budget
     return MonteCarloReport(
-        metric="misclass", trials=trials, estimate=est,
+        metric="misclass", trials=tau.size, estimate=est,
         std_error=_binomial_se(est, n_alarmed),
-        censored_trials=trials - n_alarmed, predicted=predicted, budget=budget, details=details,
+        censored_trials=tau.size - n_alarmed, predicted=predicted, budget=budget, details=details,
     )
 
 

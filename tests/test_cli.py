@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from periodetect import information
+from periodetect import information, simulate
 from periodetect.cli import (
     _READ_BLOCK,
     _predicted_for,
@@ -26,7 +26,7 @@ from periodetect.detectors import (
     run,
 )
 from periodetect.model import ClassBank, GeometricPrior, IpidLaw, MultislotFamily, MultistreamConfig
-from periodetect.simulate import run_trials, trial_plans
+from periodetect.simulate import FixedChange, NoChange, TrialPlan, generate_multistream, run_trials, trial_plans
 from test_detectors import csv_writer_trajectory
 
 
@@ -90,6 +90,58 @@ class TestSimulateAndDetect:
         code, _, _ = run_cli(args, capsys)
         assert code == 0
         assert det_out.read_bytes() + traj.read_bytes() == first_bytes
+
+    def test_simulate_a_multistream_family_writes_generate_multistreams_matrix(self, tmp_path, capsys):
+        config = DETECT_MODELS["multistream"]
+        sc_path, out = tmp_path / "sc.json", tmp_path / "obs.csv"
+        sc_path.write_text(json.dumps({"family": config, "changed_streams": [1],
+                                       "change": {"type": "fixed", "nu": 30}, "horizon": 90, "seed": 4}))
+        code, stdout, err = run_cli(["simulate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 0, err
+        assert json.loads(stdout)["realized_change_point"] == 30
+        obs, nu = generate_multistream(MultistreamConfig.from_dict(config), [1], FixedChange(30), 90, 4)
+        write_observations_csv(tmp_path / "want.csv", obs)
+        assert obs.shape == (90, 2) and nu == 30
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_simulate_needs_a_pre_change_law(self, tmp_path, capsys):
+        sc_path, out = tmp_path / "sc.json", tmp_path / "obs.csv"
+        sc_path.write_text(json.dumps({"post": gaussian_law_dict([1.0]), "horizon": 10}))
+        code, _, err = run_cli(["simulate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "scenario needs a 'pre' law (or a family/bank that implies one)"}
+        assert not out.exists()
+
+    def test_simulate_without_a_change_never_changes(self, tmp_path, models, capsys):
+        pre = json.loads(models[0].read_text())
+        outputs = []
+        for extra in ({}, {"change": {"type": "nochange"}}):
+            sc_path, out = tmp_path / "sc.json", tmp_path / f"obs_{len(extra)}.csv"
+            sc_path.write_text(json.dumps({"pre": pre, "horizon": 40, "seed": 2, **extra}))
+            code, stdout, err = run_cli(["simulate", "--scenario", sc_path, "--out", out], capsys)
+            assert code == 0, err
+            assert json.loads(stdout)["realized_change_point"] is None
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        want = TrialPlan(IpidLaw.from_dict(pre), None, NoChange(), 40).draw(2, 0)[1]
+        np.testing.assert_array_equal(read_observations_csv(tmp_path / "obs_0.csv"), want)
+
+    @pytest.mark.parametrize("kind, columns, message", [
+        ("multistream", 1, "multistream detection needs a multi-column observation file"),
+        ("cusum", 2, "this detector consumes a single-column observation file")])
+    def test_detect_needs_the_columns_its_detector_reads(self, tmp_path, capsys, detect_models, kind, columns,
+                                                         message):
+        paths, _ = detect_models
+        obs = tmp_path / "obs.csv"
+        write_observations_csv(obs, np.zeros((5, columns)) if columns > 1 else np.zeros(5))
+        flags, _ = DETECT_KINDS[kind]
+        out, traj = tmp_path / "out.json", tmp_path / "traj.csv"
+        code, _, err = run_cli(["detect", "--detector", kind, *[paths.get(f, f) for f in flags],
+                                "--input", obs, "--out", out, "--trajectory", traj], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists() and not traj.exists()
 
     def test_empty_observation_file(self, tmp_path, models, capsys):
         pre_path, post_path = models
@@ -847,6 +899,54 @@ class TestEvaluateChecks:
         code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
         assert code == 0, err
         assert json.loads(out.read_text())["budget"] == 50.0
+
+    CUSUM_SCENARIO = {"detector": {"kind": "cusum", "beta": 50.0}, "pre": gaussian_law_dict([0.0, 0.5]),
+                      "post": gaussian_law_dict([1.0, 1.5]), "trials": 5, "horizon": 50}
+    BANK_SCENARIO = {"detector": {"kind": "classifier", "beta": 100.0}, "trials": 5, "horizon": 50,
+                     "bank": {"period": 1, "laws": [gaussian_law_dict([m]) for m in (0.0, 1.0, 2.0)]}}
+
+    @pytest.mark.parametrize("scenario, argv, message", [
+        ({**CUSUM_SCENARIO, "metric": "pfa"}, [], "a drawn change point needs a prior"),
+        ({**BANK_SCENARIO, "metric": "misclass"}, [], "true_class must be a whole number, got None"),
+        ({**CUSUM_SCENARIO, "metric": "arl"}, ["--trials", "0"], "trials and workers must be >= 1"),
+        ({**CUSUM_SCENARIO, "metric": "arl", "horizon": 0}, [], "horizon must be >= 1")],
+        ids=["pfa-without-prior", "misclass-without-true-class", "zero-trials", "zero-horizon"])
+    def test_the_library_checks_the_scenario_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                              scenario, argv, message):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", no_trial)
+        sc_path, out, dump_dir = tmp_path / "sc.json", tmp_path / "report.json", tmp_path / "dumps"
+        sc_path.write_text(json.dumps(scenario))
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", out, "--dump-trials", "2",
+                                "--dump-dir", dump_dir, *argv], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists() and not dump_dir.exists()
+
+    def test_a_null_rho_takes_the_priors(self, tmp_path, models, capsys):
+        reports = []
+        for spec in ({"kind": "shiryaev", "alpha": 0.05}, {"kind": "shiryaev", "alpha": 0.05, "rho": None}):
+            sc = TestEvaluate().make_scenario(tmp_path, models, "pfa", {"detector": spec, "trials": 200})
+            out = tmp_path / f"report_{len(spec)}.json"
+            code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
+            assert code == 0, err
+            report = json.loads(out.read_text())
+            assert report.pop("config")["detector"] == spec
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["trials"] == 200
+
+    def test_a_prediction_that_raises_is_reported_as_null(self, tmp_path, models, capsys):
+        # the threshold builds the detector; alpha 2.0 is no probability, so the delay cannot be predicted
+        sc = TestEvaluate().make_scenario(tmp_path, models, "add", {
+            "detector": {"kind": "shiryaev", "threshold": 0.99, "alpha": 2.0, "rho": 0.05}, "trials": 5})
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["predicted"] is None and report["budget"] == 2.0
 
     def test_dump_trials_needs_a_dump_dir(self, tmp_path, models, capsys):
         sc = TestEvaluate().make_scenario(tmp_path, models, "arl")

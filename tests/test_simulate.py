@@ -37,6 +37,7 @@ from periodetect.simulate import (
     ScenarioSpec,
     TrialPlan,
     _trial_streams,
+    change_from_dict,
     estimate_add,
     estimate_arl,
     estimate_misclass,
@@ -264,11 +265,59 @@ class TestPlanHorizons:
             run_trials(CusumDetector(PRE, POST, 3.0), plan, 5, 1, workers=workers)
 
 
+def _count_runs(trials, workers=1):
+    """Each estimator's report at ``trials`` and ``workers``, as a dict."""
+    bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0])))
+    classifier = ClassifierBankDetector(bank, info_threshold(DetectorKind.CLASSIFIER, 50.0, num_classes=1))
+    det, kw = CusumDetector(PRE, POST, 2.0), {"workers": workers}
+    return {
+        "pfa": lambda: estimate_pfa(det, PRE, GeometricPrior(0.1), trials, 50, 3, **kw),
+        "add": lambda: estimate_add(det, PRE, POST, FixedChange(3), trials, 50, 3, **kw),
+        "arl": lambda: estimate_arl(det, PRE, trials, 50, 3, **kw),
+        "misclass": lambda: estimate_misclass(classifier, 1, trials, 200, 3, **kw),
+        "worst_case": lambda: worst_case_delay(det, PRE, POST, trials, 50, 3, change_points=[2], **kw),
+    }
+
+
+class TestTrialCounts:
+    """``run_trials``, which every estimator calls, takes whole counts; each report holds the count that ran."""
+
+    @pytest.mark.parametrize("metric", ["pfa", "add", "arl", "misclass", "worst_case"])
+    @pytest.mark.parametrize("bad", [2.5, "3", True])
+    def test_a_trial_count_must_be_whole(self, metric, bad):
+        with pytest.raises(ValueError, match=f"^trials must be a whole number, got {re.escape(repr(bad))}$"):
+            _count_runs(bad)[metric]()
+
+    @pytest.mark.parametrize("bad", [2.5, "2", True])
+    def test_a_worker_count_must_be_whole(self, bad):
+        [(_, plan)] = trial_plans("arl", None, PRE, None, 20)
+        with pytest.raises(ValueError, match=f"^workers must be a whole number, got {re.escape(repr(bad))}$"):
+            run_trials(CusumDetector(PRE, POST, 3.0), plan, 5, 1, workers=bad)
+
+    @pytest.mark.parametrize("metric", ["pfa", "add", "arl", "misclass", "worst_case"])
+    def test_reports_hold_the_int_that_ran(self, metric):
+        want = _count_runs(4)[metric]().to_dict()
+        for trials in (4.0, np.int64(4)):
+            got = _count_runs(trials)[metric]().to_dict()
+            assert got == want
+            counts = [got] if metric != "worst_case" else [r[arm] for r in got["per_change_point"]
+                                                           for arm in ("natural", "pinned")]
+            assert all(type(r["trials"]) is int and r["trials"] == 4 for r in counts)
+            json.dumps(got)
+
+
 class TestEstimateArl:
     def test_immediate_alarm(self):
         det = CusumDetector(PRE, POST, -1e6)
         rep = estimate_arl(det, PRE, 200, 100, master_seed=40)
         assert rep.estimate == 1.0 and rep.censored_trials == 0
+
+    def test_counts_below_one_are_checked_by_the_plan_and_the_engine(self):
+        det = CusumDetector(PRE, POST, 3.0)
+        with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+            estimate_arl(det, PRE, 5, 0, master_seed=41)
+        with pytest.raises(ValueError, match="^trials and workers must be >= 1$"):
+            estimate_arl(det, PRE, 0, 50, master_seed=41)
 
     def test_unattainable_threshold_reports_cap_and_censoring(self):
         det = CusumDetector(PRE, POST, 1e6)
@@ -296,6 +345,11 @@ class TestEstimateMisclass:
         rep = estimate_misclass(det, 1, 200, 8, master_seed=52)
         assert 0 < rep.censored_trials < 200
         assert rep.details["stop_time_lower_bound_when_censored"] is True
+
+    def test_no_alarm_within_the_horizon_is_insufficient_data(self):
+        det = ClassifierBankDetector(ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0]))), 1e6)
+        with pytest.raises(InsufficientDataError, match="^no trial raised an alarm within the horizon$"):
+            estimate_misclass(det, 1, 20, 30, master_seed=53)
 
     def test_true_class_validated(self):
         bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0])))
@@ -432,6 +486,23 @@ class TestTrialChecks:
         det = CusumDetector(PRE, POST, 2.5)
         with pytest.raises(ValueError, match=f"^{message}$"):
             worst_case_delay(det, PRE, POST, trials=5, horizon=50, master_seed=1, change_points=change_points)
+
+    @pytest.mark.parametrize("point", [0, 51])
+    def test_a_change_point_outside_the_horizon_raises(self, point):
+        det = CusumDetector(PRE, POST, 2.5)
+        with pytest.raises(ValueError, match=f"^change point {point} outside 1..horizon$"):
+            worst_case_delay(det, PRE, POST, trials=5, horizon=50, master_seed=1, change_points=[2, point])
+
+    @pytest.mark.parametrize("obj, want", [
+        ({"type": "fixed", "nu": 4}, FixedChange(4)),
+        ({"type": "drawn", "prior": {"type": "geometric", "rho": 0.1}}, DrawnChange(GeometricPrior(0.1))),
+        ({"type": "nochange"}, NoChange())])
+    def test_change_from_dict(self, obj, want):
+        assert change_from_dict(obj) == want
+
+    def test_an_unknown_change_type_raises(self):
+        with pytest.raises(ValueError, match="^unknown change spec type 'sudden'$"):
+            change_from_dict({"type": "sudden", "nu": 4})
 
     def test_a_fixed_change_point_must_be_whole(self):
         with pytest.raises(ValueError, match="^change point must be a whole number, got 2.5$"):
