@@ -261,12 +261,18 @@ def _scenario_models(scenario: dict) -> dict:
     return models
 
 
+def _flag_or_key(opts: dict, scenario: dict, key: str, default=None) -> int:
+    """The whole number ``--key`` gives, else the scenario's ``key``, else ``default``, else a ValueError."""
+    if opts[key] is None and key not in scenario and default is None:
+        raise ValueError(f"scenario needs '{key}' (or --{key})")
+    return _whole_number(opts[key] if opts[key] is not None else scenario.get(key, default), key)
+
+
 def _cmd_simulate(opts) -> int:
     if opts["scenario"] is None or opts["out"] is None:
         raise ValueError("simulate needs --scenario and --out")
     scenario = _load_json(opts["scenario"])
-    horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
-    seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
+    horizon, seed = _flag_or_key(opts, scenario, "horizon"), _flag_or_key(opts, scenario, "seed", 0)
     change = simulate.change_from_dict(scenario.get("change", {"type": "nochange"}))
     models = _scenario_models(scenario)
     if "streams" in models:
@@ -339,9 +345,8 @@ def _cmd_evaluate(opts) -> int:
     # the spec as the options it stands for, nulls left out
     det_opts = {dest: _config_value(declared[dest], det_spec[key], f"detector {key}")
                 for key, dest in _SPEC_OPTIONS.items() if det_spec.get(key) is not None}
-    trials = _whole_number(opts["trials"] if opts["trials"] is not None else scenario["trials"], "trials")
-    horizon = _whole_number(opts["horizon"] if opts["horizon"] is not None else scenario["horizon"], "horizon")
-    seed = _whole_number(opts["seed"] if opts["seed"] is not None else scenario.get("seed", 0), "seed")
+    trials, horizon = _flag_or_key(opts, scenario, "trials"), _flag_or_key(opts, scenario, "horizon")
+    seed = _flag_or_key(opts, scenario, "seed", 0)
     models = _scenario_models(scenario)
     pre, post, family, bank = (models.get(name) for name in ("pre", "post", "family", "bank"))
     true_class = scenario.get("true_class")
@@ -350,6 +355,8 @@ def _cmd_evaluate(opts) -> int:
     detector = _build_detector(kind, det_opts, models)
     budget = det_opts.get(_DETECTORS[kind].budget)
     predicted = _predicted_for(metric, kind, scenario, det_opts, pre, post, family, bank, prior)
+    if metric == "add" and "change" not in scenario:
+        raise ValueError("an add scenario needs 'change' (no flag sets it)")
     change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
     change_points = scenario.get("change_points")
     plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,

@@ -31,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import Gaussian, Poisson, llr
-from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds, _whole_number
+from .model import (ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds, _real_number,
+                    _whole_number)
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -201,8 +202,8 @@ class _SlotLlr:
 
 
 def _threshold_logits(threshold, period: int) -> list[float]:
-    if isinstance(threshold, (int, float)):
-        threshold = PeriodicThresholds.single(float(threshold))
+    if not isinstance(threshold, PeriodicThresholds):
+        threshold = PeriodicThresholds.single(_real_number(threshold, "threshold"))
     if len(threshold.values) not in (1, period):
         raise ValueError(f"need 1 or {period} threshold values, got {len(threshold.values)}")
     return [_logit(threshold.for_slot(s)) for s in range(period)]
@@ -427,7 +428,7 @@ class CusumDetector(_PosteriorOdds):
             raise ValueError("laws must share one period")
         self.baseline = baseline
         self.alternative = alternative
-        self.threshold = float(threshold)
+        self.threshold = _real_number(threshold, "threshold")
         self._llr = _SlotLlr([(alternative.slots, baseline.slots)])
         super().__init__(baseline.period, 0.0, 0.0, [0.0], [self.threshold] * baseline.period,
                          reset_on_alarm, start_time)
@@ -465,7 +466,7 @@ class _OddsMixture(_PosteriorOdds):
         if not (0.0 < rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {rho}")
         self.rho = float(rho)
-        self.threshold = float(threshold)
+        self.threshold = _real_number(threshold, "threshold")
         log_threshold = math.log(self.threshold) if self.threshold > 0.0 else _NEG_INF
         super().__init__(period, math.log(rho), math.log1p(-rho), [math.log(w) for w in weights],
                          [log_threshold] * period, reset_on_alarm, start_time)
@@ -557,9 +558,9 @@ class ClassifierBankDetector(_Detector):
 
     The state is a ``(P, m)`` matrix of the last ``m`` checkpoints
     ``C(k-1)``, one row per (class, rival) pair, whose last column is the
-    current sums ``C(n)``.  ``step`` and ``run`` walk it with one blocked
-    scan over a matrix of pair scores (see ``_scan_blocks``); ``run_to_alarm``
-    and the trial engine scan it up to the alarm (see ``_scan_rows``).
+    current sums ``C(n)``.  ``step`` and ``run`` walk it in blocks of columns
+    of a matrix of pair scores (see ``_walk``); ``run_to_alarm`` and the trial
+    engine scan it up to the alarm (see ``_scan_rows``).
     """
 
     _first_scan = 64  # also the walk's first block: typical runs alarm within a few dozen samples
@@ -569,7 +570,7 @@ class ClassifierBankDetector(_Detector):
         if window is not None and (window := _whole_number(window, "window")) < 1:
             raise ValueError("window must be >= 1 when given")
         self.bank = bank
-        self.threshold = float(threshold)
+        self.threshold = _real_number(threshold, "threshold")
         self.window = window
         # checkpoints a class statistic may start from
         self._span = math.inf if window is None else window + 1
@@ -589,45 +590,37 @@ class ClassifierBankDetector(_Detector):
     def reset(self) -> None:
         self._checkpoints = np.zeros((self.num_classes ** 2, 1))
         self._stats = np.full(self.num_classes, _NEG_INF)
-        self._block = self._first_scan
 
     def class_statistics(self) -> list[float]:
         """Per-class windowed statistics as of the last step (index 0 is a placeholder)."""
         return [_NEG_INF] + self._stats.tolist()
 
-    def _scan_blocks(self, z: np.ndarray, stop_on_alarm: bool):
-        """The classifier's recursion over the columns of a ``(P, m)`` score matrix, in blocks.
-
-        Blocks start at ``_first_scan`` observations after a reset and double
-        after each full block, across calls, each capped so its ``(P, block,
-        width)`` difference tensor holds at most ``_BLOCK_ELEMENTS`` entries (or
-        one observation).  In a block the running sums are a cumsum from the
-        carried-in sums, which is sequential addition exactly; each window is a
-        strided view of the checkpoints padded in front with ``+inf`` (a start
-        point that never wins the max).  Yields per block the ``(M, c)`` class
-        statistics of the ``c`` columns it consumed, their maximum and its
-        alarms, ending a block at an alarm that resets or stops; stores the
-        state at the end.
-        """
-        m, n = self.num_classes, z.shape[1]
-        checkpoints, last, start, size = self._checkpoints, self._stats, 0, self._block
+    def _walk(self, z, stop_on_alarm: bool = False):
+        """The classifier's recursion over a ``(P, n)`` matrix of pair scores, in blocks of columns whose
+        difference tensor holds at most ``_BLOCK_ELEMENTS`` entries (or one column): capped blocks from a
+        full window, else (and after a reset alarm) ``_first_scan`` columns, doubling after each full block.
+        No float depends on the blocks: the sums are a cumsum from the carried-in sums, sequential addition
+        exactly, and each window is a strided view of the checkpoints padded in front with ``+inf``, a start
+        point that never wins the max.  A block ends at an alarm that resets or stops."""
+        z = np.asarray(z, dtype=float)
+        m, (p, n) = self.num_classes, z.shape
+        stats_col, alarm_col, decided_col, start = [], [], [], 0
+        size = n if self._checkpoints.shape[1] == self._span else self._first_scan
         while start < n:
-            held = checkpoints.shape[1]
-            cap = _BLOCK_ELEMENTS // (z.shape[0] * min(self._span, held + size))
-            block = min(size, n - start, max(1, cap))
+            held = self._checkpoints.shape[1]
+            block = min(size, n - start, max(1, _BLOCK_ELEMENTS // (p * min(self._span, held + size))))
             width = min(self._span, held + block - 1)
             # columns: width - held pads, the held checkpoints, then the new running sums;
-            # observation i's window is columns i .. i + width - 1, its sums column width + i
-            line = np.empty((z.shape[0], width + block))
-            if width > held:
-                line[:, :width - held] = _POS_INF
-            line[:, width - held:width] = checkpoints
+            # column i's window is columns i .. i + width - 1, its sums column width + i
+            line = np.empty((p, width + block))
+            line[:, :width - held] = _POS_INF
+            line[:, width - held:width] = self._checkpoints
             line[:, width:] = z[:, start:start + block]
             sums = line[:, width - 1:]
             np.add.accumulate(sums, axis=1, out=sums)
             # ufuncs and a strided view built directly: the np.cumsum, .max and
             # as_strided wrappers cost microseconds per call, which step pays
-            windows = np.ndarray((z.shape[0], block, width), buffer=line,
+            windows = np.ndarray((p, block, width), buffer=line,
                                  strides=(line.strides[0], line.itemsize, line.itemsize))
             diff = line[:, width:, None] - windows
             lows = np.minimum.reduce(diff.reshape(m, m, -1), axis=1)  # rival minimum per class
@@ -637,35 +630,26 @@ class ClassifierBankDetector(_Detector):
             k = int(crossed.argmax())  # the first alarm, or 0 when there is none
             cut_here = bool(crossed[k]) and (self.reset_on_alarm or stop_on_alarm)
             cut = k + 1 if cut_here else block
-            yield stats[:, :cut], best[:cut], crossed[:cut]
-            stop = width + cut
-            checkpoints, last = line[:, max(width - held, stop - self._span):stop], stats[:, cut - 1]
-            start += cut
-            size *= 2 if block == size else 1
-            if cut_here and self.reset_on_alarm:
-                self.reset()
-                checkpoints, last, size = self._checkpoints, self._stats, self._block
-            if cut_here and stop_on_alarm:
-                break
-        self._checkpoints = checkpoints.copy()
-        self._stats = last.copy()
-        self._block = size
-        self._time += start
-
-    def _walk(self, z, stop_on_alarm: bool = False):
-        stats_col, alarm_col, decided_col = [], [], []
-        for stats, best, crossed in self._scan_blocks(np.asarray(z, dtype=float), stop_on_alarm):
-            alarms = crossed.tolist()
-            stats_col += best.tolist()
+            alarms = crossed[:cut].tolist()
+            stats_col += best[:cut].tolist()
             alarm_col += alarms
             # the largest statistic names the class, ties going to the smallest index
-            decided_col += [c if a else None for c, a in zip((stats.argmax(axis=0) + 1).tolist(), alarms)]
+            decided_col += [c if a else None for c, a in zip((stats[:, :cut].argmax(axis=0) + 1).tolist(), alarms)]
+            self._checkpoints = line[:, max(width - held, width + cut - self._span):width + cut]
+            self._stats, self._time = stats[:, cut - 1], self._time + cut
+            start, size = start + cut, size * 2 if block == size else size
+            if cut_here and self.reset_on_alarm:
+                self.reset()
+                size = self._first_scan
+            if cut_here and stop_on_alarm:
+                break
+        self._checkpoints, self._stats = self._checkpoints.copy(), self._stats.copy()  # views of the last block
         return stats_col, alarm_col, decided_col
 
     def _window_stats(self, line: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The ``(M, S)`` class statistics of the observations whose sums are ``line[:, rows, cols]``,
         each over the up to ``_span`` checkpoints before it in its row: the differences, rival
-        minima and window maxima of ``_scan_blocks``, so the same floats.  A window shorter than
+        minima and window maxima of ``_walk``, so the same floats.  A window shorter than
         the widest repeats its row's first checkpoint, which changes no maximum."""
         m, width, flat = self.num_classes, int(min(self._span, cols.max())), line.reshape(len(line), -1)
         piece = max(1, _BLOCK_ELEMENTS // (len(line) * width))  # cells per difference tensor
@@ -681,7 +665,7 @@ class ClassifierBankDetector(_Detector):
         """Scan the ``(P, B, n)`` pair scores of ``B`` runs (int array ``lengths``) from this unchanged
         state, or from each row's checkpoints ``held`` ``(P, B, h)``, in blocks of ``_SCAN_CHUNK``.
 
-        The sums are ``_scan_blocks``' sequential ``add.accumulate``.  ``U_l(n) = min_{m != l}
+        The sums are ``_walk``'s sequential ``add.accumulate``.  ``U_l(n) = min_{m != l}
         (C_lm(n) - min_{j < n} C_lm(j))``, ``j`` over the block's checkpoints, bounds class ``l``'s
         windowed statistic from above exactly: every window start is such a ``j``, ``fl(a - b)``
         does not increase in ``b``, and a max over starts of a rival minimum never exceeds the

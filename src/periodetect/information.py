@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import kl
-from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, _candidate
+from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, _candidate, _real_number
 
 
 class DetectorKind(enum.Enum):
@@ -136,7 +136,7 @@ def asymptotic_delay(kind: DetectorKind, budget: float, info: float, tail_expone
         raise ValueError(f"information number must be > 0, got {info}")
     budget = _checked_budget(kind, budget)
     if kind in _BAYESIAN_KINDS:
-        d = float(tail_exponent)
+        d = _real_number(tail_exponent, "tail exponent")
         if d < 0.0:
             raise ValueError("tail exponent must be >= 0")
         return abs(math.log(budget)) / (info + d)

@@ -28,6 +28,13 @@ def _whole_number(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _real_number(value, name: str) -> float:
+    """``value`` as a float (``±inf`` too) unless a bool or NaN; else a ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_)) and not math.isnan(number := float(value)):
+        return number
+    raise ValueError(f"{name} must be a number other than NaN, got {value!r}")
+
+
 def _index_set(values, limit: int, name: str) -> frozenset:
     """``values`` as a nonempty set of whole numbers in ``0..limit - 1``; else a ValueError naming ``name``."""
     s = frozenset(_whole_number(i, f"an index of {name}") for i in values)
@@ -123,8 +130,8 @@ class ExplicitPrior:
     declared_tail_exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pmf", tuple(float(p) for p in self.pmf))
-        object.__setattr__(self, "declared_tail_exponent", float(self.declared_tail_exponent))
+        object.__setattr__(self, "pmf", tuple(_real_number(p, "a prior probability") for p in self.pmf))
+        object.__setattr__(self, "declared_tail_exponent", _real_number(self.declared_tail_exponent, "tail exponent"))
         if not self.pmf:
             raise ValueError("explicit prior needs at least one entry")
         if any(p < 0.0 for p in self.pmf):
@@ -196,7 +203,7 @@ def _normalize_candidates(candidates, limit: int, what: str) -> tuple[frozenset,
 
 
 def _check_weights(weights, count: int) -> tuple[float, ...]:
-    w = tuple(float(x) for x in weights)
+    w = tuple(_real_number(x, "a weight") for x in weights)
     if len(w) != count:
         raise ValueError(f"expected {count} weights, got {len(w)}")
     if any(x <= 0.0 for x in w):

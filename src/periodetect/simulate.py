@@ -148,11 +148,12 @@ def generate_multistream(config: MultistreamConfig, changed_streams, change: Cha
     Streams outside ``changed_streams`` follow their pre-change law throughout.
     """
     b = frozenset() if changed_streams is None else _candidate(config.candidates, changed_streams, "changed streams")
-    rng = trial_rng(seed)
+    spec = ScenarioSpec(*config.streams[0], change, horizon, seed)  # a single stream's checks
+    rng = trial_rng(spec.seed)
     nu = _draw_nu(rng, change)
     cols = []
     for i, (pre, post) in enumerate(config.streams):
-        cols.append(sample_with_change(rng, pre, post if i in b else None, nu, horizon))
+        cols.append(sample_with_change(rng, pre, post if i in b else None, nu, spec.horizon))
     return np.stack(cols, axis=1), nu
 
 

@@ -104,6 +104,32 @@ class TestSimulateAndDetect:
         assert obs.shape == (90, 2) and nu == 30
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    @pytest.mark.parametrize("horizon", [0, -4])
+    @pytest.mark.parametrize("law", ["pre", "family"])
+    def test_simulate_rejects_a_horizon_below_one_for_every_scenario(self, tmp_path, capsys, law, horizon):
+        model = DETECT_MODELS["pre" if law == "pre" else "multistream"]
+        sc_path, out = tmp_path / "sc.json", tmp_path / "obs.csv"
+        sc_path.write_text(json.dumps({law: model, "horizon": horizon, "seed": 4}))
+        code, _, err = run_cli(["simulate", "--scenario", sc_path, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": "horizon must be >= 1"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["cusum", "mixture", "multistream", "classifier"])
+    def test_detect_rejects_a_nan_threshold_before_any_file_opens(self, tmp_path, capsys, detect_models, kind):
+        paths, _ = detect_models
+        flags, _ = DETECT_KINDS[kind]
+        at = flags.index("--threshold") + 1
+        obs = tmp_path / "obs.csv"
+        write_observations_csv(obs, np.zeros((5, 2)) if kind == "multistream" else np.zeros(5))
+        out, traj = tmp_path / "out.json", tmp_path / "traj.csv"
+        code, _, err = run_cli(["detect", "--detector", kind, *[paths.get(f, f) for f in flags[:at]], "nan",
+                                *flags[at + 1:], "--input", obs, "--out", out, "--trajectory", traj], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "threshold must be a number other than NaN, got nan"}
+        assert not out.exists() and not traj.exists()
+
     def test_simulate_needs_a_pre_change_law(self, tmp_path, capsys):
         sc_path, out = tmp_path / "sc.json", tmp_path / "obs.csv"
         sc_path.write_text(json.dumps({"post": gaussian_law_dict([1.0]), "horizon": 10}))
@@ -850,6 +876,25 @@ class TestEvaluateChecks:
         assert code == 1
         assert json.loads(err) == {"error": "ValueError", "message": "horizon must be a whole number, got 100.7"}
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("evaluate", "trials", "scenario needs 'trials' (or --trials)"),
+        ("evaluate", "horizon", "scenario needs 'horizon' (or --horizon)"),
+        ("evaluate", "change", "an add scenario needs 'change' (no flag sets it)"),
+        ("simulate", "horizon", "scenario needs 'horizon' (or --horizon)")])
+    def test_a_missing_scenario_key_is_named_with_its_flag(self, tmp_path, models, capsys, command, key, message):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "add", {"trials": 5, "horizon": 50})
+        scenario = json.loads(sc.read_text())
+        del scenario[key]
+        sc.write_text(json.dumps(scenario))
+        out = tmp_path / "out"
+        code, _, err = run_cli([command, "--scenario", sc, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
+        if key != "change":  # the flag supplies it
+            code, _, err = run_cli([command, "--scenario", sc, f"--{key}", "5", "--out", out], capsys)
+            assert code == 0, err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, models, capsys, workers):

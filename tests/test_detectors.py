@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -703,6 +704,29 @@ FIVE_DETECTORS = {
 }
 
 
+# each of the five built with a given threshold
+THRESHOLD_DETECTORS = {
+    "shiryaev": lambda h: ShiryaevDetector(ODDS_PRE, ODDS_POST, 0.02, h),
+    "cusum": lambda h: CusumDetector(ODDS_PRE, ODDS_POST, h),
+    "mixture": lambda h: MixtureShiryaev(ODDS_FAMILY, 0.02, h),
+    "multistream": lambda h: MultistreamMixture(ODDS_STREAMS, 0.02, h),
+    "classifier": lambda h: ClassifierBankDetector(
+        ClassBank(3, (ODDS_PRE, ODDS_POST, gaussian_law([-0.8, -0.4, -1.1]))), h, window=20),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLD_DETECTORS))
+def test_a_threshold_is_a_number_other_than_nan_or_a_bool(kind):
+    make = THRESHOLD_DETECTORS[kind]
+    for bad in (math.nan, True, np.bool_(True)):
+        message = f"threshold must be a number other than NaN, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(bad)
+    # a numpy scalar is the float it holds
+    xs = odds_stream(kind, 60, 5)
+    assert run(make(np.float32(0.75)), xs) == run(make(float(np.float32(0.75))), xs)
+
+
 @pytest.mark.parametrize("kind", sorted(FIVE_DETECTORS))
 def test_fresh_copy_behaves_like_new_detector(kind):
     make = FIVE_DETECTORS[kind]
@@ -993,7 +1017,7 @@ class TestClassifierScan:
         det = ClassifierBankDetector(ClassBank(period, laws), math.inf, window=window)
         xs = np.array([d.mean for d in laws[1].slots])[np.arange(300) % period] + rng.standard_normal(300)
         z = det._llr.profile(xs, 0)
-        stats = np.concatenate([s for s, _, _ in det._scan_blocks(z, stop_on_alarm=False)], axis=1)
+        stats = np.array([s for _, s, _ in classifier_reference(det, xs)]).T
         sums = np.add.accumulate(np.concatenate([np.zeros((len(z), 1)), z], axis=1), axis=1)
         low = np.minimum.accumulate(sums[:, :-1], axis=1)
         bound = (sums[:, 1:] - low).reshape(m, m, -1).min(axis=1)
@@ -1030,6 +1054,39 @@ class TestClassifierScan:
             hits.append(hit)
         assert hits == [result for result, _ in want if result.alarm][:len(hits)]
         assert hits[0].time_index > _SCAN_CHUNK + 85 - 30
+
+    @pytest.mark.parametrize("reset_on_alarm", [False, True])
+    @pytest.mark.parametrize("window", [5, 50, None])
+    def test_run_does_not_depend_on_how_the_input_is_split(self, window, reset_on_alarm):
+        # the walk's blocks start anew in each call, so the pieces cut its block schedule at will
+        def make():
+            return ClassifierBankDetector(SCAN_BANKS["gaussian"], 5.0 if window == 5 else 9.0,
+                                          window=window, reset_on_alarm=reset_on_alarm, start_time=3)
+
+        xs = scan_stream("gaussian", _SCAN_CHUNK + 200, seed=8, change_at=3000, first_slot=3)
+        whole = make()
+        want = run(whole, xs)
+        alarms = [r.time_index - 3 for r in want if r.alarm][:40]
+        assert len(alarms) > 3
+        splits = {size: list(range(0, len(xs), size)) for size in (1, 63, 64, 65, 4097)}
+        # just before, at and just after each alarm (with a reset, across it)
+        splits["alarms"] = sorted({0, *(a + d for a in alarms for d in (-1, 0, 1))})
+        stats_after = {}  # class_statistics() after observation n, as the one-column pieces leave it
+        for name, edges in splits.items():
+            det, got = make(), []
+            for lo, hi in zip(edges, edges[1:] + [len(xs)]):
+                got += run(det, xs[lo:hi])
+                if name == 1:
+                    stats_after[hi] = det.class_statistics()
+                assert det.class_statistics() == stats_after[hi], (name, hi)
+            assert got == want, name
+        assert whole.class_statistics() == stats_after[len(xs)]
+        # stopping at each alarm and walking on from there splits the input too
+        det, got = make(), []
+        while len(got) < len(xs):
+            got += run(det, xs[len(got):], stop_on_alarm=True)
+            assert det.class_statistics() == stats_after[len(got)]
+        assert got == want
 
     def test_scan_temporaries_do_not_grow_with_the_stream(self):
         # beyond the (P, n) score matrix, a window-50 scan holds one capped block

@@ -159,6 +159,11 @@ class TestAsymptoticDelay:
         with pytest.raises(ValueError):
             asymptotic_delay(DetectorKind.SHIRYAEV, 0.01, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, True])
+    def test_a_tail_exponent_that_is_nan_or_a_bool_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^tail exponent must be a number other than NaN, got {bad!r}$"):
+            asymptotic_delay(DetectorKind.SHIRYAEV, 0.01, 1.0, bad)
+
     @given(st.floats(1e-6, 0.5), st.floats(0.05, 10.0), st.floats(0.0, 2.0))
     def test_monotone_in_info_tail_and_budget(self, alpha, info, d):
         base = asymptotic_delay(DetectorKind.SHIRYAEV, alpha, info, d)

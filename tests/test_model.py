@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -321,3 +322,17 @@ class TestPeriodsFromJson:
         assert model == parse(obj) and type(model.period) is int
         with pytest.raises(ValueError, match=f"^period must be a whole number, got {re.escape(repr(period))}$"):
             parse({**obj, "period": period})
+
+
+class TestWeightsAndPriorEntries:
+    @pytest.mark.parametrize("make, name", [
+        (lambda w: MultislotFamily(1, gaussian_law([0.0]), gaussian_law([1.0]), (frozenset({0}),), (w,)), "a weight"),
+        (lambda w: MultistreamConfig(((gaussian_law([0.0]), gaussian_law([1.0])),), (frozenset({0}),), (w,)),
+         "a weight"),
+        (lambda p: ExplicitPrior((p,)), "a prior probability"),
+        (lambda d: ExplicitPrior((1.0,), declared_tail_exponent=d), "tail exponent")])
+    @pytest.mark.parametrize("bad", [math.nan, True, np.bool_(True)])
+    def test_nan_and_bools_are_rejected(self, make, name, bad):
+        assert make(np.float32(1.0)) == make(1.0)
+        with pytest.raises(ValueError, match=f"^{name} must be a number other than NaN, got {re.escape(repr(bad))}$"):
+            make(bad)

@@ -456,6 +456,23 @@ class TestTrialChecks:
         with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {re.escape(repr(bad))}$"):
             make(10, bad)
 
+    @pytest.mark.parametrize("horizon, change, seed, message", [
+        (0, FixedChange(3), 0, "horizon must be >= 1"),
+        (-4, FixedChange(3), 0, "horizon must be >= 1"),
+        (2.5, FixedChange(3), 0, "horizon must be a whole number, got 2.5"),
+        (True, FixedChange(3), 0, "horizon must be a whole number, got True"),
+        (10, DrawnChange(None), 0, "a drawn change point needs a prior"),
+        (10, FixedChange(3), 2.5, "seed must be a whole number, got 2.5")])
+    def test_a_multistream_scenario_gets_the_single_stream_checks(self, horizon, change, seed, message):
+        config = MultistreamConfig(((PRE, POST),), (frozenset({0}),), (1.0,))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(PRE, POST, change, horizon, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_multistream(config, None, change, horizon, seed)
+        obs, nu = generate_multistream(config, [0], FixedChange(3), 10.0, 2.0)
+        want, want_nu = generate_multistream(config, [0], FixedChange(3), 10, 2)
+        assert nu == want_nu and np.array_equal(obs, want)
+
     def test_plans_that_never_draw_past_the_change_need_no_post_law(self):
         TrialPlan(PRE, None, NoChange(), 10)
         [(_, plan)] = trial_plans("pfa", None, PRE, None, 10, prior=GeometricPrior(0.1))
