@@ -24,6 +24,13 @@ FITTED_VARIANCE_FLOOR = 1e-8
 FITTED_RATE_FLOOR = 1e-6
 
 
+def _real_number(value, name: str) -> float:
+    """``value`` as a float (``±inf`` too) unless a bool, a string or NaN; else a ValueError naming ``name``."""
+    if not isinstance(value, (bool, np.bool_, str, bytes)) and not math.isnan(number := float(value)):
+        return number
+    raise ValueError(f"{name} must be a number other than NaN, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal slot distribution with the given mean and variance."""
@@ -32,8 +39,8 @@ class Gaussian:
     variance: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "mean", _real_number(self.mean, "Gaussian mean"))
+        object.__setattr__(self, "variance", _real_number(self.variance, "Gaussian variance"))
         if not math.isfinite(self.mean):
             raise ValueError("Gaussian mean must be finite")
         if not (math.isfinite(self.variance) and self.variance > 0.0):
@@ -56,7 +63,7 @@ class Poisson:
     rate: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", _real_number(self.rate, "Poisson rate"))
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ValueError(f"Poisson rate must be > 0, got {self.rate}")
 

@@ -30,9 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import Gaussian, Poisson, llr
-from .model import (ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds, _real_number,
-                    _whole_number)
+from .densities import Gaussian, Poisson, _real_number, llr
+from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, PeriodicThresholds, _whole_number
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
@@ -388,11 +387,11 @@ class ShiryaevDetector(_PosteriorOdds):
                  *, reset_on_alarm: bool = False, start_time: int = 0):
         if pre.period != post.period:
             raise ValueError("pre and post laws must share one period")
-        if not (0.0 <= rho < 1.0):
+        if not (0.0 <= (rho := _real_number(rho, "rho")) < 1.0):
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
         self.pre = pre
         self.post = post
-        self.rho = float(rho)
+        self.rho = rho
         self.threshold = threshold
         self._llr = _SlotLlr([(post.slots, pre.slots)])
         super().__init__(pre.period, math.log(rho) if rho > 0.0 else _NEG_INF, math.log1p(-rho), [0.0],
@@ -463,9 +462,9 @@ class _OddsMixture(_PosteriorOdds):
 
     def __init__(self, period: int, rho: float, threshold: float, weights,
                  reset_on_alarm: bool, start_time: int):
-        if not (0.0 < rho < 1.0):
+        if not (0.0 < (rho := _real_number(rho, "rho")) < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {rho}")
-        self.rho = float(rho)
+        self.rho = rho
         self.threshold = _real_number(threshold, "threshold")
         log_threshold = math.log(self.threshold) if self.threshold > 0.0 else _NEG_INF
         super().__init__(period, math.log(rho), math.log1p(-rho), [math.log(w) for w in weights],

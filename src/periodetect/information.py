@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import kl
-from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, _candidate, _real_number
+from .densities import _real_number, kl
+from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, _candidate
 
 
 class DetectorKind(enum.Enum):
@@ -91,7 +91,7 @@ def info_matrix(bank: ClassBank) -> tuple[np.ndarray, float]:
 
 def _checked_budget(kind: DetectorKind, budget) -> float:
     """``budget`` as a float: ``alpha`` in (0, 1) for a Bayesian kind, else ``beta`` > 1."""
-    budget = float(budget)
+    budget = _real_number(budget, "budget")
     if kind in _BAYESIAN_KINDS and not (0.0 < budget < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {budget}")
     if kind not in _BAYESIAN_KINDS and not (budget > 1.0):
@@ -131,7 +131,7 @@ def asymptotic_delay(kind: DetectorKind, budget: float, info: float, tail_expone
     role there).
     """
     kind = DetectorKind(kind)
-    info = float(info)
+    info = _real_number(info, "information number")
     if not (info > 0.0):
         raise ValueError(f"information number must be > 0, got {info}")
     budget = _checked_budget(kind, budget)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .densities import SlotDensity, density_from_dict, density_to_dict
+from .densities import SlotDensity, _real_number, density_from_dict, density_to_dict
 
 _WEIGHT_TOL = 1e-9
 
@@ -26,13 +26,6 @@ def _whole_number(value, name: str) -> int:
     if whole and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
-
-
-def _real_number(value, name: str) -> float:
-    """``value`` as a float (``±inf`` too) unless a bool or NaN; else a ValueError naming ``name``."""
-    if not isinstance(value, (bool, np.bool_)) and not math.isnan(number := float(value)):
-        return number
-    raise ValueError(f"{name} must be a number other than NaN, got {value!r}")
 
 
 def _index_set(values, limit: int, name: str) -> frozenset:
@@ -91,7 +84,7 @@ class GeometricPrior:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", float(self.rho))
+        object.__setattr__(self, "rho", _real_number(self.rho, "rho"))
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
 
@@ -390,7 +383,7 @@ class PeriodicThresholds:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_real_number(v, "a belief threshold") for v in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("need at least one threshold value")

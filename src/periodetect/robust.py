@@ -29,6 +29,7 @@ import numpy as np
 from .densities import Gaussian, Poisson, SlotDensity, density_from_dict, density_to_dict
 from .detectors import _SlotLlr
 from .model import IpidLaw, _whole_number
+from .simulate import trial_rng
 
 GRID_POINTS = 201
 _GRID_QUANTILES = (0.001, 0.999)
@@ -144,10 +145,6 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x6C666C], dtype=np.uint64)))
-
-
 def _violations(f: SlotDensity, g_bar: SlotDensity, rivals, samples: int, seed: int) -> list:
     """The rivals that do not push ``Z`` stochastically above ``gbar``, in rival order."""
     failed, z_bar = [], None
@@ -161,7 +158,7 @@ def _violations(f: SlotDensity, g_bar: SlotDensity, rivals, samples: int, seed: 
                 failed.append(g)
             continue
         if z_bar is None:
-            rng, score = _rng(seed), _SlotLlr([((g_bar,), (f,))]).profile
+            rng, score = trial_rng(seed, 0x6C666C), _SlotLlr([((g_bar,), (f,))]).profile
             z_bar = np.sort(score(g_bar.sample(rng, samples), 0)[0])
             after_bar = rng.bit_generator.state
             lo, hi = np.quantile(z_bar, _GRID_QUANTILES)

@@ -78,19 +78,19 @@ class ScenarioSpec:
         object.__setattr__(self, "horizon", TrialPlan(self.pre, self.post, self.change, self.horizon).horizon)
 
 
-def _gaussian_tables(pre: IpidLaw, post: IpidLaw, start: int, horizon: int) -> tuple[np.ndarray, ...] | None:
-    """Observation numbers ``start + 1 .. horizon``, each with its slot's pre- and post-change mean
-    and standard deviation, or None unless every slot of both laws is Gaussian."""
+def _gaussian_tables(pre: IpidLaw, post: IpidLaw) -> np.ndarray | None:
+    """The ``(4, T)`` table of each slot's pre- and post-change mean and standard deviation,
+    or None unless every slot of both laws is Gaussian."""
     if all(isinstance(d, Gaussian) for law in (pre, post) for d in law.slots):
-        t = np.arange(start + 1, horizon + 1)
-        return (t, *(np.array(values)[(t - 1) % pre.period] for law in (pre, post) for values in (
-            [d.mean for d in law.slots], [math.sqrt(d.variance) for d in law.slots])))
+        return np.array([values for law in (pre, post) for values in (
+            [d.mean for d in law.slots], [math.sqrt(d.variance) for d in law.slots])])
 
 
-def _gaussian_obs(tables, normals: np.ndarray, nu, lo: int = 0) -> np.ndarray:
-    """Observations ``lo, lo + 1, ...`` of ``tables`` as ``mean + std * normal``, with the pre-change
-    law's mean and std before the change point ``nu`` (a column: one per row of ``normals``)."""
-    t, mp, sp, mq, sq = (table[lo:lo + normals.shape[-1]] for table in tables)
+def _gaussian_obs(table: np.ndarray, normals: np.ndarray, nu, start: int) -> np.ndarray:
+    """Observations ``start + 1, start + 2, ...`` as ``mean + std * normal`` from their slots' rows
+    of ``table``, the pre-change law's before the change point ``nu`` (a column: one per row of ``normals``)."""
+    t = np.arange(start + 1, start + 1 + normals.shape[-1])
+    mp, sp, mq, sq = table[:, (t - 1) % table.shape[1]]
     return np.where(before := t < nu, mp, mq) + np.where(before, sp, sq) * normals
 
 
@@ -116,8 +116,8 @@ def sample_with_change(rng: np.random.Generator, pre: IpidLaw, post: IpidLaw | N
     n = horizon - start
     split = n if post is None or nu > horizon else max(0, math.ceil(nu) - 1 - start)
     post = pre if split == n else post
-    if (tables := _gaussian_tables(pre, post, start, horizon)) is not None:
-        return _gaussian_obs(tables, rng.standard_normal(n), nu)
+    if (table := _gaussian_tables(pre, post)) is not None:
+        return _gaussian_obs(table, rng.standard_normal(n), nu, start)
     out = np.empty(n)
     for law, lo, hi in ((pre, 0, split), (post, split, n)):
         for s in range(law.period):
@@ -253,6 +253,8 @@ class TrialPlan:
     point (at most ``horizon``).  ``start_time`` is the detector's clock at
     the first observation, which is then observation ``start_time + 1``.  A
     post-change law is required unless the plan never draws past the change.
+    ``slot_table`` is the per-slot table of the drawn laws' Gaussian means and
+    standard deviations (``_gaussian_tables``), or None unless all are Gaussian.
     """
 
     pre: IpidLaw
@@ -261,6 +263,7 @@ class TrialPlan:
     horizon: int
     stop_before_change: bool = False
     start_time: int = 0
+    slot_table: np.ndarray | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", _whole_number(self.horizon, "horizon"))
@@ -269,10 +272,11 @@ class TrialPlan:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.change, DrawnChange) and self.change.prior is None:
             raise ValueError("a drawn change point needs a prior")
-        if self.post is None and not (isinstance(self.change, NoChange) or self.stop_before_change):
+        if not (pre_only := isinstance(self.change, NoChange) or self.stop_before_change) and self.post is None:
             raise ValueError("a post-change law is required unless the scenario is NoChange")
         if self.post is not None and self.post.period != self.pre.period:
             raise ValueError("pre and post laws must share one period")
+        object.__setattr__(self, "slot_table", _gaussian_tables(self.pre, self.pre if pre_only else self.post))
 
     def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
         """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
@@ -348,9 +352,7 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (detector, plan, master_seed), indices = args
     keys = indices.tolist()
     nu, tau, decided = np.empty(len(keys)), np.full(len(keys), np.nan), np.zeros(len(keys), dtype=int)
-    pre_only = plan.post is None or plan.stop_before_change or isinstance(plan.change, NoChange)
-    tables = _gaussian_tables(plan.pre, plan.pre if pre_only else plan.post, plan.start_time, plan.horizon)
-    rekey, lazy = _trial_streams(master_seed), tables is not None  # draw normals, not observations
+    rekey, lazy = _trial_streams(master_seed), plan.slot_table is not None  # draw normals, not observations
     det = detector.fresh(start_time=plan.start_time)
     first = det._first_scan or plan.horizon
     buckets = {}  # lo << 6 | b, m in (2^(b-1), 2^b] -> [(trial, its draws lo .., its length, held state)]
@@ -377,7 +379,7 @@ def _run_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for r, d in enumerate(draws):
             x[r, :len(d)] = d
         if lazy:  # past a trial's length, its padding is scored and never scanned
-            x = _gaussian_obs(tables, x, nu[js, None], lo)
+            x = _gaussian_obs(plan.slot_table, x, nu[js, None], plan.start_time + lo)
         z = det._llr.profile(x, (det.time + lo) % det.period)
         hit, stop, found, state, *_ = det._scan_rows(z, lengths, *([np.stack(held, axis=1)] if lo else []))
         tau[js[hit]], decided[js[hit]] = det.time + lo + stop[hit] + 1, found[hit]

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -369,6 +370,19 @@ class TestInfoAndLfl:
             for streams in ([0], [1], [0, 1])]
         assert "multislot" not in json.loads(out)
 
+    @pytest.mark.parametrize("slot, message", [
+        ({"type": "poisson", "rate": True}, "Poisson rate must be a number other than NaN, got True"),
+        ({"type": "poisson", "rate": "2.5"}, "Poisson rate must be a number other than NaN, got '2.5'"),
+        ({"type": "gaussian", "mean": "1", "variance": 1.0}, "Gaussian mean must be a number other than NaN, got '1'"),
+        ({"type": "gaussian", "mean": 1.0, "variance": True},
+         "Gaussian variance must be a number other than NaN, got True")])
+    def test_a_model_parameter_that_is_no_number_exits_1(self, tmp_path, capsys, slot, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"period": 1, "slots": [slot]}))
+        code, out, err = run_cli(["info", "--model", path, "--model2", path, "--out", "-"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
     def test_lfl_select_and_validate(self, tmp_path, capsys):
         pre = gaussian_law_dict([0.0], variance=0.04)
         pre_path = tmp_path / "pre.json"
@@ -549,6 +563,18 @@ class TestObservationCsv:
         path = tmp_path / "obs.csv"
         path.write_text(f"time,value\n1,0.5\n2,1.0\n3,{value}\n")
         with pytest.raises(ValueError, match="line 4: observation values must be finite"):
+            read_observations_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty observation file: missing header"),
+        ("value\n1.0\n", "expected header 'time,value' or 'time,value_0..value_{L-1}'"),
+        ("t,value\n1,1.0\n", "expected header 'time,value' or 'time,value_0..value_{L-1}'"),
+        ("time,value_1\n1,1.0\n", "unexpected value columns ['value_1']"),
+        ("time,value,value_1\n1,1.0,2.0\n", "unexpected value columns ['value', 'value_1']")])
+    def test_a_bad_header_is_named(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_observations_csv(path)
 
     def test_module_entry_point(self, tmp_path, models):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,3 +185,13 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             density_from_dict({"type": "cauchy"})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Gaussian(math.inf, 1.0), "Gaussian mean must be finite"),
+        (lambda: Gaussian(0.0, 0.0), "Gaussian variance must be > 0, got 0.0"),
+        (lambda: Poisson(-1), "Poisson rate must be > 0, got -1.0"),
+        (lambda: Poisson(math.inf), "Poisson rate must be > 0, got inf"),
+        (lambda: density_from_dict({"type": "cauchy"}), "unknown density type: 'cauchy'")])
+    def test_the_message_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

@@ -727,6 +727,38 @@ def test_a_threshold_is_a_number_other_than_nan_or_a_bool(kind):
     assert run(make(np.float32(0.75)), xs) == run(make(float(np.float32(0.75))), xs)
 
 
+# the rules that take a prior rho, each built with a given rho
+RHO_DETECTORS = {
+    "shiryaev": lambda rho: ShiryaevDetector(ODDS_PRE, ODDS_POST, rho, 0.9),
+    "mixture": lambda rho: MixtureShiryaev(ODDS_FAMILY, rho, 20.0),
+    "multistream": lambda rho: MultistreamMixture(ODDS_STREAMS, rho, 20.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RHO_DETECTORS))
+@pytest.mark.parametrize("bad", [np.bool_(False), "0.1"])
+def test_a_rho_is_a_number_other_than_a_bool_or_a_string(kind, bad):
+    assert RHO_DETECTORS[kind](np.float32(0.5)).rho == 0.5
+    with pytest.raises(ValueError, match=f"^rho must be a number other than NaN, got {re.escape(repr(bad))}$"):
+        RHO_DETECTORS[kind](bad)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ShiryaevDetector(ODDS_PRE, ODDS_POST, 1.0, 0.9), "rho must lie in [0, 1), got 1.0"),
+    (lambda: ShiryaevDetector(ODDS_PRE, ODDS_POST, -0.1, 0.9), "rho must lie in [0, 1), got -0.1"),
+    (lambda: ShiryaevDetector(ODDS_PRE, gaussian_law([0.8]), 0.1, 0.9), "pre and post laws must share one period"),
+    (lambda: CusumDetector(ODDS_PRE, gaussian_law([0.8]), 3.0), "laws must share one period"),
+    (lambda: ClassifierBankDetector(ClassBank(3, (ODDS_PRE, ODDS_POST)), 3.0, window=0),
+     "window must be >= 1 when given"),
+    (lambda: run(MultistreamMixture(ODDS_STREAMS, 0.02, 20.0), np.zeros((5, 3))),
+     "expected an (n, 2) observation matrix"),
+    (lambda: run(MultistreamMixture(ODDS_STREAMS, 0.02, 20.0), np.zeros(5)),
+     "expected an (n, 2) observation matrix")])
+def test_a_detector_names_the_fault_in_its_inputs(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 @pytest.mark.parametrize("kind", sorted(FIVE_DETECTORS))
 def test_fresh_copy_behaves_like_new_detector(kind):
     make = FIVE_DETECTORS[kind]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,15 @@ class TestAsymptoticDelay:
     def test_a_tail_exponent_that_is_nan_or_a_bool_is_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^tail exponent must be a number other than NaN, got {bad!r}$"):
             asymptotic_delay(DetectorKind.SHIRYAEV, 0.01, 1.0, bad)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: asymptotic_delay(DetectorKind.SHIRYAEV, v, 1.0), "budget"),
+        (lambda v: threshold(DetectorKind.CUSUM, v), "budget"),
+        (lambda v: asymptotic_delay(DetectorKind.CUSUM, 100.0, v), "information number")])
+    @pytest.mark.parametrize("bad", ["0.5", np.bool_(True)])
+    def test_a_budget_or_information_number_that_is_a_string_or_a_bool_is_rejected(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be a number other than NaN, got {re.escape(repr(bad))}$"):
+            call(bad)
 
     @given(st.floats(1e-6, 0.5), st.floats(0.05, 10.0), st.floats(0.0, 2.0))
     def test_monotone_in_info_tail_and_budget(self, alpha, info, d):

@@ -336,3 +336,68 @@ class TestWeightsAndPriorEntries:
         assert make(np.float32(1.0)) == make(1.0)
         with pytest.raises(ValueError, match=f"^{name} must be a number other than NaN, got {re.escape(repr(bad))}$"):
             make(bad)
+
+
+# each real number a model, prior or threshold file gives: its maker, its name and a valid value
+REAL_FIELDS = {
+    "threshold": (lambda v: PeriodicThresholds((v, 0.5)), "a belief threshold", 1.0),
+    "rho": (lambda v: GeometricPrior(v), "rho", 0.5),
+    "pmf": (lambda v: ExplicitPrior((v, 0.5)), "a prior probability", 0.5),
+    "mean": (lambda v: Gaussian(v, 1.0), "Gaussian mean", 1.0),
+    "variance": (lambda v: Gaussian(0.0, v), "Gaussian variance", 1.0),
+    "rate": (lambda v: Poisson(v), "Poisson rate", 1.0),
+}
+
+
+class TestRealNumbers:
+    # the pmf's bools and NaN are pinned with the weights above
+    @pytest.mark.parametrize("field, bad", [
+        *((f, bad) for f in sorted(REAL_FIELDS) if f != "pmf"
+          for bad in (True, np.bool_(False), "0.5", b"0.5", math.nan)),
+        ("pmf", "0.5"), ("pmf", b"0.5")])
+    def test_bools_strings_and_nan_are_rejected(self, field, bad):
+        make, name, good = REAL_FIELDS[field]
+        assert make(np.float32(good)) == make(good)
+        with pytest.raises(ValueError, match=f"^{name} must be a number other than NaN, got {re.escape(repr(bad))}$"):
+            make(bad)
+
+    @pytest.mark.parametrize("parse, make", [
+        (prior_from_dict, lambda v: {"type": "geometric", "rho": v}),
+        (PeriodicThresholds.from_dict, lambda v: {"values": [v, 0.5]}),
+        (IpidLaw.from_dict, lambda v: {"period": 1, "slots": [{"type": "poisson", "rate": v}]}),
+        (IpidLaw.from_dict, lambda v: {"period": 1, "slots": [{"type": "gaussian", "mean": v, "variance": 1.0}]})])
+    @pytest.mark.parametrize("bad", [True, "0.5"])
+    def test_a_json_bool_or_string_is_no_number(self, parse, make, bad):
+        parse(make(0.5))
+        with pytest.raises(ValueError, match=f"must be a number other than NaN, got {re.escape(repr(bad))}$"):
+            parse(make(bad))
+
+
+class TestModelInputChecks:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ExplicitPrior(()), "explicit prior needs at least one entry"),
+        (lambda: ExplicitPrior((1.5, -0.5)), "prior probabilities must be nonnegative"),
+        (lambda: ExplicitPrior((1.0,), declared_tail_exponent=-0.1), "tail exponent must be >= 0"),
+        (lambda: PeriodicThresholds(()), "need at least one threshold value"),
+        (lambda: MultislotFamily(2, gaussian_law([0.0, 0.0]), gaussian_law([1.0]), (frozenset({0}),), (1.0,)),
+         "base laws must share the family period"),
+        (lambda: ClassBank(1, (gaussian_law([0.0]),)),
+         "a class bank needs the baseline law plus at least one alternative"),
+        (lambda: MultistreamConfig((), (frozenset({0}),), (1.0,)), "need at least one stream"),
+        (lambda: IpidLaw(0, ()), "period must be >= 1"),
+        (lambda: gaussian_law([0.0]).slot_of(0), "time indices are 1-based"),
+        (lambda: GeometricPrior(1.0), "rho must lie in (0, 1), got 1.0"),
+        (lambda: ExplicitPrior((0.5, 0.4)), "explicit prior must sum to 1 within 1e-09, got 0.9"),
+        (lambda: ExplicitPrior((1.0,)).mass(2), "explicit prior has no mass beyond n=1"),
+        (lambda: prior_from_dict({"type": "uniform"}), "unknown prior type: 'uniform'"),
+        (lambda: MultistreamConfig(((gaussian_law([0.0]), gaussian_law([1.0])),) * 2,
+                                   (frozenset({0}), frozenset({1})), (1.0, 0.0)), "weights must be strictly positive"),
+        (lambda: MultistreamConfig(((gaussian_law([0.0]), gaussian_law([1.0])),), (frozenset({0}),), (0.5,)),
+         "weights must sum to 1 within 1e-09, got 0.5"),
+        (lambda: MultistreamConfig(((gaussian_law([0.0]), gaussian_law([1.0, 2.0])),), (frozenset({0}),), (1.0,)),
+         "all stream laws must share one period"),
+        (lambda: ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0, 2.0]))), "all bank laws must share one period"),
+        (lambda: PeriodicThresholds((0.5, 1.5)), "belief thresholds must lie in [0, 1], got 1.5")])
+    def test_the_message_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from periodetect.robust import (
     IntervalSlotFamily,
     NoLeastFavorableError,
     UncertaintyFamily,
-    _rng,
     dominance_check,
     select_lfl,
     validate_lfl,
@@ -177,6 +177,24 @@ class TestFamilyJson:
         with pytest.raises(ValueError, match=f"^period must be a whole number, got {period!r}$"):
             UncertaintyFamily.from_dict({**obj, "period": period})
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FiniteSlotFamily(()), "slot family must be nonempty"),
+        (lambda: IntervalSlotFamily(Poisson(1.0), "up"), "direction must be 'ge' or 'le', got 'up'"),
+        (lambda: UncertaintyFamily.from_dict({"period": 1, "slots": [{"type": "ball"}]}),
+         "unknown slot family type 'ball'"),
+        (lambda: UncertaintyFamily(2, (FiniteSlotFamily((Gaussian(1, 1),)),)), "expected 2 slot families, got 1"),
+        (lambda: validate_lfl(gaussian_law([0.0, 0.0]), gaussian_law([1.0]),
+                              UncertaintyFamily(1, (FiniteSlotFamily((Gaussian(1, 1),)),))),
+         "pre law, proposed law, and family must share one period"),
+        (lambda: validate_lfl(gaussian_law([0.0]), gaussian_law([2.0]),
+                              UncertaintyFamily(1, (FiniteSlotFamily((Gaussian(1, 1),)),))),
+         "proposed slot 0 density is not a member of its declared family"),
+        (lambda: select_lfl(gaussian_law([0.0, 0.0]), UncertaintyFamily(1, (FiniteSlotFamily((Gaussian(1, 1),)),))),
+         "pre law and family must share one period")])
+    def test_the_message_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
 
 def ref_dominance_check(f, g_bar, g, samples, seed):
     """The per-sample dominance comparison: each sample scored by ``llr``, each grid point by its own mean."""
@@ -187,7 +205,8 @@ def ref_dominance_check(f, g_bar, g, samples, seed):
     if isinstance(f, Gaussian) and f.variance == g_bar.variance == g.variance:
         slope = (g_bar.mean - f.mean) / f.variance
         return slope * (g.mean - g_bar.mean) >= 0.0
-    rng = _rng(seed)
+    # the audit's keyed stream, built here as the Philox key it is, not through the library
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x6C666C], dtype=np.uint64)))
     z_bar = np.array([llr(g_bar, f, x) for x in g_bar.sample(rng, samples)])
     z_g = np.array([llr(g_bar, f, x) for x in g.sample(rng, samples)])
     lo, hi = np.quantile(z_bar, _GRID_QUANTILES)

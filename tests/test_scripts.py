@@ -1,5 +1,6 @@
 """The example scripts run end to end on the public API and write their outputs."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 # per script: its output option, and the files it writes when that option names ``out``
 OUTPUTS = {
@@ -30,3 +32,14 @@ def test_script_runs_and_writes_its_trajectories(tmp_path, monkeypatch, capsys, 
         lines = (tmp_path / file).read_text().splitlines()
         assert lines[0] == "time_index,slot,observation,statistic,alarm,decided_class"
         assert len(lines) > 1
+
+
+def test_the_readme_python_quickstart_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert len(blocks) == 2  # the scenario and detector, then the false-alarm estimate
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    change, estimate = capsys.readouterr().out.splitlines()
+    assert change.startswith("change at 40 alarm at ")
+    assert estimate.startswith(f"{namespace['report'].estimate} <= 0.01 +- ")

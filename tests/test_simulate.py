@@ -174,6 +174,16 @@ class TestSignalLaw:
         with pytest.raises(ValueError):
             signal_law("triangle", 10, 0.01)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: mexican_hat_wavelet(0.0, width=0.0), "width must be > 0"),
+        (lambda: signal_law("square", 1, 0.01), "waveform laws need period >= 2"),
+        (lambda: signal_law("square", 4, 0.0), "variance must be > 0"),
+        (lambda: signal_law("square", 4, 0.01, half_period=4), "half_period must lie in 1..period-1"),
+        (lambda: signal_law("triangle", 4, 0.01), "unknown waveform kind 'triangle'")])
+    def test_the_message_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
 
 class TestEstimatePfa:
     def test_threshold_zero_fires_immediately(self):
@@ -568,6 +578,24 @@ class TestMonteCarloReport:
         with pytest.raises(ValueError):
             MonteCarloReport(metric="arl", trials=10, estimate=5.0, std_error=0.1, censored_trials=11)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"metric": "misclass", "estimate": -0.1}, "misclass estimate must lie in [0, 1], got -0.1"),
+        ({"std_error": -0.1}, "standard error must be >= 0"),
+        ({"censored_trials": 11}, "censored trial count out of range"),
+        ({"censored_trials": -1}, "censored trial count out of range")])
+    def test_the_message_names_the_fault(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MonteCarloReport(**{"metric": "arl", "trials": 10, "estimate": 0.5, "std_error": 0.1, **fields})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FixedChange(0), "change points are 1-based"),
+        (lambda: trial_plans("delay", None, PRE, POST, 10), "unknown metric 'delay'"),
+        (lambda: change_from_dict({"type": "fixed", "nu": -2}), "change points are 1-based")])
+    def test_a_change_point_or_metric_that_cannot_be_drawn_is_named(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
 
 class TestTrialRng:
     def test_streams_keyed_by_seed_and_index(self):
@@ -920,6 +948,19 @@ class TestTrialEngine:
             tracemalloc.stop()
         # holding every trial's draws and pair scores would add 900 trials x 1500 x 10 x 8 bytes
         assert peaks[1000] - peaks[100] < 900 * 3 * 8 + 512 * 1024, peaks
+
+    def test_misclass_peak_memory_does_not_grow_with_the_horizon(self):
+        det = ClassifierBankDetector(ORACLE_BANK3, 14.0, window=50)
+        peaks = {}
+        for horizon in (2000, 2_000_000):
+            [(_, plan)] = trial_plans("misclass", det, None, None, horizon, true_class=2)
+            tracemalloc.start()
+            run_trials(det, plan, 60, 5)
+            peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # the trials alarm within a few hundred samples; a horizon-length table of means,
+        # standard deviations or observation numbers alone would take 16 MB
+        assert peaks[2_000_000] - peaks[2000] < 1024 * 1024, peaks
 
     def test_odds_and_cusum_trials_are_drawn_once(self, monkeypatch):
         rekeyed = []
