@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
@@ -26,8 +27,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import detectors, information, robust, simulate
-from .fit import CycleSet, _trailing_median, fit_gaussian, fit_poisson, read_cycles_csv, read_long_csv
+# simulate, robust and fit load inside the subcommands that use them, so that each run compiles and
+# imports only its own command's modules
+from . import detectors, information
 from .model import (
     ClassBank,
     IpidLaw,
@@ -38,7 +40,7 @@ from .model import (
     prior_from_dict,
 )
 
-# Data rows that read_observations_csv converts at a time.
+# Data rows that read_observations_csv's fallback reading converts at a time.
 _READ_BLOCK = 4096
 
 
@@ -59,12 +61,17 @@ def _write_json(path, payload) -> None:
 def read_observations_csv(path) -> np.ndarray:
     """Load an observation stream: header ``time,value`` or ``time,value_0..value_{L-1}``.
 
-    Returns a 1-D array for a single stream, or an (n, L) matrix.  Rows are
-    converted ``_READ_BLOCK`` at a time; a block that holds a blank row or
-    fails a check is read again row by row, which skips the blank rows and
-    names the line of the first bad one.
+    Returns a 1-D array for a single stream, or an (n, L) matrix.  The body
+    is parsed in one ``np.loadtxt`` call.  A body it rejects, or one with the
+    wrong width or a value that is not finite, is read again ``_READ_BLOCK``
+    rows at a time; a block that holds a blank row or fails a check is read
+    row by row.  That reading defines what is accepted: it skips blank rows,
+    takes quoted values and anything ``float`` takes, and names the line of
+    the first bad row.  A pipe is read into memory first, so that it can be
+    read twice.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="") as raw:
+        fh = raw if raw.seekable() else io.StringIO(raw.read(), newline="")
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -76,13 +83,31 @@ def read_observations_csv(path) -> np.ndarray:
         value_cols = header[1:]
         if value_cols != ["value"] and value_cols != [f"value_{i}" for i in range(len(value_cols))]:
             raise ValueError(f"unexpected value columns {value_cols}")
-        blocks = []
-        lineno = 2
-        while rows := list(itertools.islice(reader, _READ_BLOCK)):
-            blocks.append(_block_values(rows, lineno, len(header)))
-            lineno += len(rows)
-    data = np.concatenate(blocks) if blocks else np.empty(0)
+        data = _loadtxt_values(fh, len(header))
+        if data is None:
+            fh.seek(0)
+            next(reader)
+            blocks = []
+            lineno = 2
+            while rows := list(itertools.islice(reader, _READ_BLOCK)):
+                blocks.append(_block_values(rows, lineno, len(header)))
+                lineno += len(rows)
+            data = np.concatenate(blocks) if blocks else np.empty(0)
     return data if value_cols == ["value"] else data.reshape(-1, len(value_cols))
+
+
+def _loadtxt_values(lines, width: int) -> np.ndarray | None:
+    """The values of CSV ``lines`` after the time column, row after row, as ``np.loadtxt`` parses them; None
+    when it rejects them, a row is not ``width`` fields wide or a value is not finite."""
+    # loadtxt skips empty lines, and warns when it finds nothing else
+    if (first := next((line for line in lines if line.strip("\r\n")), None)) is None:
+        return None
+    try:
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, quotechar=None,
+                           dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return table[:, 1:].ravel() if table.shape[1] == width and np.isfinite(table[:, 1:]).all() else None
 
 
 def _block_values(rows: list[list[str]], first_line: int, width: int) -> np.ndarray:
@@ -198,6 +223,8 @@ def _build_detector(kind: str, opts: dict, models: dict):
 
 
 def _cmd_fit(opts) -> int:
+    from .fit import CycleSet, _trailing_median, fit_gaussian, fit_poisson, read_cycles_csv, read_long_csv
+
     if opts["input"] is None or opts["out"] is None:
         raise ValueError("fit needs --input and --out")
     if opts["format"] == "long" and opts["period"] is None:
@@ -269,6 +296,8 @@ def _flag_or_key(opts: dict, scenario: dict, key: str, default=None) -> int:
 
 
 def _cmd_simulate(opts) -> int:
+    from . import simulate
+
     if opts["scenario"] is None or opts["out"] is None:
         raise ValueError("simulate needs --scenario and --out")
     scenario = _load_json(opts["scenario"])
@@ -330,6 +359,8 @@ def _predicted_for(metric: str, kind: str, scenario: dict, opts: dict,
 
 
 def _cmd_evaluate(opts) -> int:
+    from . import simulate
+
     if opts["scenario"] is None:
         raise ValueError("evaluate needs --scenario")
     if opts["dump_trials"] < 0:
@@ -414,6 +445,8 @@ def _cmd_info(opts) -> int:
 
 
 def _cmd_lfl(opts, action) -> int:
+    from . import robust
+
     if opts["model"] is None or opts["family"] is None:
         raise ValueError("lfl needs --model (pre-change law) and --family")
     pre = IpidLaw.from_dict(_load_json(opts["model"]))

@@ -28,6 +28,13 @@ def _whole_number(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _number_list(obj: dict, key: str) -> tuple:
+    """``obj[key]`` as a tuple when a list (a JSON array); else a ValueError naming ``key``."""
+    if not isinstance(value := obj[key], (list, tuple)):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(value)
+
+
 def _index_set(values, limit: int, name: str) -> frozenset:
     """``values`` as a nonempty set of whole numbers in ``0..limit - 1``; else a ValueError naming ``name``."""
     s = frozenset(_whole_number(i, f"an index of {name}") for i in values)
@@ -184,7 +191,7 @@ def prior_from_dict(obj: dict) -> ChangePointPrior:
     if kind == "geometric":
         return GeometricPrior(rho=obj["rho"])
     if kind == "explicit":
-        return ExplicitPrior(pmf=tuple(obj["pmf"]), declared_tail_exponent=obj.get("tail_exponent", 0.0))
+        return ExplicitPrior(pmf=_number_list(obj, "pmf"), declared_tail_exponent=obj.get("tail_exponent", 0.0))
     raise ValueError(f"unknown prior type: {kind!r}")
 
 
@@ -249,7 +256,7 @@ class MultislotFamily:
             base_pre=IpidLaw.from_dict(obj["pre"]),
             base_post=IpidLaw.from_dict(obj["post"]),
             candidates=tuple(frozenset(c) for c in obj["candidates"]),
-            weights=tuple(obj["weights"]),
+            weights=_number_list(obj, "weights"),
         )
 
 
@@ -368,7 +375,7 @@ class MultistreamConfig:
         return cls(
             streams=tuple((IpidLaw.from_dict(s["pre"]), IpidLaw.from_dict(s["post"])) for s in obj["streams"]),
             candidates=tuple(frozenset(c) for c in obj["candidates"]),
-            weights=tuple(obj["weights"]),
+            weights=_number_list(obj, "weights"),
         )
 
 
@@ -405,4 +412,4 @@ class PeriodicThresholds:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PeriodicThresholds":
-        return cls(values=tuple(obj["values"]))
+        return cls(values=_number_list(obj, "values"))

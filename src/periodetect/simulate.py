@@ -183,7 +183,7 @@ def signal_law(kind: str, period: int, variance: float, *, amplitude: float = 1.
     if kind == "half-sine":
         means = [amplitude * math.sin(math.pi * (i + 0.5) / period) for i in range(period)]
     elif kind == "square":
-        half = period // 2 if half_period is None else int(half_period)
+        half = period // 2 if half_period is None else _whole_number(half_period, "half_period")
         if not (1 <= half < period):
             raise ValueError("half_period must lie in 1..period-1")
         means = [levels[0] if i < half else levels[1] for i in range(period)]
@@ -280,7 +280,7 @@ class TrialPlan:
 
     def draw(self, master_seed: int, i: int) -> tuple[float, np.ndarray]:
         """Trial ``i``'s change point and observations, from the stream keyed by ``(master_seed, i)``."""
-        nu, _, obs = self._draw(trial_rng(master_seed, i))
+        nu, _, obs = self._draw(trial_rng(_whole_number(master_seed, "seed"), i))
         return nu, obs
 
     def _draw(self, rng: np.random.Generator, lazy: bool = False) -> tuple[float, int, np.ndarray | None]:
@@ -408,6 +408,7 @@ def run_trials(detector, plan: TrialPlan, trials: int, master_seed: int,
     (0 if none), one entry per trial.
     """
     trials, workers = _whole_number(trials, "trials"), _whole_number(workers, "workers")
+    master_seed = _whole_number(master_seed, "seed")
     if trials < 1 or workers < 1:
         raise ValueError("trials and workers must be >= 1")
     args = [((detector, plan, master_seed), chunk)

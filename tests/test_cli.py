@@ -1,12 +1,22 @@
 import argparse
+import csv
+import importlib
 import json
+import math
+import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import periodetect
 from periodetect import information, simulate
 from periodetect.cli import (
     _READ_BLOCK,
@@ -660,6 +670,172 @@ class TestBlockedObservationCsv:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def row_by_row_observations(path) -> np.ndarray:
+    """The observation reader of earlier releases, kept as the reference for a valid header: ``csv.reader``
+    rows, blank rows skipped, every value through ``float`` and checked finite, the first bad row named."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = list(reader)
+    width = len(header)
+    kept = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(c.strip() == "" for c in row):
+            continue
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        try:
+            values = [float(c) for c in row[1:]]
+        except ValueError:
+            raise ValueError(f"line {lineno}: cannot parse observation values") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: observation values must be finite")
+        kept.extend(values)
+    data = np.array(kept, dtype=float)
+    return data if header[1:] == ["value"] else data.reshape(-1, width - 1)
+
+
+def reading(read, path):
+    """What ``read(path)`` gives: the array's shape and bytes, or the exception's type and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return got.shape, got.dtype, got.tobytes()
+
+
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-10**6, 10**6).map(str),
+                     st.sampled_from([" 2.5 ", "\t3", "\xa04", "+.5", "5.", "-0.0", "1e-320", "00012"]))
+_ODD_FIELDS = st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e400", "1_000", "١", "٢.5", '"1.5"',
+                               '"2,5"', '""', "1\x00", "\x00", "0x10", "abc", "1 5", "1,5"])
+_BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",", ",,", " , ", "\x00"])
+
+
+@st.composite
+def observation_files(draw):
+    """A header and up to a dozen rows; half the files hold only numbers and empty rows, which loadtxt takes."""
+    streams = draw(st.integers(1, 3))
+    names = ["value"] if streams == 1 and draw(st.booleans()) else [f"value_{j}" for j in range(streams)]
+    width, clean = len(names) + 1, draw(st.booleans())
+    text = ",".join(["time", *names])
+    rows = draw(st.integers(0, 12))
+    if rows or draw(st.booleans()):
+        text += draw(_ENDINGS)
+    for k in range(rows):
+        if draw(st.integers(0, 4)) == 0:
+            row = "" if clean else draw(_BLANK_ROWS)
+        else:
+            count = width - 1 if clean else draw(st.sampled_from([width - 1] * 4 + [width - 2, width]))
+            fields = _NUMBERS if clean else st.one_of(_NUMBERS, _ODD_FIELDS)
+            row = ",".join([draw(st.one_of(st.integers(0, 99).map(str), fields)), *(draw(fields) for _ in range(count))])
+        text += row + ("" if k == rows - 1 and draw(st.booleans()) else draw(_ENDINGS))
+    return text
+
+
+@st.composite
+def long_decimals(draw):
+    """A decimal of 17 to 25 significant digits between about 1e-330 and 1e308."""
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", min_size=16, max_size=24))
+    point = draw(st.integers(0, len(digits)))
+    exponent = draw(st.integers(-330, 308)) - point
+    return f"{draw(st.sampled_from(['', '-', '+']))}{digits[:point]}.{digits[point:]}e{exponent}"
+
+
+class TestObservationReaderOracle:
+    """``read_observations_csv`` parses the body with numpy's reader and reads again row by row what it rejects;
+    either way it must give what the row-by-row reference gives."""
+
+    @settings(max_examples=400)
+    @given(text=observation_files())
+    def test_same_array_or_same_error_as_the_row_by_row_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "reader_oracle.csv"
+        path.write_bytes(text.encode())
+        assert reading(read_observations_csv, path) == reading(row_by_row_observations, path)
+
+    @given(values=st.lists(long_decimals(), min_size=1, max_size=40))
+    def test_long_decimals_parse_to_the_floats_float_gives(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "long_decimals.csv"
+        path.write_text("time,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, start=1)))
+        # every value is finite and well formed, so no row is read a second time
+        with mock.patch("periodetect.cli._block_values", side_effect=AssertionError("read row by row")):
+            got = read_observations_csv(path)
+        assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+    @pytest.mark.parametrize("body", [
+        "1,0.5\n\n2,1.5\n   \n3,-2\n",  # blank rows: numpy's reader rejects the whitespace row
+        '1,"0.5"\n2,1.5\n',  # a quoted value
+        "2024-01-01T00:00:00,0.5\n2024-01-01T00:01:00,1.5\n",  # a time column numpy cannot parse
+        "1,0.5\n2,oops\n",  # a bad row, named by its line
+        "1,0.5\n2,1.5\n",
+    ])
+    def test_a_pipe_reads_as_the_same_file_does(self, tmp_path, body):
+        text = "time,value\n" + body
+        (tmp_path / "obs.csv").write_text(text)
+        fifo = tmp_path / "obs.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,))
+        writer.start()
+        try:
+            got = reading(read_observations_csv, fifo)
+        finally:
+            writer.join()
+        assert got == reading(read_observations_csv, tmp_path / "obs.csv") == reading(row_by_row_observations,
+                                                                                       tmp_path / "obs.csv")
+
+    def test_a_text_time_column_reads_in_blocks(self, tmp_path):
+        rows = [f"2024-01-01T00:{i // 60:02d}:{i % 60:02d},{i % 7}" for i in range(2 * _READ_BLOCK + 5)]
+        (tmp_path / "obs.csv").write_text("time,value\n" + "\n".join(rows) + "\n")
+        # numpy's reader rejects the time column; every block still converts at once, with no row read alone
+        with mock.patch("periodetect.cli.math.isfinite", side_effect=AssertionError("read row by row")):
+            got = read_observations_csv(tmp_path / "obs.csv")
+        assert got.tobytes() == np.array([i % 7 for i in range(2 * _READ_BLOCK + 5)], dtype=float).tobytes()
+
+
+def imported_modules(code: str) -> set[str]:
+    """The modules of the package in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('periodetect')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
+class TestImportScope:
+    """Each public name of the package loads its module on first use, so a run imports only what it uses."""
+
+    def test_a_bare_import_loads_no_submodule(self):
+        assert imported_modules("import periodetect") == {"periodetect"}
+
+    def test_detect_leaves_simulate_robust_and_fit_unloaded(self, tmp_path, models):
+        write_observations_csv(tmp_path / "obs.csv", np.array([0.5, 1.5, 0.25]))
+        argv = ["periodetect", "detect", "--detector", "cusum", "--model", str(models[0]), "--model2", str(models[1]),
+                "--threshold", "3.0", "--input", str(tmp_path / "obs.csv"), "--out", str(tmp_path / "summary.json")]
+        # as `python -m periodetect detect ...` runs it
+        ours = imported_modules(f"import runpy, sys; sys.argv = {argv!r}\ntry: runpy.run_module('periodetect', "
+                                f"run_name='__main__', alter_sys=True)\nexcept SystemExit as exit: assert not exit.code")
+        assert ours == {"periodetect", "periodetect.cli", "periodetect.densities",
+                        "periodetect.model", "periodetect.detectors", "periodetect.information"}
+        assert json.loads((tmp_path / "summary.json").read_text())["n_observations"] == 3
+
+    @pytest.mark.parametrize("name, module", sorted(periodetect._EXPORTS.items()))
+    def test_every_public_name_is_its_modules_own_object(self, name, module):
+        assert getattr(periodetect, name) is getattr(importlib.import_module(f"periodetect.{module}"), name)
+        assert name in dir(periodetect) and name in periodetect.__all__
+
+    def test_a_submodule_resolves_after_a_bare_import(self):
+        code = ("import sys, periodetect; names = sorted(periodetect._MODULE_NAMES); "
+                "print(all(getattr(periodetect, n) is sys.modules[f'periodetect.{n}'] for n in names), len(names))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "7"]
+
+    def test_an_unknown_name_is_no_attribute(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            periodetect.no_such_name
 
 
 @pytest.fixture

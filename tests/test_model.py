@@ -373,6 +373,21 @@ class TestRealNumbers:
             parse(make(bad))
 
 
+class TestNumberLists:
+    """A list of numbers read from JSON must be a list; a string is not read character by character."""
+
+    @pytest.mark.parametrize("parse, obj, key", [
+        (prior_from_dict, {"type": "explicit", "pmf": "1"}, "pmf"),
+        (MultislotFamily.from_dict, {**family_dict([[0]]), "weights": "1"}, "weights"),
+        (MultistreamConfig.from_dict, {**streams_dict([[0]]), "weights": "1"}, "weights"),
+        (PeriodicThresholds.from_dict, {"values": "1"}, "values")], ids=["pmf", "slot weights", "stream weights",
+                                                                          "values"])
+    def test_a_json_string_is_rejected_by_the_fields_name(self, parse, obj, key):
+        parse({**obj, key: [1.0]})
+        with pytest.raises(ValueError, match=f"^{key} must be a list of numbers, got '1'$"):
+            parse(obj)
+
+
 class TestModelInputChecks:
     @pytest.mark.parametrize("make, message", [
         (lambda: ExplicitPrior(()), "explicit prior needs at least one entry"),

@@ -159,6 +159,7 @@ class TestSignalLaw:
         law = signal_law("square", 100, 0.01, levels=(1.0, -1.0), half_period=50)
         assert all(d.mean == 1.0 for d in law.slots[:50])
         assert all(d.mean == -1.0 for d in law.slots[50:])
+        assert signal_law("square", 100, 0.01, levels=(1.0, -1.0), half_period=50.0) == law
 
     def test_half_sine_positive(self):
         law = signal_law("half-sine", 25, 0.01)
@@ -179,6 +180,8 @@ class TestSignalLaw:
         (lambda: signal_law("square", 1, 0.01), "waveform laws need period >= 2"),
         (lambda: signal_law("square", 4, 0.0), "variance must be > 0"),
         (lambda: signal_law("square", 4, 0.01, half_period=4), "half_period must lie in 1..period-1"),
+        (lambda: signal_law("square", 4, 0.01, half_period=2.7), "half_period must be a whole number, got 2.7"),
+        (lambda: signal_law("square", 4, 0.01, half_period=True), "half_period must be a whole number, got True"),
         (lambda: signal_law("triangle", 4, 0.01), "unknown waveform kind 'triangle'")])
     def test_the_message_names_the_fault(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -275,17 +278,17 @@ class TestPlanHorizons:
             run_trials(CusumDetector(PRE, POST, 3.0), plan, 5, 1, workers=workers)
 
 
-def _count_runs(trials, workers=1):
-    """Each estimator's report at ``trials`` and ``workers``, as a dict."""
+def _count_runs(trials, workers=1, seed=3):
+    """Each estimator's report at ``trials``, ``workers`` and master seed ``seed``, as a dict."""
     bank = ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0])))
     classifier = ClassifierBankDetector(bank, info_threshold(DetectorKind.CLASSIFIER, 50.0, num_classes=1))
     det, kw = CusumDetector(PRE, POST, 2.0), {"workers": workers}
     return {
-        "pfa": lambda: estimate_pfa(det, PRE, GeometricPrior(0.1), trials, 50, 3, **kw),
-        "add": lambda: estimate_add(det, PRE, POST, FixedChange(3), trials, 50, 3, **kw),
-        "arl": lambda: estimate_arl(det, PRE, trials, 50, 3, **kw),
-        "misclass": lambda: estimate_misclass(classifier, 1, trials, 200, 3, **kw),
-        "worst_case": lambda: worst_case_delay(det, PRE, POST, trials, 50, 3, change_points=[2], **kw),
+        "pfa": lambda: estimate_pfa(det, PRE, GeometricPrior(0.1), trials, 50, seed, **kw),
+        "add": lambda: estimate_add(det, PRE, POST, FixedChange(3), trials, 50, seed, **kw),
+        "arl": lambda: estimate_arl(det, PRE, trials, 50, seed, **kw),
+        "misclass": lambda: estimate_misclass(classifier, 1, trials, 200, seed, **kw),
+        "worst_case": lambda: worst_case_delay(det, PRE, POST, trials, 50, seed, change_points=[2], **kw),
     }
 
 
@@ -303,6 +306,19 @@ class TestTrialCounts:
         [(_, plan)] = trial_plans("arl", None, PRE, None, 20)
         with pytest.raises(ValueError, match=f"^workers must be a whole number, got {re.escape(repr(bad))}$"):
             run_trials(CusumDetector(PRE, POST, 3.0), plan, 5, 1, workers=bad)
+
+    @pytest.mark.parametrize("metric", ["pfa", "add", "arl", "misclass", "worst_case"])
+    def test_a_master_seed_must_be_whole(self, metric):
+        assert _count_runs(4, seed=1.0)[metric]().to_dict() == _count_runs(4, seed=1)[metric]().to_dict()
+        for bad in (1.7, True):
+            with pytest.raises(ValueError, match=f"^seed must be a whole number, got {bad!r}$"):
+                _count_runs(4, seed=bad)[metric]()
+
+    def test_a_plans_draw_takes_a_whole_seed(self):
+        plan = TrialPlan(PRE, POST, FixedChange(4), 10)
+        np.testing.assert_array_equal(plan.draw(1.0, 0)[1], plan.draw(1, 0)[1])
+        with pytest.raises(ValueError, match="^seed must be a whole number, got 1.7$"):
+            plan.draw(1.7, 0)
 
     @pytest.mark.parametrize("metric", ["pfa", "add", "arl", "misclass", "worst_case"])
     def test_reports_hold_the_int_that_ran(self, metric):
