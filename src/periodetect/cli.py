@@ -77,6 +77,8 @@ def read_observations_csv(path) -> np.ndarray:
             header = next(reader)
         except StopIteration:
             raise ValueError("empty observation file: missing header") from None
+        except csv.Error as exc:  # a field over csv's field size limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "time":
             raise ValueError("expected header 'time,value' or 'time,value_0..value_{L-1}'")
@@ -86,12 +88,16 @@ def read_observations_csv(path) -> np.ndarray:
         data = _loadtxt_values(fh, len(header))
         if data is None:
             fh.seek(0)
+            reader = csv.reader(fh)  # counting lines from the start again
             next(reader)
             blocks = []
             lineno = 2
-            while rows := list(itertools.islice(reader, _READ_BLOCK)):
-                blocks.append(_block_values(rows, lineno, len(header)))
-                lineno += len(rows)
+            try:
+                while rows := list(itertools.islice(reader, _READ_BLOCK)):
+                    blocks.append(_block_values(rows, lineno, len(header)))
+                    lineno += len(rows)
+            except csv.Error as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             data = np.concatenate(blocks) if blocks else np.empty(0)
     return data if value_cols == ["value"] else data.reshape(-1, len(value_cols))
 
@@ -389,21 +395,10 @@ def _cmd_evaluate(opts) -> int:
     if metric == "add" and "change" not in scenario:
         raise ValueError("an add scenario needs 'change' (no flag sets it)")
     change = simulate.change_from_dict(scenario["change"]) if metric == "add" else None
-    change_points = scenario.get("change_points")
     plans = simulate.trial_plans(metric, detector, pre, post, horizon, change=change, prior=prior,
-                                 true_class=true_class, change_points=change_points)
-    mc = {"workers": opts["workers"], "predicted": predicted, "budget": budget}
-    if metric == "pfa":
-        report = simulate.estimate_pfa(detector, pre, prior, trials, horizon, seed, **mc)
-    elif metric == "add":
-        report = simulate.estimate_add(detector, pre, post, change, trials, horizon, seed, **mc)
-    elif metric == "arl":
-        report = simulate.estimate_arl(detector, pre, trials, horizon, seed, **mc)
-    elif metric == "misclass":
-        report = simulate.estimate_misclass(detector, true_class, trials, horizon, seed, **mc)
-    else:
-        report = simulate.worst_case_delay(detector, pre, post, trials, horizon, seed,
-                                           change_points=change_points, workers=opts["workers"])
+                                 true_class=true_class, change_points=scenario.get("change_points"))
+    report = simulate._estimate(metric, detector, plans, trials, seed, workers=opts["workers"],
+                                true_class=true_class, predicted=predicted, budget=budget)
     payload = report.to_dict()
     payload["config"] = {**opts, "metric": metric, "detector": det_spec,
                          "trials": trials, "horizon": horizon, "seed": seed}

@@ -424,6 +424,76 @@ def run_trials(detector, plan: TrialPlan, trials: int, master_seed: int,
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
+def _estimate(metric: str, detector, plans: list[tuple[str, TrialPlan]], trials: int, master_seed: int,
+              *, workers: int = 1, true_class: int | None = None, predicted: float | None = None,
+              budget: float | None = None):
+    """Run each of the labelled ``plans`` that ``trial_plans`` gives for ``metric`` and reduce its trials
+    to the report the metric's estimator documents: a ``MonteCarloReport``, or for ``worst_case`` a
+    ``WorstCaseDelayReport`` whose arms are add reports without ``predicted`` or ``budget``."""
+    if metric == "worst_case":
+        predicted = budget = None
+    reports = []
+    for label, plan in plans:
+        nu, tau, decided = run_trials(detector, plan, trials, master_seed, workers=workers)
+        alarmed = ~np.isnan(tau)
+        censored = ~alarmed
+        if metric == "pfa":
+            censored &= nu - 1 > plan.horizon
+            estimate = float(alarmed.mean())
+            std_error = _binomial_se(estimate, tau.size)
+            details = {"alarm_trials": int(alarmed.sum()), "lower_bound_when_censored": bool(censored.any())}
+        elif metric == "arl":
+            values = np.where(censored, plan.horizon, tau)
+            estimate, std_error = float(values.mean()), _mean_se(values)
+            details = {"horizon_cap": plan.horizon, "lower_bound_when_censored": bool(censored.any())}
+        elif metric == "misclass":
+            n_alarmed = int(alarmed.sum())
+            if n_alarmed == 0:
+                raise InsufficientDataError("no trial raised an alarm within the horizon")
+            n_wrong = int((alarmed & (decided != true_class)).sum())
+            estimate = n_wrong / n_alarmed
+            std_error = _binomial_se(estimate, n_alarmed)
+            mean_tau = float(tau[alarmed].mean())
+            details = {
+                "alarmed_trials": n_alarmed,
+                "wrong_trials": n_wrong,
+                "mean_stop_time": mean_tau,
+                "stop_time_se": _mean_se(tau[alarmed]),
+                "mean_delay": mean_tau - 1.0,
+                "stop_time_lower_bound_when_censored": n_alarmed < tau.size,
+            }
+            if budget is not None and budget > 0:
+                details["misclass_bound_mean_tau_over_beta"] = mean_tau / budget
+        else:  # add, and each arm of worst_case
+            qualified = np.where(alarmed, tau >= nu, nu <= plan.horizon)
+            if not qualified.any():
+                raise InsufficientDataError("no trial stopped at or after its change point")
+            delay = np.where(alarmed, tau, plan.horizon) - nu
+            cond = delay[qualified]
+            estimate, std_error = float(cond.mean()), _mean_se(cond)
+            details = {
+                "qualifying_trials": int(qualified.sum()),
+                "false_alarm_trials": int((alarmed & ~qualified).sum()),
+                "unconditional_mean_positive_delay": float(np.where(qualified, delay, 0.0).mean()),
+                "lower_bound_when_censored": bool(censored.any()),
+            }
+            if label.endswith("_pinned_"):  # the detector starts at the change point
+                details["state"] = "pinned-at-change"
+        reports.append(MonteCarloReport(
+            metric="add" if metric == "worst_case" else metric, trials=tau.size, estimate=estimate,
+            std_error=std_error, censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
+            details=details,
+        ))
+    if metric != "worst_case":
+        return reports[0]
+    rows = tuple(zip([plan.change.nu for _, plan in plans[::2]], reports[::2], reports[1::2]))
+    return WorstCaseDelayReport(
+        per_change_point=rows,
+        max_natural=max(r[1].estimate for r in rows),
+        max_pinned=max(r[2].estimate for r in rows),
+    )
+
+
 def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, horizon: int,
                  master_seed: int, *, workers: int = 1, predicted: float | None = None,
                  budget: float | None = None) -> MonteCarloReport:
@@ -435,45 +505,8 @@ def estimate_pfa(detector, pre: IpidLaw, prior: ChangePointPrior, trials: int, h
     no alarm by then are undecidable and counted as censored; they count as
     "no false alarm", so with any censoring the estimate is a lower bound.
     """
-    [(_, plan)] = trial_plans("pfa", detector, pre, None, horizon, prior=prior)
-    nu, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
-    fa = ~np.isnan(tau)
-    censored = ~fa & (nu - 1 > horizon)
-    est = float(fa.mean())
-    return MonteCarloReport(
-        metric="pfa", trials=fa.size, estimate=est, std_error=_binomial_se(est, fa.size),
-        censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
-        details={"alarm_trials": int(fa.sum()), "lower_bound_when_censored": bool(censored.any())},
-    )
-
-
-def _add_report(detector, plan: TrialPlan, trials: int, master_seed: int, workers: int,
-                details: dict | None = None, **report) -> MonteCarloReport:
-    """Mean of ``tau - nu`` over the trials that stop at or after the change point.
-
-    A trial without an alarm qualifies when its change point lies within the
-    horizon, with the lower bound ``horizon - nu``.  ``details`` are added to
-    the report's own.
-    """
-    nu, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
-    alarmed = ~np.isnan(tau)
-    qualified = np.where(alarmed, tau >= nu, nu <= plan.horizon)
-    if not qualified.any():
-        raise InsufficientDataError("no trial stopped at or after its change point")
-    delay = np.where(alarmed, tau, plan.horizon) - nu
-    cond = delay[qualified]
-    censored = int((~alarmed).sum())
-    return MonteCarloReport(
-        metric="add", trials=tau.size, estimate=float(cond.mean()), std_error=_mean_se(cond),
-        censored_trials=censored, **report,
-        details={
-            "qualifying_trials": int(qualified.sum()),
-            "false_alarm_trials": int((alarmed & ~qualified).sum()),
-            "unconditional_mean_positive_delay": float(np.where(qualified, delay, 0.0).mean()),
-            "lower_bound_when_censored": censored > 0,
-            **(details or {}),
-        },
-    )
+    plans = trial_plans("pfa", detector, pre, None, horizon, prior=prior)
+    return _estimate("pfa", detector, plans, trials, master_seed, workers=workers, predicted=predicted, budget=budget)
 
 
 def estimate_add(detector, pre: IpidLaw, post: IpidLaw, change: ChangeSpec, trials: int,
@@ -487,8 +520,8 @@ def estimate_add(detector, pre: IpidLaw, post: IpidLaw, change: ChangeSpec, tria
     bound whenever censoring is present.  The unconditional mean of
     ``(tau - nu)^+`` over all trials is reported alongside.
     """
-    [(_, plan)] = trial_plans("add", detector, pre, post, horizon, change=change)
-    return _add_report(detector, plan, trials, master_seed, workers, predicted=predicted, budget=budget)
+    plans = trial_plans("add", detector, pre, post, horizon, change=change)
+    return _estimate("add", detector, plans, trials, master_seed, workers=workers, predicted=predicted, budget=budget)
 
 
 def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_seed: int,
@@ -499,15 +532,8 @@ def estimate_arl(detector, pre: IpidLaw, trials: int, horizon_cap: int, master_s
     Run lengths are capped at ``horizon_cap``; with any censoring the estimate
     is a lower bound on the true average run length.
     """
-    [(_, plan)] = trial_plans("arl", detector, pre, None, horizon_cap)
-    _, tau, _ = run_trials(detector, plan, trials, master_seed, workers=workers)
-    censored = np.isnan(tau)
-    values = np.where(censored, horizon_cap, tau)
-    return MonteCarloReport(
-        metric="arl", trials=tau.size, estimate=float(values.mean()), std_error=_mean_se(values),
-        censored_trials=int(censored.sum()), predicted=predicted, budget=budget,
-        details={"horizon_cap": int(horizon_cap), "lower_bound_when_censored": bool(censored.any())},
-    )
+    plans = trial_plans("arl", detector, pre, None, horizon_cap)
+    return _estimate("arl", detector, plans, trials, master_seed, workers=workers, predicted=predicted, budget=budget)
 
 
 def estimate_misclass(detector, true_class: int, trials: int, horizon: int,
@@ -521,30 +547,9 @@ def estimate_misclass(detector, true_class: int, trials: int, horizon: int,
     mean-time-to-false-alarm target ``beta``, the concrete misclassification
     bound ``mean(tau) / beta`` is attached for reference.
     """
-    [(_, plan)] = trial_plans("misclass", detector, None, None, horizon, true_class=true_class)
-    _, tau, decided = run_trials(detector, plan, trials, master_seed, workers=workers)
-    alarmed = ~np.isnan(tau)
-    n_alarmed = int(alarmed.sum())
-    if n_alarmed == 0:
-        raise InsufficientDataError("no trial raised an alarm within the horizon")
-    n_wrong = int((alarmed & (decided != true_class)).sum())
-    est = float(n_wrong / n_alarmed)
-    mean_tau = float(tau[alarmed].mean())
-    details = {
-        "alarmed_trials": n_alarmed,
-        "wrong_trials": n_wrong,
-        "mean_stop_time": mean_tau,
-        "stop_time_se": _mean_se(tau[alarmed]),
-        "mean_delay": mean_tau - 1.0,
-        "stop_time_lower_bound_when_censored": n_alarmed < tau.size,
-    }
-    if budget is not None and budget > 0:
-        details["misclass_bound_mean_tau_over_beta"] = mean_tau / budget
-    return MonteCarloReport(
-        metric="misclass", trials=tau.size, estimate=est,
-        std_error=_binomial_se(est, n_alarmed),
-        censored_trials=tau.size - n_alarmed, predicted=predicted, budget=budget, details=details,
-    )
+    plans = trial_plans("misclass", detector, None, None, horizon, true_class=true_class)
+    return _estimate("misclass", detector, plans, trials, master_seed, workers=workers, true_class=true_class,
+                     predicted=predicted, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -575,17 +580,7 @@ def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon
                      master_seed: int, *, change_points=None, workers: int = 1) -> WorstCaseDelayReport:
     """Scan conditional delay over change points in one period and report the maximum."""
     plans = trial_plans("worst_case", detector, pre, post, horizon, change_points=change_points)
-    rows = []
-    for (_, natural), (_, pinned) in zip(plans[::2], plans[1::2]):
-        # every pinned trial starts at its change point, so every trial qualifies
-        rows.append((natural.change.nu, _add_report(detector, natural, trials, master_seed, workers),
-                     _add_report(detector, pinned, trials, master_seed, workers,
-                                 details={"state": "pinned-at-change"})))
-    return WorstCaseDelayReport(
-        per_change_point=tuple(rows),
-        max_natural=max(r[1].estimate for r in rows),
-        max_pinned=max(r[2].estimate for r in rows),
-    )
+    return _estimate("worst_case", detector, plans, trials, master_seed, workers=workers)
 
 
 def change_from_dict(obj: dict) -> ChangeSpec:

@@ -587,6 +587,26 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_observations_csv(path)
 
+    def test_an_oversized_header_field_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time," + " " * 140_000 + "value\n1,1.5\n")
+        with pytest.raises(ValueError, match=r"^line 1: field larger than field limit \(131072\)$"):
+            read_observations_csv(path)
+
+    @pytest.mark.parametrize("rows_before", [0, 5, _READ_BLOCK + 2])
+    def test_an_oversized_body_field_is_named_by_its_line(self, tmp_path, models, capsys, rows_before):
+        # numpy's reader rejects the last row, so the body is read again by csv, whose fields have a size limit
+        limit, line = csv.field_size_limit(), rows_before + 2
+        path = tmp_path / "obs.csv"
+        path.write_text("time,value\n" + "".join(f"{i},1\n" for i in range(1, line - 1))
+                        + f"{line - 1}," + " " * 140_000 + "1.5\n" + f"{line},abc\n")
+        code, _, err = run_cli(["detect", "--detector", "cusum", "--model", models[0], "--model2", models[1],
+                                "--threshold", "3", "--input", path, "--out", tmp_path / "out.json"], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"line {line}: field larger than field limit (131072)"}
+        assert csv.field_size_limit() == limit
+
     def test_module_entry_point(self, tmp_path, models):
         pre_path, post_path = models
         result = subprocess.run(
@@ -1360,6 +1380,26 @@ class TestTrialDumpBytes:
                 names.append(f"{label}trial_{i:04d}.csv")
                 assert (dump_dir / names[-1]).read_bytes() == oracle.read_bytes()
         assert sorted(p.name for p in dump_dir.iterdir()) == sorted(names)
+
+
+class TestEvaluatePlans:
+    @pytest.mark.parametrize("metric", ["pfa", "add", "arl", "misclass", "worst_case"])
+    def test_evaluate_builds_its_plans_once(self, tmp_path, capsys, monkeypatch, metric):
+        # the plans checked and dumped are the plans run
+        calls, real = [], simulate.trial_plans
+        monkeypatch.setattr(simulate, "trial_plans", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        sc = {"metric": metric, "detector": {"kind": "cusum", "beta": 50.0}, "pre": DETECT_PRE, "post": DETECT_POST,
+              "prior": {"type": "geometric", "rho": 0.05}, "change": {"type": "fixed", "nu": 5},
+              "trials": 5, "horizon": 100, "seed": 3}
+        if metric == "misclass":
+            sc.update(detector={"kind": "classifier", "beta": 50.0, "window": 20}, bank=DETECT_MODELS["bank"],
+                      true_class=1)
+        sc_path = tmp_path / "sc.json"
+        sc_path.write_text(json.dumps(sc))
+        code, _, err = run_cli(["evaluate", "--scenario", sc_path, "--out", tmp_path / "report.json",
+                                "--dump-trials", "1", "--dump-dir", tmp_path / "dumps"], capsys)
+        assert code == 0, err
+        assert calls == [metric]
 
 
 def declared_options():
