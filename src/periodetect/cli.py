@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import numbers
-import operator
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -40,10 +39,6 @@ from .model import (
     prior_from_dict,
 )
 
-# Data rows that read_observations_csv's fallback reading converts at a time.
-_READ_BLOCK = 4096
-
-
 def _load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -62,12 +57,12 @@ def read_observations_csv(path) -> np.ndarray:
     """Load an observation stream: header ``time,value`` or ``time,value_0..value_{L-1}``.
 
     Returns a 1-D array for a single stream, or an (n, L) matrix.  The body
-    is parsed in one ``np.loadtxt`` call.  A body it rejects, or one with the
-    wrong width or a value that is not finite, is read again ``_READ_BLOCK``
-    rows at a time; a block that holds a blank row or fails a check is read
-    row by row.  That reading defines what is accepted: it skips blank rows,
-    takes quoted values and anything ``float`` takes, and names the line of
-    the first bad row.  A pipe is read into memory first, so that it can be
+    is parsed in one ``np.loadtxt`` call, which honours quotes as csv does and
+    reads the time column as text it never converts.  A body it rejects, or
+    one holding a value that is not finite, is read again row by row by
+    ``_row_values``.  That reading defines what is accepted: it skips blank
+    rows, takes quoted values and anything ``float`` takes, and names the line
+    of the first bad row.  A pipe is read into memory first, so that it can be
     read twice.
     """
     with open(path, newline="") as raw:
@@ -90,15 +85,7 @@ def read_observations_csv(path) -> np.ndarray:
             fh.seek(0)
             reader = csv.reader(fh)  # counting lines from the start again
             next(reader)
-            blocks = []
-            lineno = 2
-            try:
-                while rows := list(itertools.islice(reader, _READ_BLOCK)):
-                    blocks.append(_block_values(rows, lineno, len(header)))
-                    lineno += len(rows)
-            except csv.Error as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-            data = np.concatenate(blocks) if blocks else np.empty(0)
+            data = _row_values(reader, len(header))
     return data if value_cols == ["value"] else data.reshape(-1, len(value_cols))
 
 
@@ -109,37 +96,31 @@ def _loadtxt_values(lines, width: int) -> np.ndarray | None:
     if (first := next((line for line in lines if line.strip("\r\n")), None)) is None:
         return None
     try:
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, quotechar=None,
-                           dtype=float, ndmin=2)
+        values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, quotechar='"', ndmin=1,
+                            dtype=[("time", "U1"), ("values", float, (width - 1,))])["values"]
     except ValueError:
         return None
-    return table[:, 1:].ravel() if table.shape[1] == width and np.isfinite(table[:, 1:]).all() else None
+    return values.ravel() if np.isfinite(values).all() else None
 
 
-def _block_values(rows: list[list[str]], first_line: int, width: int) -> np.ndarray:
-    """The values of a block of CSV rows, row after row; ``first_line`` is the line of ``rows[0]``."""
-    if set(map(len, rows)) == {width}:
-        try:
-            values = np.array(list(map(float, itertools.chain.from_iterable(
-                map(operator.itemgetter(slice(1, None)), rows)))))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    kept = []
-    for lineno, row in enumerate(rows, start=first_line):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if len(row) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        try:
-            values = [float(c) for c in row[1:]]
-        except ValueError:
-            raise ValueError(f"line {lineno}: cannot parse observation values") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"line {lineno}: observation values must be finite")
-        kept.extend(values)
+def _row_values(reader, width: int) -> np.ndarray:
+    """The values of the rows ``reader`` reads, row after row; a bad row is named by the line it starts on."""
+    kept, lineno = [], reader.line_num + 1
+    try:
+        for row in reader:
+            if any(c.strip() for c in row):
+                if len(row) != width:
+                    raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+                try:
+                    values = [float(c) for c in row[1:]]
+                except ValueError:
+                    raise ValueError(f"line {lineno}: cannot parse observation values") from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"line {lineno}: observation values must be finite")
+                kept.extend(values)
+            lineno = reader.line_num + 1
+    except csv.Error as exc:  # a field over csv's field size limit
+        raise ValueError(f"line {lineno}: {exc}") from None
     return np.array(kept, dtype=float)
 
 

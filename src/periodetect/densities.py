@@ -130,6 +130,8 @@ def density_to_dict(d: SlotDensity) -> dict:
 
 
 def density_from_dict(obj: dict) -> SlotDensity:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a slot density must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "gaussian":
         return Gaussian(mean=obj["mean"], variance=obj["variance"])

@@ -187,6 +187,8 @@ def tail_exponent(prior: ChangePointPrior) -> float:
 
 
 def prior_from_dict(obj: dict) -> ChangePointPrior:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a change-point prior must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "geometric":
         return GeometricPrior(rho=obj["rho"])

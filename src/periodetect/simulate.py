@@ -584,6 +584,8 @@ def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon
 
 
 def change_from_dict(obj: dict) -> ChangeSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a change spec must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "fixed":
         return FixedChange(nu=obj["nu"])

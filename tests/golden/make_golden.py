@@ -9,9 +9,20 @@ single-stream detector kind that takes it, times a Gaussian, a Poisson and a
 mixed Gaussian/Poisson law, at ``TRIALS`` trials each, through the public
 estimators.  It also holds one ``evaluate`` scenario per metric, run through
 ``cli.main`` with ``--dump-trials 2``: its report without the config, and the
-sha256 of each dumped trajectory.  Floats are kept as ``repr`` strings, so the
-file compares exactly.  ``tests/test_golden.py`` recomputes every entry at one
-and at two workers.
+sha256 of each dumped trajectory.  Then, through ``cli.main`` again: the
+sha256 of each ``simulate`` CSV with its summary, the outputs of ``lfl
+validate`` and ``lfl select``, and for each class of observation file that
+``read_observations_csv`` reads its own way, the sha256 of the ``detect``
+trajectory with the summary.  Outputs are kept without the ``config`` they
+embed and without the temporary paths they name.  Floats are kept as
+``repr`` strings, so the file compares exactly.  ``tests/test_golden.py``
+recomputes every entry, the Monte Carlo ones at one and at two workers.
+
+    PYTHONPATH=src python tests/golden/make_golden.py --check
+
+recomputes every entry at one worker and prints each one that differs from
+the file, with the first key path that differs and both values; it writes
+nothing and exits 1 if any entry moved.
 
 numpy does not promise that a ``Generator`` stream stays the same across
 releases (NEP 19), so the file records the numpy version it was written with.
@@ -158,18 +169,187 @@ def cli_entry(metric: str, workers: int) -> dict:
     return {"report": _reprs(report), "dumps": dumps}
 
 
-def main() -> int:
-    golden = {
+def _run(argv: list[str]) -> None:
+    if (code := cli.main(argv)) != 0:
+        raise RuntimeError(f"{' '.join(argv[:2])} exited {code}")
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _law_dict(law: str, which: int = 1) -> dict:
+    """``LAWS[law]``'s pre-change law (``which`` 1), post-change law (2) or other law (3) as JSON."""
+    return _law(LAWS[law][0], LAWS[law][which]).to_dict()
+
+
+# the simulate scenarios: one per single-stream law, a multistream one and a bank one
+SIMULATIONS = {
+    "gaussian": {"pre": _law_dict("gaussian"), "post": _law_dict("gaussian", 2),
+                 "change": {"type": "fixed", "nu": 40}},
+    "poisson": {"pre": _law_dict("poisson"), "post": _law_dict("poisson", 2),
+                "change": {"type": "drawn", "prior": PRIOR.to_dict()}},
+    "mixed": {"pre": _law_dict("mixed"), "post": _law_dict("mixed", 2)},  # no change
+    "multistream": {"family": {"streams": [{"pre": _law_dict("gaussian"), "post": _law_dict("gaussian", 2)},
+                                           {"pre": _law_dict("mixed"), "post": _law_dict("mixed", 2)}],
+                               "candidates": [[0], [1], [0, 1]], "weights": [0.25, 0.25, 0.5]},
+                    "changed_streams": [1], "change": {"type": "fixed", "nu": 30}},
+    "bank": {"bank": {"period": 4, "laws": [_law_dict("mixed", which) for which in (1, 2, 3)]}, "true_class": 2,
+             "change": {"type": "fixed", "nu": 25}},
+}
+
+
+def simulate_entry(name: str) -> dict:
+    """The sha256 of the CSV ``simulate`` writes for scenario ``name``, and its summary without its
+    config and the CSV's path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "scenario.json").write_text(json.dumps({**SIMULATIONS[name], "horizon": 120, "seed": 7}))
+        _run(["simulate", "--scenario", str(tmp / "scenario.json"), "--out", str(tmp / "obs.csv"),
+              "--summary", str(tmp / "summary.json")])
+        summary = json.loads((tmp / "summary.json").read_text())
+        del summary["config"], summary["observations_csv"]
+        return {"csv": _digest(tmp / "obs.csv"), "summary": _reprs(summary)}
+
+
+LFL_ACTIONS = ("validate", "select")
+# a Gaussian slot with an interval family and a Poisson slot with a finite one
+LFL_FAMILY = {"period": 2, "slots": [
+    {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.6, "variance": 1.0}, "direction": "ge"},
+    {"type": "finite", "candidates": [{"type": "poisson", "rate": r} for r in (5.0, 4.0, 6.5)]}]}
+
+
+def lfl_entry(action: str) -> dict:
+    """``lfl action``'s output without its config, at ``--samples 2000``."""
+    pre = IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(3.0))).to_dict()
+    proposed = IpidLaw(2, (Gaussian(0.6, 1.0), Poisson(5.0))).to_dict()  # past the nearest rate, 4.0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, obj in (("pre", pre), ("proposed", proposed), ("family", LFL_FAMILY)):
+            (tmp / f"{name}.json").write_text(json.dumps(obj))
+        _run(["lfl", action, "--model", str(tmp / "pre.json"), "--model2", str(tmp / "proposed.json"),
+              "--family", str(tmp / "family.json"), "--samples", "2000", "--seed", "5",
+              "--out", str(tmp / "out.json")])
+        out = json.loads((tmp / "out.json").read_text())
+    del out["config"]
+    return _reprs(out)
+
+
+DETECT_ROWS = 300
+
+
+def _observation_text(name: str) -> str:
+    """An observation file of ``DETECT_ROWS`` rows of class ``name``: each class is read its own way, and
+    all but ``underscore`` and ``three_streams`` hold the same values."""
+    rng = np.random.default_rng(24)
+    streams = 3 if name == "three_streams" else 1
+    values = rng.normal(0.0, 1.0, (DETECT_ROWS, streams)) + (np.arange(DETECT_ROWS) >= 150)[:, None]
+    if name == "three_streams":
+        fields = [",".join(repr(float(v)) for v in row) for row in values]
+    else:
+        fields = [f"{v:.4f}" for v in values[:, 0]]
+    times = [str(i) for i in range(1, DETECT_ROWS + 1)]
+    if name == "iso_time":
+        times = [f"2024-03-01T{i // 60:02d}:{i % 60:02d}:00" for i in range(DETECT_ROWS)]
+    if name == "quoted":
+        fields = [f'"{f}"' if i % 3 == 0 else f for i, f in enumerate(fields)]
+    if name == "underscore":
+        fields[100] = "1_000"
+    rows = [f"{t},{f}" for t, f in zip(times, fields)]
+    if name == "whitespace_row":
+        rows.insert(120, "   ")
+    header = "time,value_0,value_1,value_2" if streams == 3 else "time,value"
+    ending = "\r\n" if name == "crlf" else "\n"
+    return ending.join([header, *rows]) + ending
+
+
+DETECT_INPUTS = ("plain", "iso_time", "quoted", "whitespace_row", "underscore", "three_streams", "crlf")
+
+
+def detect_entry(name: str) -> dict:
+    """The sha256 of ``detect``'s trajectory for input class ``name``, and its summary without its config
+    and the trajectory's path: a CUSUM with reset on one stream, the multistream mixture on three."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        pre, post = IpidLaw(4, (Gaussian(0.0, 1.0),) * 4), IpidLaw(4, (Gaussian(1.0, 1.0),) * 4)
+        if name == "three_streams":
+            config = {"streams": [{"pre": pre.to_dict(), "post": post.to_dict()}] * 3,
+                      "candidates": [[0], [1, 2], [0, 1, 2]], "weights": [0.3, 0.3, 0.4]}
+            (tmp / "family.json").write_text(json.dumps(config))
+            flags = ["--detector", "multistream", "--family", str(tmp / "family.json"), "--prior-rho", "0.02",
+                     "--threshold", "50"]
+        else:
+            (tmp / "pre.json").write_text(json.dumps(pre.to_dict()))
+            (tmp / "post.json").write_text(json.dumps(post.to_dict()))
+            flags = ["--detector", "cusum", "--model", str(tmp / "pre.json"), "--model2", str(tmp / "post.json"),
+                     "--threshold", "4"]
+        (tmp / "obs.csv").write_bytes(_observation_text(name).encode())
+        _run(["detect", *flags, "--reset-on-alarm", "--input", str(tmp / "obs.csv"), "--out", str(tmp / "out.json"),
+              "--trajectory", str(tmp / "traj.csv")])
+        summary = json.loads((tmp / "out.json").read_text())
+        del summary["config"], summary["trajectory_csv"]
+        return {"trajectory": _digest(tmp / "traj.csv"), "summary": _reprs(summary)}
+
+
+def compute(workers: int) -> dict:
+    """Every entry of the file, the Monte Carlo ones run with ``workers`` worker processes."""
+    return {
         "numpy": np.__version__,
         "regenerate": REGENERATE,
         "trials": TRIALS,
-        "library": {name: library_entry(name, 1) for name in library_names()},
-        "cli": {metric: cli_entry(metric, 1) for metric in CLI_METRICS},
+        "library": {name: library_entry(name, workers) for name in library_names()},
+        "cli": {metric: cli_entry(metric, workers) for metric in CLI_METRICS},
+        "simulate": {name: simulate_entry(name) for name in SIMULATIONS},
+        "lfl": {action: lfl_entry(action) for action in LFL_ACTIONS},
+        "detect": {name: detect_entry(name) for name in DETECT_INPUTS},
     }
+
+
+def first_difference(old, new, path: str = ""):
+    """``(key path, old value, new value)`` at the first place ``new`` differs from ``old``, or None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys(), key=str):
+            if key not in old or key not in new:
+                return f"{path}.{key}".lstrip("."), old.get(key, "<absent>"), new.get(key, "<absent>")
+            if (found := first_difference(old[key], new[key], f"{path}.{key}")) is not None:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return next(filter(None, (first_difference(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new)))),
+                    None)
+    return None if old == new else (path.lstrip(".") or "<top>", old, new)
+
+
+def moved_entries(golden: dict, fresh: dict) -> list[tuple[str, str, object, object]]:
+    """``(entry, key path, old value, new value)`` for each entry of ``fresh`` that differs from ``golden``'s:
+    an entry is a top-level value, or one report of a section."""
+    moved = []
+    for key in sorted(golden.keys() | fresh.keys()):
+        old, new = golden.get(key, {}), fresh.get(key, {})
+        entries = ({f"{key}/{name}": (old.get(name), new.get(name)) for name in sorted(old.keys() | new.keys())}
+                   if isinstance(old, dict) and isinstance(new, dict) else {key: (old, new)})
+        for entry, (a, b) in entries.items():
+            if (found := first_difference(a, b)) is not None:
+                moved.append((entry, *found))
+    return moved
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--check"]):
+        print(f"usage: {REGENERATE} [--check]", file=sys.stderr)
+        return 2
+    golden = compute(workers=1)
+    if argv == ["--check"]:
+        moved = moved_entries(json.loads(GOLDEN.read_text()), golden)
+        for entry, path, old, new in moved:
+            print(f"{entry}: {path}: {old!r} -> {new!r}")
+        print(f"{len(moved)} entries moved" if moved else f"every entry of {GOLDEN.name} holds")
+        return 1 if moved else 0
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(golden['library'])} library and {len(golden['cli'])} CLI entries to {GOLDEN}")
+    sections = ("library", "cli", "simulate", "lfl", "detect")
+    print(f"wrote {', '.join(f'{len(golden[s])} {s}' for s in sections)} entries to {GOLDEN}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import periodetect
 from periodetect import information, simulate
 from periodetect.cli import (
-    _READ_BLOCK,
     _predicted_for,
     build_parser,
     main,
@@ -39,6 +38,9 @@ from periodetect.detectors import (
 from periodetect.model import ClassBank, GeometricPrior, IpidLaw, MultislotFamily, MultistreamConfig
 from periodetect.simulate import FixedChange, NoChange, TrialPlan, generate_multistream, run_trials, trial_plans
 from test_detectors import csv_writer_trajectory
+
+# rows: the long observation files below put odd rows past its multiples, deep in the file
+_READ_BLOCK = 4096
 
 
 def gaussian_law_dict(means, variance=1.0):
@@ -619,7 +621,7 @@ class TestObservationCsv:
 
 
 class TestBlockedObservationCsv:
-    """Reading and writing observation CSVs in blocks of ``_READ_BLOCK`` rows."""
+    """Reading and writing observation CSVs of several times ``_READ_BLOCK`` rows."""
 
     @staticmethod
     def csv_writer_observations(path, obs):
@@ -694,14 +696,21 @@ class TestBlockedObservationCsv:
 
 def row_by_row_observations(path) -> np.ndarray:
     """The observation reader of earlier releases, kept as the reference for a valid header: ``csv.reader``
-    rows, blank rows skipped, every value through ``float`` and checked finite, the first bad row named."""
+    rows, blank rows skipped, every value through ``float`` and checked finite, the first bad row named by
+    the line it starts on."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = list(reader)
+        rows = []
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                break
+            rows.append((lineno, row))
     width = len(header)
     kept = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row or all(c.strip() == "" for c in row):
             continue
         if len(row) != width:
@@ -732,7 +741,8 @@ _ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-10**6, 10**6).map(str),
                      st.sampled_from([" 2.5 ", "\t3", "\xa04", "+.5", "5.", "-0.0", "1e-320", "00012"]))
 _ODD_FIELDS = st.sampled_from(["", " ", "nan", "-inf", "Infinity", "1e400", "1_000", "١", "٢.5", '"1.5"',
-                               '"2,5"', '""', "1\x00", "\x00", "0x10", "abc", "1 5", "1,5"])
+                               '"2,5"', '""', "1\x00", "\x00", "0x10", "abc", "1 5", "1,5",
+                               '"', '"1.5', '1.5"', '"1\n5"'])
 _BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",", ",,", " , ", "\x00"])
 
 
@@ -782,14 +792,33 @@ class TestObservationReaderOracle:
         path = tmp_path_factory.getbasetemp() / "long_decimals.csv"
         path.write_text("time,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, start=1)))
         # every value is finite and well formed, so no row is read a second time
-        with mock.patch("periodetect.cli._block_values", side_effect=AssertionError("read row by row")):
+        with mock.patch("periodetect.cli._row_values", side_effect=AssertionError("read row by row")):
             got = read_observations_csv(path)
         assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ('",0.5\n', "line 2: expected 2 fields, got 1"),
+        ('1,2.5\n2,1\n",3\n', "line 4: expected 2 fields, got 1"),
+    ])
+    def test_an_unclosed_quote_is_one_field_to_the_end_of_the_file(self, tmp_path, body, message):
+        # a reader that takes the quote as text reads two fields on the quote's line
+        (tmp_path / "obs.csv").write_text("time,value\n" + body)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_observations_csv(tmp_path / "obs.csv")
+
+    @pytest.mark.parametrize("body, message", [
+        ('1,"1.5\n"\n2,abc\n', "line 4: cannot parse observation values"),  # after a row over two lines
+        ('1,"1\n5"\n2,3\n', "line 2: cannot parse observation values"),  # a bad row over two lines
+    ])
+    def test_a_bad_row_is_named_by_the_line_it_starts_on(self, tmp_path, body, message):
+        (tmp_path / "obs.csv").write_text("time,value\n" + body)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_observations_csv(tmp_path / "obs.csv")
 
     @pytest.mark.parametrize("body", [
         "1,0.5\n\n2,1.5\n   \n3,-2\n",  # blank rows: numpy's reader rejects the whitespace row
         '1,"0.5"\n2,1.5\n',  # a quoted value
-        "2024-01-01T00:00:00,0.5\n2024-01-01T00:01:00,1.5\n",  # a time column numpy cannot parse
+        "2024-01-01T00:00:00,0.5\n2024-01-01T00:01:00,1.5\n",  # a text time column
         "1,0.5\n2,oops\n",  # a bad row, named by its line
         "1,0.5\n2,1.5\n",
     ])
@@ -807,11 +836,11 @@ class TestObservationReaderOracle:
         assert got == reading(read_observations_csv, tmp_path / "obs.csv") == reading(row_by_row_observations,
                                                                                        tmp_path / "obs.csv")
 
-    def test_a_text_time_column_reads_in_blocks(self, tmp_path):
+    def test_a_text_time_column_and_quoted_values_take_numpys_reader(self, tmp_path):
         rows = [f"2024-01-01T00:{i // 60:02d}:{i % 60:02d},{i % 7}" for i in range(2 * _READ_BLOCK + 5)]
+        rows[3] = '"2024-01-01, 00:00:03","3"'
         (tmp_path / "obs.csv").write_text("time,value\n" + "\n".join(rows) + "\n")
-        # numpy's reader rejects the time column; every block still converts at once, with no row read alone
-        with mock.patch("periodetect.cli.math.isfinite", side_effect=AssertionError("read row by row")):
+        with mock.patch("periodetect.cli._row_values", side_effect=AssertionError("read row by row")):
             got = read_observations_csv(tmp_path / "obs.csv")
         assert got.tobytes() == np.array([i % 7 for i in range(2 * _READ_BLOCK + 5)], dtype=float).tobytes()
 
@@ -1117,6 +1146,19 @@ class TestEvaluateChecks:
         if key != "change":  # the flag supplies it
             code, _, err = run_cli([command, "--scenario", sc, f"--{key}", "5", "--out", out], capsys)
             assert code == 0, err
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("evaluate", "pre", {"period": 1, "slots": [1.5]}, "a slot density must be a JSON object, got 1.5"),
+        ("evaluate", "prior", 0.1, "a change-point prior must be a JSON object, got 0.1"),
+        ("evaluate", "change", "fixed", "a change spec must be a JSON object, got 'fixed'"),
+        ("simulate", "change", "fixed", "a change spec must be a JSON object, got 'fixed'")])
+    def test_a_value_where_an_object_belongs_is_named(self, tmp_path, models, capsys, command, key, value, message):
+        sc = TestEvaluate().make_scenario(tmp_path, models, "add", {"trials": 5, "horizon": 50, key: value})
+        out = tmp_path / "out"
+        code, _, err = run_cli([command, "--scenario", sc, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, models, capsys, workers):

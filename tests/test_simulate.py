@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from periodetect.densities import Gaussian, Poisson
+from periodetect.densities import Gaussian, Poisson, density_from_dict
 from periodetect.detectors import (
     _SCAN_CHUNK,
     ClassifierBankDetector,
@@ -27,6 +27,7 @@ from periodetect.model import (
     MultistreamConfig,
     PeriodicThresholds,
     post_change_law,
+    prior_from_dict,
 )
 from periodetect.simulate import (
     DrawnChange,
@@ -609,6 +610,16 @@ class TestMonteCarloReport:
         (lambda: trial_plans("delay", None, PRE, POST, 10), "unknown metric 'delay'"),
         (lambda: change_from_dict({"type": "fixed", "nu": -2}), "change points are 1-based")])
     def test_a_change_point_or_metric_that_cannot_be_drawn_is_named(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: density_from_dict(1.5), "a slot density must be a JSON object, got 1.5"),
+        (lambda: density_from_dict(["gaussian"]), "a slot density must be a JSON object, got ['gaussian']"),
+        (lambda: prior_from_dict(0.1), "a change-point prior must be a JSON object, got 0.1"),
+        (lambda: change_from_dict("fixed"), "a change spec must be a JSON object, got 'fixed'"),
+        (lambda: change_from_dict({"type": "drawn", "prior": None}), "a change-point prior must be a JSON object, got None")])
+    def test_a_value_where_an_object_belongs_is_named(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
 
