@@ -18,7 +18,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import numbers
 import os
 import sys
@@ -29,19 +28,22 @@ import numpy as np
 # simulate, robust and fit load inside the subcommands that use them, so that each run compiles and
 # imports only its own command's modules
 from . import detectors, information
+from .densities import _json_object
 from .model import (
     ClassBank,
     IpidLaw,
     MultislotFamily,
     MultistreamConfig,
+    _csv_rows,
+    _finite_floats,
     _whole_number,
     post_change_law,
     prior_from_dict,
 )
 
-def _load_json(path):
+def _load_json(path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _json_object(json.load(fh), path)
 
 
 def _write_json(path, payload) -> None:
@@ -60,21 +62,16 @@ def read_observations_csv(path) -> np.ndarray:
     is parsed in one ``np.loadtxt`` call, which honours quotes as csv does and
     reads the time column as text it never converts.  A body it rejects, or
     one holding a value that is not finite, is read again row by row by
-    ``_row_values``.  That reading defines what is accepted: it skips blank
-    rows, takes quoted values and anything ``float`` takes, and names the line
-    of the first bad row.  A pipe is read into memory first, so that it can be
+    ``_row_values``.  That reading, whose row rules ``fit`` shares, defines what
+    is accepted: it skips blank rows, takes quoted values and anything ``float``
+    takes, and names the line of the first bad row.  A pipe is read into memory first, so that it can be
     read twice.
     """
     with open(path, newline="") as raw:
         fh = raw if raw.seekable() else io.StringIO(raw.read(), newline="")
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty observation file: missing header") from None
-        except csv.Error as exc:  # a field over csv's field size limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        header = [h.strip() for h in header]
+        if (first := next(_csv_rows(csv.reader(fh)), None)) is None:
+            raise ValueError("empty observation file: missing header")
+        header = [h.strip() for h in first[1]]
         if len(header) < 2 or header[0] != "time":
             raise ValueError("expected header 'time,value' or 'time,value_0..value_{L-1}'")
         value_cols = header[1:]
@@ -83,9 +80,9 @@ def read_observations_csv(path) -> np.ndarray:
         data = _loadtxt_values(fh, len(header))
         if data is None:
             fh.seek(0)
-            reader = csv.reader(fh)  # counting lines from the start again
-            next(reader)
-            data = _row_values(reader, len(header))
+            rows = _csv_rows(csv.reader(fh))  # counting lines from the start again
+            next(rows)
+            data = _row_values(rows, len(header))
     return data if value_cols == ["value"] else data.reshape(-1, len(value_cols))
 
 
@@ -103,24 +100,13 @@ def _loadtxt_values(lines, width: int) -> np.ndarray | None:
     return values.ravel() if np.isfinite(values).all() else None
 
 
-def _row_values(reader, width: int) -> np.ndarray:
-    """The values of the rows ``reader`` reads, row after row; a bad row is named by the line it starts on."""
-    kept, lineno = [], reader.line_num + 1
-    try:
-        for row in reader:
-            if any(c.strip() for c in row):
-                if len(row) != width:
-                    raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-                try:
-                    values = [float(c) for c in row[1:]]
-                except ValueError:
-                    raise ValueError(f"line {lineno}: cannot parse observation values") from None
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"line {lineno}: observation values must be finite")
-                kept.extend(values)
-            lineno = reader.line_num + 1
-    except csv.Error as exc:  # a field over csv's field size limit
-        raise ValueError(f"line {lineno}: {exc}") from None
+def _row_values(rows, width: int) -> np.ndarray:
+    """The values of ``_csv_rows``' ``rows``, row after row; a row not ``width`` fields wide is named by its line."""
+    kept = []
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"line {line}: expected {width} fields, got {len(row)}")
+        kept.extend(_finite_floats(row[1:], line))
     return np.array(kept, dtype=float)
 
 
@@ -172,9 +158,10 @@ def _load_models(raw: dict) -> dict:
     """
     models = {}
     for name, obj in raw.items():
-        if name == "family" and "streams" in obj:
-            name = "streams"
         if name in _MODEL_PARSERS:
+            obj = _json_object(obj, name)
+            if name == "family" and "streams" in obj:
+                name = "streams"
             models[name] = _MODEL_PARSERS[name](obj)
     return models
 
@@ -356,7 +343,7 @@ def _cmd_evaluate(opts) -> int:
         raise ValueError("--dump-trials needs --dump-dir")
     scenario = _load_json(opts["scenario"])
     metric = scenario.get("metric")
-    det_spec = dict(scenario.get("detector", {}))
+    det_spec = dict(_json_object(scenario.get("detector", {}), "detector"))
     kind = det_spec.get("kind")
     detect = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["detect"]
     declared = {a.dest: a for a in detect._actions}

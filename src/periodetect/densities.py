@@ -31,6 +31,13 @@ def _real_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number other than NaN, got {value!r}")
 
 
+def _json_object(obj, name: str) -> dict:
+    """``obj`` when a dict (a JSON object); else a ValueError naming ``name``."""
+    if isinstance(obj, dict):
+        return obj
+    raise ValueError(f"{name} must be a JSON object, got {obj!r}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal slot distribution with the given mean and variance."""
@@ -130,9 +137,7 @@ def density_to_dict(d: SlotDensity) -> dict:
 
 
 def density_from_dict(obj: dict) -> SlotDensity:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a slot density must be a JSON object, got {obj!r}")
-    kind = obj.get("type")
+    kind = _json_object(obj, "a slot density").get("type")
     if kind == "gaussian":
         return Gaussian(mean=obj["mean"], variance=obj["variance"])
     if kind == "poisson":

@@ -10,13 +10,12 @@ evaluable densities.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import FITTED_RATE_FLOOR, FITTED_VARIANCE_FLOOR, Gaussian, Poisson
-from .model import ClassBank, IpidLaw, _whole_number
+from .model import ClassBank, IpidLaw, _csv_rows, _finite_floats, _whole_number
 
 
 @dataclass(frozen=True)
@@ -113,17 +112,15 @@ def read_long_csv(path, period: int, value_column: str = "value") -> CycleSet:
         raise ValueError("period must be >= 2")
     values = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or value_column not in reader.fieldnames:
+        rows = _csv_rows(csv.reader(fh))
+        header = next(rows, (None, []))[1]
+        if value_column not in header:
             raise ValueError(f"expected a header containing {value_column!r}")
-        for lineno, row in enumerate(reader, start=2):
-            raw = row[value_column]
-            try:
-                values.append(float(raw))
-            except (TypeError, ValueError):
-                raise ValueError(f"line {lineno}: cannot parse {raw!r} as a number") from None
-            if not math.isfinite(values[-1]):
-                raise ValueError(f"line {lineno}: value must be finite, got {raw!r}")
+        column = len(header) - 1 - header[::-1].index(value_column)  # a repeated name means its last column
+        for line, row in rows:
+            if len(row) <= column:
+                raise ValueError(f"line {line}: expected at least {column + 1} fields, got {len(row)}")
+            values.extend(_finite_floats(row[column:column + 1], line))
     n_cycles = len(values) // period
     if n_cycles == 0:
         raise ValueError(f"need at least one full cycle of {period} samples, got {len(values)}")
@@ -138,16 +135,8 @@ def read_cycles_csv(path, period: int | None = None) -> CycleSet:
     """
     cycles = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c for c in row if c.strip() != ""]
-            if not cells:
-                continue
-            try:
-                cycles.append(tuple(float(c) for c in cells))
-            except ValueError:
-                raise ValueError(f"line {lineno}: cannot parse row as numbers") from None
-            if not all(map(math.isfinite, cycles[-1])):
-                raise ValueError(f"line {lineno}: values must be finite")
+        for line, row in _csv_rows(csv.reader(fh)):
+            cycles.append(_finite_floats([c for c in row if c.strip()], line))
     if not cycles:
         raise ValueError("no cycles found")
     return CycleSet(cycles=tuple(cycles), target_period=period if period is not None else len(cycles[0]))

@@ -8,6 +8,7 @@ and observation ``T + 1`` wraps back to the first.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .densities import SlotDensity, _real_number, density_from_dict, density_to_dict
+from .densities import SlotDensity, _json_object, _real_number, density_from_dict, density_to_dict
 
 _WEIGHT_TOL = 1e-9
 
@@ -28,11 +29,35 @@ def _whole_number(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-def _number_list(obj: dict, key: str) -> tuple:
-    """``obj[key]`` as a tuple when a list (a JSON array); else a ValueError naming ``key``."""
-    if not isinstance(value := obj[key], (list, tuple)):
-        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+def _json_list(value, name: str, items: str = "numbers") -> tuple:
+    """``value`` as a tuple when a list (a JSON array); else a ValueError naming ``name`` and its ``items``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of {items}, got {value!r}")
     return tuple(value)
+
+
+def _csv_rows(reader):
+    """The rows of csv ``reader`` that hold a non-blank field, each as ``(line, row)``, ``line`` being the
+    line the row starts on; a csv error, such as a field over csv's size limit, becomes a ValueError naming it."""
+    line = reader.line_num + 1
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ValueError(f"line {line}: {exc}") from None
+
+
+def _finite_floats(cells, line: int) -> list[float]:
+    """``cells`` as floats, each finite; else a ValueError naming ``line``."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        raise ValueError(f"line {line}: cannot parse observation values") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"line {line}: observation values must be finite")
+    return values
 
 
 def _index_set(values, limit: int, name: str) -> frozenset:
@@ -81,7 +106,9 @@ class IpidLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "IpidLaw":
-        return cls(period=obj["period"], slots=tuple(density_from_dict(d) for d in obj["slots"]))
+        obj = _json_object(obj, "a law")
+        slots = _json_list(obj["slots"], "slots", "densities")
+        return cls(period=obj["period"], slots=tuple(map(density_from_dict, slots)))
 
 
 @dataclass(frozen=True)
@@ -187,13 +214,11 @@ def tail_exponent(prior: ChangePointPrior) -> float:
 
 
 def prior_from_dict(obj: dict) -> ChangePointPrior:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a change-point prior must be a JSON object, got {obj!r}")
-    kind = obj.get("type")
+    kind = _json_object(obj, "a change-point prior").get("type")
     if kind == "geometric":
         return GeometricPrior(rho=obj["rho"])
     if kind == "explicit":
-        return ExplicitPrior(pmf=_number_list(obj, "pmf"), declared_tail_exponent=obj.get("tail_exponent", 0.0))
+        return ExplicitPrior(pmf=_json_list(obj["pmf"], "pmf"), declared_tail_exponent=obj.get("tail_exponent", 0.0))
     raise ValueError(f"unknown prior type: {kind!r}")
 
 
@@ -202,6 +227,11 @@ def _normalize_candidates(candidates, limit: int, what: str) -> tuple[frozenset,
     if not out:
         raise ValueError(f"need at least one {what} candidate")
     return out
+
+
+def _candidate_lists(obj: dict) -> tuple:
+    """``obj["candidates"]``, a list of index lists; else a ValueError."""
+    return tuple(_json_list(c, "a candidate", "indices") for c in _json_list(obj["candidates"], "candidates", "lists"))
 
 
 def _check_weights(weights, count: int) -> tuple[float, ...]:
@@ -257,8 +287,8 @@ class MultislotFamily:
             period=obj["period"],
             base_pre=IpidLaw.from_dict(obj["pre"]),
             base_post=IpidLaw.from_dict(obj["post"]),
-            candidates=tuple(frozenset(c) for c in obj["candidates"]),
-            weights=_number_list(obj, "weights"),
+            candidates=_candidate_lists(obj),
+            weights=_json_list(obj["weights"], "weights"),
         )
 
 
@@ -331,7 +361,7 @@ class ClassBank:
     def from_dict(cls, obj: dict) -> "ClassBank":
         return cls(
             period=obj["period"],
-            laws=tuple(IpidLaw.from_dict(d) for d in obj["laws"]),
+            laws=tuple(map(IpidLaw.from_dict, _json_list(obj["laws"], "laws", "laws"))),
             active_slots=obj.get("active_slots"),
         )
 
@@ -374,10 +404,11 @@ class MultistreamConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MultistreamConfig":
+        streams = [_json_object(s, "a stream") for s in _json_list(obj["streams"], "streams", "objects")]
         return cls(
-            streams=tuple((IpidLaw.from_dict(s["pre"]), IpidLaw.from_dict(s["post"])) for s in obj["streams"]),
-            candidates=tuple(frozenset(c) for c in obj["candidates"]),
-            weights=_number_list(obj, "weights"),
+            streams=tuple((IpidLaw.from_dict(s["pre"]), IpidLaw.from_dict(s["post"])) for s in streams),
+            candidates=_candidate_lists(obj),
+            weights=_json_list(obj["weights"], "weights"),
         )
 
 
@@ -414,4 +445,4 @@ class PeriodicThresholds:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PeriodicThresholds":
-        return cls(values=_number_list(obj, "values"))
+        return cls(values=_json_list(obj["values"], "values"))

@@ -26,9 +26,9 @@ from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian, Poisson, SlotDensity, density_from_dict, density_to_dict
+from .densities import Gaussian, Poisson, SlotDensity, _json_object, density_from_dict, density_to_dict
 from .detectors import _SlotLlr
-from .model import IpidLaw, _whole_number
+from .model import IpidLaw, _json_list, _whole_number
 from .simulate import trial_rng
 
 GRID_POINTS = 201
@@ -129,15 +129,16 @@ class UncertaintyFamily:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "UncertaintyFamily":
-        slots = []
-        for s in obj["slots"]:
-            if s["type"] == "finite":
-                slots.append(FiniteSlotFamily(tuple(density_from_dict(d) for d in s["candidates"])))
-            elif s["type"] == "interval":
-                slots.append(IntervalSlotFamily(density_from_dict(s["boundary"]), s["direction"]))
-            else:
-                raise ValueError(f"unknown slot family type {s['type']!r}")
-        return cls(period=obj["period"], slots=tuple(slots))
+        return cls(period=obj["period"], slots=tuple(map(_slot_family, _json_list(obj["slots"], "slots", "objects"))))
+
+
+def _slot_family(obj: dict) -> SlotFamily:
+    kind = _json_object(obj, "a slot family").get("type")
+    if kind == "finite":
+        return FiniteSlotFamily(tuple(map(density_from_dict, _json_list(obj["candidates"], "candidates", "densities"))))
+    if kind == "interval":
+        return IntervalSlotFamily(density_from_dict(obj["boundary"]), obj["direction"])
+    raise ValueError(f"unknown slot family type {kind!r}")
 
 
 def _check_samples(samples: int) -> None:

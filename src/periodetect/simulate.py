@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian
+from .densities import Gaussian, _json_object
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _candidate, _whole_number, prior_from_dict
 from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
@@ -584,9 +584,7 @@ def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon
 
 
 def change_from_dict(obj: dict) -> ChangeSpec:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a change spec must be a JSON object, got {obj!r}")
-    kind = obj.get("type")
+    kind = _json_object(obj, "a change spec").get("type")
     if kind == "fixed":
         return FixedChange(nu=obj["nu"])
     if kind == "drawn":

@@ -11,9 +11,10 @@ estimators.  It also holds one ``evaluate`` scenario per metric, run through
 ``cli.main`` with ``--dump-trials 2``: its report without the config, and the
 sha256 of each dumped trajectory.  Then, through ``cli.main`` again: the
 sha256 of each ``simulate`` CSV with its summary, the outputs of ``lfl
-validate`` and ``lfl select``, and for each class of observation file that
+validate`` and ``lfl select``, for each class of observation file that
 ``read_observations_csv`` reads its own way, the sha256 of the ``detect``
-trajectory with the summary.  Outputs are kept without the ``config`` they
+trajectory with the summary, and the model ``fit`` writes from a long file
+and from a cycles file.  Outputs are kept without the ``config`` they
 embed and without the temporary paths they name.  Floats are kept as
 ``repr`` strings, so the file compares exactly.  ``tests/test_golden.py``
 recomputes every entry, the Monte Carlo ones at one and at two workers.
@@ -291,6 +292,43 @@ def detect_entry(name: str) -> dict:
         return {"trajectory": _digest(tmp / "traj.csv"), "summary": _reprs(summary)}
 
 
+def _fit_text(name: str) -> str:
+    """The training file of ``fit`` entry ``name``: a long file of Gaussian values or of counts, or cycles of
+    unequal lengths; each holds a blank row, and the Gaussian one a quoted value."""
+    rng = np.random.default_rng(25)
+    if name == "cycles_ragged":
+        rows = [",".join(f"{v:.3f}" for v in rng.normal(np.sin(np.arange(n)), 0.5)) for n in (6, 5, 7, 6, 4, 6)]
+        rows[2] += ",,"
+        return "\n".join(rows[:4] + [""] + rows[4:]) + "\n"
+    slots = np.tile([1.0, 4.0, 2.5, 6.0], 12)
+    if name == "long_poisson":
+        fields = [str(v) for v in rng.poisson(slots)]
+    else:
+        fields = [f"{v:.4f}" for v in rng.normal(slots, 1.0)]
+        fields[5] = f'"{fields[5]}"'
+    rows = [f"{i},{f}" for i, f in enumerate(fields, start=1)]
+    return "\n".join(["time,value", *rows[:20], "", *rows[20:]]) + "\n"
+
+
+# each fit entry: its flags besides --input and --out
+FITS = {
+    "long_gaussian": ["--format", "long", "--period", "4", "--family", "gaussian"],
+    "long_poisson": ["--format", "long", "--period", "4", "--family", "poisson", "--smooth-window", "3"],
+    "cycles_ragged": ["--format", "cycles"],
+}
+
+
+def fit_entry(name: str) -> dict:
+    """The model ``fit`` writes for entry ``name``, without its config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "train.csv").write_text(_fit_text(name))
+        _run(["fit", *FITS[name], "--input", str(tmp / "train.csv"), "--out", str(tmp / "model.json")])
+        model = json.loads((tmp / "model.json").read_text())
+    del model["config"]
+    return _reprs(model)
+
+
 def compute(workers: int) -> dict:
     """Every entry of the file, the Monte Carlo ones run with ``workers`` worker processes."""
     return {
@@ -302,6 +340,7 @@ def compute(workers: int) -> dict:
         "simulate": {name: simulate_entry(name) for name in SIMULATIONS},
         "lfl": {action: lfl_entry(action) for action in LFL_ACTIONS},
         "detect": {name: detect_entry(name) for name in DETECT_INPUTS},
+        "fit": {name: fit_entry(name) for name in FITS},
     }
 
 
@@ -346,7 +385,7 @@ def main(argv: list[str]) -> int:
         print(f"{len(moved)} entries moved" if moved else f"every entry of {GOLDEN.name} holds")
         return 1 if moved else 0
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    sections = ("library", "cli", "simulate", "lfl", "detect")
+    sections = ("library", "cli", "simulate", "lfl", "detect", "fit")
     print(f"wrote {', '.join(f'{len(golden[s])} {s}' for s in sections)} entries to {GOLDEN}")
     return 0
 

@@ -335,7 +335,7 @@ class TestFitCommand:
         code, _, err = run_cli(["fit", "--input", csv_path, "--format", "long", "--period", "2",
                                 "--out", out], capsys)
         assert code == 1
-        assert json.loads(err) == {"error": "ValueError", "message": f"line 5: value must be finite, got '{bad}'"}
+        assert json.loads(err) == {"error": "ValueError", "message": "line 5: observation values must be finite"}
         assert not out.exists()
 
     def test_fit_cycles_rejects_a_non_finite_value_with_its_line(self, tmp_path, capsys):
@@ -344,7 +344,7 @@ class TestFitCommand:
         out = tmp_path / "model.json"
         code, _, err = run_cli(["fit", "--input", csv_path, "--format", "cycles", "--out", out], capsys)
         assert code == 1
-        assert json.loads(err) == {"error": "ValueError", "message": "line 2: values must be finite"}
+        assert json.loads(err) == {"error": "ValueError", "message": "line 2: observation values must be finite"}
         assert not out.exists()
 
     def test_fit_respects_config_file_with_flag_override(self, tmp_path, capsys):
@@ -589,6 +589,14 @@ class TestObservationCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_observations_csv(path)
 
+    def test_blank_rows_before_the_header_are_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("\n , \ntime,value\n1,0.5\n\n2,1.5\n")
+        np.testing.assert_array_equal(read_observations_csv(path), [0.5, 1.5])
+        path.write_text("\n , \n")
+        with pytest.raises(ValueError, match="^empty observation file: missing header$"):
+            read_observations_csv(path)
+
     def test_an_oversized_header_field_is_named_by_its_line(self, tmp_path):
         path = tmp_path / "obs.csv"
         path.write_text("time," + " " * 140_000 + "value\n1,1.5\n")
@@ -748,12 +756,14 @@ _BLANK_ROWS = st.sampled_from(["", "   ", "\t", ",", ",,", " , ", "\x00"])
 
 @st.composite
 def observation_files(draw):
-    """A header and up to a dozen rows; half the files hold only numbers and empty rows, which loadtxt takes."""
+    """A header and up to a dozen rows; half the files hold only numbers and empty rows, which loadtxt takes.
+    In about a third of the files one row's time field opens a quote, which in those clean files nothing closes."""
     streams = draw(st.integers(1, 3))
     names = ["value"] if streams == 1 and draw(st.booleans()) else [f"value_{j}" for j in range(streams)]
     width, clean = len(names) + 1, draw(st.booleans())
     text = ",".join(["time", *names])
     rows = draw(st.integers(0, 12))
+    unclosed = draw(st.integers(0, 3 * rows))  # the row that opens the quote, when below rows
     if rows or draw(st.booleans()):
         text += draw(_ENDINGS)
     for k in range(rows):
@@ -762,7 +772,8 @@ def observation_files(draw):
         else:
             count = width - 1 if clean else draw(st.sampled_from([width - 1] * 4 + [width - 2, width]))
             fields = _NUMBERS if clean else st.one_of(_NUMBERS, _ODD_FIELDS)
-            row = ",".join([draw(st.one_of(st.integers(0, 99).map(str), fields)), *(draw(fields) for _ in range(count))])
+            time = draw(st.one_of(st.integers(0, 99).map(str), fields))
+            row = ",".join(['"' + time if k == unclosed else time, *(draw(fields) for _ in range(count))])
         text += row + ("" if k == rows - 1 and draw(st.booleans()) else draw(_ENDINGS))
     return text
 
@@ -1636,3 +1647,33 @@ class TestConfigValuesAreChecked:
             embedded = json.loads(written.read_text())["config"]
             assert {key: embedded[key] for key in values} == values, command
             assert all(type(embedded[key]) is type(value) for key, value in values.items()), command
+
+
+class TestJsonFileShapes:
+    """Each JSON file the CLI reads must hold an object, and is named when it does not."""
+
+    @pytest.mark.parametrize("kind", ["scenario", "config", "model", "bank", "family", "lfl_family"])
+    @pytest.mark.parametrize("content", [[1, 2], 5])
+    def test_a_file_that_holds_no_object_is_named(self, tmp_path, capsys, models, kind, content):
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_text(json.dumps(content))
+        argv = {"scenario": ["evaluate", "--scenario", bad],
+                "config": ["info", "--config", bad],
+                "model": ["detect", "--detector", "cusum", "--model", bad, "--model2", models[1], "--threshold", "3",
+                          "--input", tmp_path / "obs.csv"],
+                "bank": ["info", "--bank", bad],
+                "family": ["info", "--family", bad],
+                "lfl_family": ["lfl", "select", "--model", models[0], "--family", bad]}[kind]
+        code, _, err = run_cli([*argv, "--out", out], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"{bad} must be a JSON object, got {content!r}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("pre", [1, 2]), ("family", 5), ("bank", [1, 2]), ("detector", 5)])
+    def test_a_scenario_entry_that_holds_no_object_is_named(self, tmp_path, capsys, key, value):
+        scenario = {"metric": "arl", "detector": {"kind": "cusum", "threshold": 3.0}, "pre": gaussian_law_dict([0.0]),
+                    "post": gaussian_law_dict([1.0]), "trials": 2, "horizon": 10, key: value}
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        code, _, err = run_cli(["evaluate", "--scenario", tmp_path / "scenario.json", "--out", "-"], capsys)
+        assert code == 1
+        assert json.loads(err) == {"error": "ValueError", "message": f"{key} must be a JSON object, got {value!r}"}

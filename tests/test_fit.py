@@ -191,6 +191,33 @@ class TestCsvIngestion:
         assert cycles.target_period == 3
         assert cycles.cycles == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
 
+    @pytest.mark.parametrize("read, text, message", [
+        # after a quoted field over two lines, the next row starts on line 4, not 3
+        ("long", 'time,value\n1,"1.5\n"\n2,abc\n', "line 4: cannot parse observation values"),
+        ("cycles", '1,"1.5\n"\nabc,2\n', "line 3: cannot parse observation values"),
+        ("long", "time,value\n1,1.5\n2\n3,2.5\n", "line 3: expected at least 2 fields, got 1"),
+        ("long", "value,time\n1.5,1\n,2\n", "line 3: cannot parse observation values"),
+        ("long", "time,value\n1," + " " * 140_000 + "1.5\n", "line 2: field larger than field limit (131072)"),
+        ("cycles", "1,2\n" + " " * 140_000 + "1.5,2\n", "line 2: field larger than field limit (131072)"),
+    ], ids=["long-after-two-lines", "cycles-after-two-lines", "long-short-row", "long-blank-value", "long-huge-field",
+            "cycles-huge-field"])
+    def test_a_bad_row_is_named_by_the_line_it_starts_on(self, tmp_path, read, text, message):
+        path = tmp_path / "train.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_long_csv(path, period=2) if read == "long" else read_cycles_csv(path)
+
+    @pytest.mark.parametrize("blank", ["", "   ", ",", " , \t"])
+    def test_blank_rows_are_skipped_before_and_after_the_header(self, tmp_path, blank):
+        path = tmp_path / "long.csv"
+        path.write_text(f"{blank}\ntime,value\n0,1.0\n{blank}\n1,2.0\n{blank}\n2,3.0\n3,4.0\n")
+        assert read_long_csv(path, period=2).cycles == ((1.0, 2.0), (3.0, 4.0))
+
+    def test_a_repeated_value_column_is_read_from_its_last_field(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("time,value,value\n0,1.0,5.0\n1,2.0,6.0\n")
+        assert read_long_csv(path, period=2).cycles == ((5.0, 6.0),)
+
     def test_too_short_stream_rejected(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("time,value\n0,1.0\n")

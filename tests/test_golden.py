@@ -32,6 +32,7 @@ def test_the_grid_is_the_file():
     assert sorted(make_golden.SIMULATIONS) == sorted(GOLDEN["simulate"])
     assert sorted(make_golden.LFL_ACTIONS) == sorted(GOLDEN["lfl"])
     assert sorted(make_golden.DETECT_INPUTS) == sorted(GOLDEN["detect"])
+    assert sorted(make_golden.FITS) == sorted(GOLDEN["fit"])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -59,6 +60,11 @@ def test_lfl_output(action):
 @pytest.mark.parametrize("name", make_golden.DETECT_INPUTS)
 def test_detect_trajectory_and_summary(name):
     assert make_golden.detect_entry(name) == GOLDEN["detect"][name]
+
+
+@pytest.mark.parametrize("name", list(make_golden.FITS))
+def test_fit_model(name):
+    assert make_golden.fit_entry(name) == GOLDEN["fit"][name]
 
 
 def test_check_names_each_moved_entry_with_its_first_differing_key():

@@ -22,6 +22,7 @@ from periodetect.model import (
     survival,
     tail_exponent,
 )
+from periodetect.robust import UncertaintyFamily
 
 
 def gaussian_law(means, variance=1.0):
@@ -270,6 +271,33 @@ def streams_dict(candidates):
 def bank_dict(active_slots, period=2):
     return {"period": period, "laws": [law_dict([m, m + 1.0][:period]) for m in (0.0, 1.0, 3.0)],
             "active_slots": active_slots}
+
+
+class TestJsonShapes:
+    """A nested list or object of the wrong JSON type is named, not left to fail as a TypeError or KeyError."""
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (IpidLaw.from_dict, [1, 2], "a law must be a JSON object, got [1, 2]"),
+        (IpidLaw.from_dict, {"period": 5, "slots": 5}, "slots must be a list of densities, got 5"),
+        (ClassBank.from_dict, {"period": 1, "laws": 5}, "laws must be a list of laws, got 5"),
+        (ClassBank.from_dict, {"period": 1, "laws": [[1, 2]]}, "a law must be a JSON object, got [1, 2]"),
+        (MultislotFamily.from_dict, {**family_dict([[0]]), "pre": 5}, "a law must be a JSON object, got 5"),
+        (MultislotFamily.from_dict, {**family_dict([[0]]), "candidates": 5},
+         "candidates must be a list of lists, got 5"),
+        (MultislotFamily.from_dict, family_dict([5]), "a candidate must be a list of indices, got 5"),
+        (MultistreamConfig.from_dict, {**streams_dict([[0]]), "streams": 5},
+         "streams must be a list of objects, got 5"),
+        (MultistreamConfig.from_dict, {**streams_dict([[0]]), "streams": [[1, 2]]},
+         "a stream must be a JSON object, got [1, 2]"),
+        (MultistreamConfig.from_dict, streams_dict([[0], 1]), "a candidate must be a list of indices, got 1"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": 5}, "slots must be a list of objects, got 5"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [3]}, "a slot family must be a JSON object, got 3"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"candidates": []}]}, "unknown slot family type None"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"type": "finite", "candidates": 3}]},
+         "candidates must be a list of densities, got 3")])
+    def test_rejected(self, parse, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(obj)
 
 
 class TestIndexSetsFromJson:
