@@ -25,9 +25,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# simulate, robust and fit load inside the subcommands that use them, so that each run compiles and
-# imports only its own command's modules
-from . import detectors, information
+# detectors, information, simulate, robust and fit load inside the functions that use them, so that
+# each run compiles and imports only its own command's modules
 from .densities import _json_object
 from .model import (
     ClassBank,
@@ -111,6 +110,7 @@ def _row_values(rows, width: int) -> np.ndarray:
 
 
 def write_observations_csv(path, obs: np.ndarray) -> None:
+    from . import detectors
     obs = np.asarray(obs, dtype=float)
     names = ["value"] if obs.ndim == 1 else [f"value_{j}" for j in range(obs.shape[1])]
 
@@ -127,20 +127,20 @@ class _Kind(NamedTuple):
     flags: str               # the flags that give them
     needs_rho: bool
     budget: str              # the option that sets its threshold and predicts its delay
-    make: Callable           # (models, rho, threshold, window, reset) -> detector
+    make: Callable           # (detectors module, models, rho, threshold, window, reset) -> detector
 
 
 _DETECTORS = {
     "shiryaev": _Kind(("pre", "post"), "--model (pre) and --model2 (post)", True, "alpha",
-                      lambda m, rho, h, w, r: detectors.ShiryaevDetector(*m, rho, h, reset_on_alarm=r)),
+                      lambda d, m, rho, h, w, r: d.ShiryaevDetector(*m, rho, h, reset_on_alarm=r)),
     "cusum": _Kind(("pre", "post"), "--model (baseline) and --model2 (alternative)", False, "beta",
-                   lambda m, rho, h, w, r: detectors.CusumDetector(*m, h, reset_on_alarm=r)),
+                   lambda d, m, rho, h, w, r: d.CusumDetector(*m, h, reset_on_alarm=r)),
     "mixture": _Kind(("family",), "--family (multislot family JSON)", True, "alpha",
-                     lambda m, rho, h, w, r: detectors.MixtureShiryaev(*m, rho, h, reset_on_alarm=r)),
+                     lambda d, m, rho, h, w, r: d.MixtureShiryaev(*m, rho, h, reset_on_alarm=r)),
     "multistream": _Kind(("streams",), "--family (multistream config JSON)", True, "alpha",
-                         lambda m, rho, h, w, r: detectors.MultistreamMixture(*m, rho, h, reset_on_alarm=r)),
+                         lambda d, m, rho, h, w, r: d.MultistreamMixture(*m, rho, h, reset_on_alarm=r)),
     "classifier": _Kind(("bank",), "--bank", False, "beta",
-                        lambda m, rho, h, w, r: detectors.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
+                        lambda d, m, rho, h, w, r: d.ClassifierBankDetector(*m, h, window=w, reset_on_alarm=r)),
 }
 
 # a scenario's detector spec key -> the dest of the detect option whose declaration checks its value
@@ -178,6 +178,7 @@ def _build_detector(kind: str, opts: dict, models: dict):
     A missing threshold comes from the kind's budget (``alpha`` or ``beta``)
     through ``information.threshold``.
     """
+    from . import detectors, information
     if not isinstance(kind, str) or kind not in _DETECTORS:
         raise ValueError(f"unknown detector kind {kind!r}")
     spec = _DETECTORS[kind]
@@ -192,7 +193,7 @@ def _build_detector(kind: str, opts: dict, models: dict):
             raise ValueError(f"give --threshold or --{spec.budget}")
         threshold = information.threshold(information.DetectorKind(kind), opts[spec.budget],
                                           num_classes=getattr(models.get("bank"), "num_classes", None))
-    return spec.make([models[name] for name in spec.models], rho, threshold, opts.get("window"),
+    return spec.make(detectors, [models[name] for name in spec.models], rho, threshold, opts.get("window"),
                      bool(opts.get("reset_on_alarm", False)))
 
 
@@ -217,6 +218,8 @@ def _cmd_fit(opts) -> int:
 
 
 def _cmd_detect(opts) -> int:
+    from . import detectors
+
     if opts["detector"] is None or opts["input"] is None or opts["out"] is None:
         raise ValueError("detect needs --detector, --input, and --out")
     detector = _build_detector(opts["detector"], opts, _model_files(opts))
@@ -307,6 +310,7 @@ def _predicted_for(metric: str, kind: str, scenario: dict, opts: dict,
     A delay is predicted from the kind's own budget and the information
     number of the change the scenario draws.
     """
+    from . import information
     alpha, beta = opts.get("alpha"), opts.get("beta")
     try:
         if metric == "pfa":
@@ -378,6 +382,7 @@ def _cmd_evaluate(opts) -> int:
 
 def _dump_trials(count, dump_dir, plans, detector, seed) -> None:
     """Write observation + trajectory CSVs for the first trials of each plan a run counted."""
+    from . import detectors
     os.makedirs(dump_dir, exist_ok=True)
     for label, plan in plans:
         for i in range(count):
@@ -387,6 +392,8 @@ def _dump_trials(count, dump_dir, plans, detector, seed) -> None:
 
 
 def _cmd_info(opts) -> int:
+    from . import information
+
     models = _model_files(opts)
     payload: dict = {"config": opts}
     if opts["model"] and opts["model2"]:
@@ -418,9 +425,9 @@ def _cmd_lfl(opts, action) -> int:
         if opts["model2"] is None:
             raise ValueError("lfl validate needs --model2 (the proposed law)")
         proposed = IpidLaw.from_dict(_load_json(opts["model2"]))
-        payload = robust.validate_lfl(pre, proposed, family, samples=opts["samples"], seed=opts["seed"]).to_dict()
+        payload = robust.validate_lfl(pre, proposed, family).to_dict()
     else:
-        payload = robust.select_lfl(pre, family, samples=opts["samples"], seed=opts["seed"]).to_dict()
+        payload = robust.select_lfl(pre, family).to_dict()
     payload["config"] = opts
     _write_json(opts["out"], payload)
     return 0
@@ -496,8 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model")
         p.add_argument("--model2")
         p.add_argument("--family")
-        p.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples (default: %(default)s)")
-        p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     return parser
 
 

@@ -38,6 +38,13 @@ def _json_object(obj, name: str) -> dict:
     raise ValueError(f"{name} must be a JSON object, got {obj!r}")
 
 
+def _required(obj, key: str, what: str):
+    """``obj[key]`` when ``obj`` is a JSON object that has ``key``; else a ValueError naming ``what``."""
+    if key not in _json_object(obj, what):
+        raise ValueError(f"{what} needs the key {key!r}")
+    return obj[key]
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal slot distribution with the given mean and variance."""
@@ -139,7 +146,7 @@ def density_to_dict(d: SlotDensity) -> dict:
 def density_from_dict(obj: dict) -> SlotDensity:
     kind = _json_object(obj, "a slot density").get("type")
     if kind == "gaussian":
-        return Gaussian(mean=obj["mean"], variance=obj["variance"])
+        return Gaussian(_required(obj, "mean", "a Gaussian density"), _required(obj, "variance", "a Gaussian density"))
     if kind == "poisson":
-        return Poisson(rate=obj["rate"])
+        return Poisson(_required(obj, "rate", "a Poisson density"))
     raise ValueError(f"unknown density type: {kind!r}")

@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .densities import SlotDensity, _json_object, _real_number, density_from_dict, density_to_dict
+from .densities import SlotDensity, _json_object, _real_number, _required, density_from_dict, density_to_dict
 
 _WEIGHT_TOL = 1e-9
 
@@ -30,8 +30,8 @@ def _whole_number(value, name: str) -> int:
 
 
 def _json_list(value, name: str, items: str = "numbers") -> tuple:
-    """``value`` as a tuple when a list (a JSON array); else a ValueError naming ``name`` and its ``items``."""
-    if not isinstance(value, (list, tuple)):
+    """``value`` as a tuple when a JSON array, or an iterable other than a string or mapping; else a ValueError."""
+    if isinstance(value, (str, bytes, dict)) or not hasattr(value, "__iter__"):
         raise ValueError(f"{name} must be a list of {items}, got {value!r}")
     return tuple(value)
 
@@ -62,7 +62,7 @@ def _finite_floats(cells, line: int) -> list[float]:
 
 def _index_set(values, limit: int, name: str) -> frozenset:
     """``values`` as a nonempty set of whole numbers in ``0..limit - 1``; else a ValueError naming ``name``."""
-    s = frozenset(_whole_number(i, f"an index of {name}") for i in values)
+    s = frozenset(_whole_number(i, f"an index of {name}") for i in _json_list(values, name, "indices"))
     if not s:
         raise ValueError(f"{name} must be nonempty")
     if not all(0 <= i < limit for i in s):
@@ -72,7 +72,8 @@ def _index_set(values, limit: int, name: str) -> frozenset:
 
 def _candidate(candidates, values, name: str) -> frozenset:
     """The one of ``candidates`` whose indices are ``values``; else a ValueError naming ``name``."""
-    if (s := frozenset(_whole_number(i, f"an index of {name}") for i in values)) not in candidates:
+    s = frozenset(_whole_number(i, f"an index of {name}") for i in _json_list(values, name, "indices"))
+    if s not in candidates:
         raise ValueError(f"unknown candidate {sorted(s)}; not in the declared family")
     return s
 
@@ -106,9 +107,8 @@ class IpidLaw:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "IpidLaw":
-        obj = _json_object(obj, "a law")
-        slots = _json_list(obj["slots"], "slots", "densities")
-        return cls(period=obj["period"], slots=tuple(map(density_from_dict, slots)))
+        slots = _json_list(_required(obj, "slots", "a law"), "slots", "densities")
+        return cls(period=_required(obj, "period", "a law"), slots=tuple(map(density_from_dict, slots)))
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,9 @@ def tail_exponent(prior: ChangePointPrior) -> float:
 def prior_from_dict(obj: dict) -> ChangePointPrior:
     kind = _json_object(obj, "a change-point prior").get("type")
     if kind == "geometric":
-        return GeometricPrior(rho=obj["rho"])
+        return GeometricPrior(rho=_required(obj, "rho", "a prior"))
     if kind == "explicit":
-        return ExplicitPrior(pmf=_json_list(obj["pmf"], "pmf"), declared_tail_exponent=obj.get("tail_exponent", 0.0))
+        return ExplicitPrior(_json_list(_required(obj, "pmf", "a prior"), "pmf"), obj.get("tail_exponent", 0.0))
     raise ValueError(f"unknown prior type: {kind!r}")
 
 
@@ -229,9 +229,9 @@ def _normalize_candidates(candidates, limit: int, what: str) -> tuple[frozenset,
     return out
 
 
-def _candidate_lists(obj: dict) -> tuple:
-    """``obj["candidates"]``, a list of index lists; else a ValueError."""
-    return tuple(_json_list(c, "a candidate", "indices") for c in _json_list(obj["candidates"], "candidates", "lists"))
+def _candidate_lists(values) -> tuple:
+    """``values``, a family's list of index lists; else a ValueError."""
+    return tuple(_json_list(c, "a candidate", "indices") for c in _json_list(values, "candidates", "lists"))
 
 
 def _check_weights(weights, count: int) -> tuple[float, ...]:
@@ -284,11 +284,11 @@ class MultislotFamily:
     @classmethod
     def from_dict(cls, obj: dict) -> "MultislotFamily":
         return cls(
-            period=obj["period"],
-            base_pre=IpidLaw.from_dict(obj["pre"]),
-            base_post=IpidLaw.from_dict(obj["post"]),
-            candidates=_candidate_lists(obj),
-            weights=_json_list(obj["weights"], "weights"),
+            period=_required(obj, "period", "a family"),
+            base_pre=IpidLaw.from_dict(_required(obj, "pre", "a family")),
+            base_post=IpidLaw.from_dict(_required(obj, "post", "a family")),
+            candidates=_candidate_lists(_required(obj, "candidates", "a family")),
+            weights=_json_list(_required(obj, "weights", "a family"), "weights"),
         )
 
 
@@ -360,8 +360,8 @@ class ClassBank:
     @classmethod
     def from_dict(cls, obj: dict) -> "ClassBank":
         return cls(
-            period=obj["period"],
-            laws=tuple(map(IpidLaw.from_dict, _json_list(obj["laws"], "laws", "laws"))),
+            period=_required(obj, "period", "a bank"),
+            laws=tuple(map(IpidLaw.from_dict, _json_list(_required(obj, "laws", "a bank"), "laws", "laws"))),
             active_slots=obj.get("active_slots"),
         )
 
@@ -404,12 +404,10 @@ class MultistreamConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MultistreamConfig":
-        streams = [_json_object(s, "a stream") for s in _json_list(obj["streams"], "streams", "objects")]
-        return cls(
-            streams=tuple((IpidLaw.from_dict(s["pre"]), IpidLaw.from_dict(s["post"])) for s in streams),
-            candidates=_candidate_lists(obj),
-            weights=_json_list(obj["weights"], "weights"),
-        )
+        streams = _json_list(_required(obj, "streams", "a family"), "streams", "objects")
+        laws = tuple(tuple(IpidLaw.from_dict(_required(s, k, "a stream")) for k in ("pre", "post")) for s in streams)
+        return cls(streams=laws, candidates=_candidate_lists(_required(obj, "candidates", "a family")),
+                   weights=_json_list(_required(obj, "weights", "a family"), "weights"))
 
 
 @dataclass(frozen=True)
@@ -445,4 +443,4 @@ class PeriodicThresholds:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PeriodicThresholds":
-        return cls(values=_json_list(obj["values"], "values"))
+        return cls(values=_json_list(_required(obj, "values", "a threshold set"), "values"))

@@ -8,35 +8,32 @@ against the least favorable law is conservative for the whole family.
 
 Dominance between two candidate laws is decided on the survival function of
 ``Z = log gbar(X) / f(X)``: ``g`` dominates ``gbar`` when
-``P_g(Z >= t) >= P_gbar(Z >= t)`` for every ``t``.  Equal-variance Gaussian
-triples reduce to a mean comparison (``Z`` is linear in ``X``); all other
-cases are settled by Monte Carlo comparison of the two empirical survival
-curves on a quantile-anchored grid, with a three-standard-error tolerance
-per grid point.  One pass, ``_violations``, audits ``gbar`` against all its
-rivals: ``gbar``'s samples are drawn once for all of them, every sample is
-scored through ``_SlotLlr``, and each rival draws from the generator state
-just after ``gbar``'s, so a rival's verdict does not depend on the others.
-Monte Carlo verdicts are deterministic given the seed.
+``P_g(Z >= t) >= P_gbar(Z >= t)`` for every ``t``.  The audit is exact and
+draws nothing.  A Poisson ``Z`` is monotone in ``x``, and Poisson laws are
+ordered by rate, so a rate comparison settles it; so does a mean comparison
+for a Gaussian ``Z`` that is linear in ``x``.  Otherwise ``Z`` is quadratic
+in ``x``, ``Z >= t`` is a condition on ``|X - x0|``, and the two
+folded-normal survival curves of ``|X - x0|`` are compared on a fixed grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian, Poisson, SlotDensity, _json_object, density_from_dict, density_to_dict
-from .detectors import _SlotLlr
+from .densities import Gaussian, Poisson, SlotDensity, _json_object, _required, density_from_dict, density_to_dict
 from .model import IpidLaw, _json_list, _whole_number
-from .simulate import trial_rng
 
-GRID_POINTS = 201
-_GRID_QUANTILES = (0.001, 0.999)
 # Interval families are certified at the boundary plus a few interior probes;
 # the monotone-likelihood-ratio structure of the Gaussian/Poisson families
 # makes the boundary the binding case, but the probes guard the wiring.
 _INTERVAL_PROBE_MULTIPLIERS = (1.0, 2.0, 4.0)
+# The folded-normal curves are compared at this many points over each law's +-10 sd; a deficit within _TIE is a tie.
+_GRID_POINTS, _TIE = 2001, 1e-12
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class NoLeastFavorableError(ValueError):
@@ -129,57 +126,43 @@ class UncertaintyFamily:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "UncertaintyFamily":
-        return cls(period=obj["period"], slots=tuple(map(_slot_family, _json_list(obj["slots"], "slots", "objects"))))
+        slots = _json_list(_required(obj, "slots", "a family"), "slots", "objects")
+        return cls(period=_required(obj, "period", "a family"), slots=tuple(map(_slot_family, slots)))
 
 
 def _slot_family(obj: dict) -> SlotFamily:
     kind = _json_object(obj, "a slot family").get("type")
     if kind == "finite":
-        return FiniteSlotFamily(tuple(map(density_from_dict, _json_list(obj["candidates"], "candidates", "densities"))))
+        cands = _json_list(_required(obj, "candidates", "a slot family"), "candidates", "densities")
+        return FiniteSlotFamily(tuple(map(density_from_dict, cands)))
     if kind == "interval":
-        return IntervalSlotFamily(density_from_dict(obj["boundary"]), obj["direction"])
+        return IntervalSlotFamily(density_from_dict(_required(obj, "boundary", "a slot family")), obj.get("direction"))
     raise ValueError(f"unknown slot family type {kind!r}")
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-
-
-def _violations(f: SlotDensity, g_bar: SlotDensity, rivals, samples: int, seed: int) -> list:
-    """The rivals that do not push ``Z`` stochastically above ``gbar``, in rival order."""
-    failed, z_bar = [], None
-    for g in rivals:
-        if not (type(f) is type(g_bar) is type(g)):
-            raise ValueError("dominance is defined within one family only")
-        if g == g_bar:
-            continue
-        if isinstance(f, Gaussian) and f.variance == g_bar.variance == g.variance:
-            if not (g_bar.mean - f.mean) / f.variance * (g.mean - g_bar.mean) >= 0.0:
-                failed.append(g)
-            continue
-        if z_bar is None:
-            rng, score = trial_rng(seed, 0x6C666C), _SlotLlr([((g_bar,), (f,))]).profile
-            z_bar = np.sort(score(g_bar.sample(rng, samples), 0)[0])
-            after_bar = rng.bit_generator.state
-            lo, hi = np.quantile(z_bar, _GRID_QUANTILES)
-            grid = np.array([lo]) if lo == hi else np.linspace(lo, hi, GRID_POINTS)
-            # P(Z >= t) as the share of sorted scores at or above t
-            p_bar = (samples - np.searchsorted(z_bar, grid)) / samples
-        rng.bit_generator.state = after_bar
-        z_g = np.sort(score(g.sample(rng, samples), 0)[0])
-        p_g = (samples - np.searchsorted(z_g, grid)) / samples
-        se = np.sqrt((p_g * (1 - p_g) + p_bar * (1 - p_bar)) / samples)
-        if (p_g < p_bar - 3.0 * se).any():
-            failed.append(g)
-    return failed
-
-
-def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity,
-                    *, samples: int = 100_000, seed: int = 0) -> bool:
+def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity) -> bool:
     """True when ``g`` pushes the score ``Z = log gbar(X)/f(X)`` stochastically above ``gbar``."""
-    _check_samples(samples)
-    return not _violations(f, g_bar, (g,), samples, seed)
+    if not (type(f) is type(g_bar) is type(g)):
+        raise ValueError("dominance is defined within one family only")
+    if g == g_bar:
+        return True
+    if isinstance(f, Poisson):  # Z is monotone in x
+        return (g_bar.rate - f.rate) * (g.rate - g_bar.rate) >= 0.0
+    c2 = 0.5 * (1.0 / f.variance - 1.0 / g_bar.variance)
+    if c2 == 0.0:  # Z is linear in x, and the tails of two normals of unequal variances cross
+        slope = (g_bar.mean - f.mean) / f.variance
+        return slope == 0.0 or g.variance == g_bar.variance and slope * (g.mean - g_bar.mean) >= 0.0
+    # Z >= t is |X - x0| >= r for c2 > 0 and |X - x0| <= r for c2 < 0
+    x0 = (f.mean / f.variance - g_bar.mean / g_bar.variance) / (2.0 * c2)
+    steps = np.linspace(-10.0, 10.0, _GRID_POINTS)
+    r = np.maximum(np.concatenate([abs(d.mean - x0) + steps * math.sqrt(d.variance) for d in (g_bar, g)]), 0.0)
+
+    def survival(d):  # P(|X - x0| >= r) for X drawn from d
+        scale = math.sqrt(2.0 * d.variance)
+        return 0.5 * (_erfc((x0 + r - d.mean) / scale) + _erfc((r - x0 + d.mean) / scale)).astype(float)
+
+    deficit = math.copysign(1.0, c2) * (survival(g_bar) - survival(g))
+    return bool(deficit.max() <= _TIE)
 
 
 @dataclass(frozen=True)
@@ -198,15 +181,14 @@ class LflValidationReport:
         }
 
 
-def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily,
-                 *, samples: int = 100_000, seed: int = 0) -> LflValidationReport:
+def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily) -> LflValidationReport:
     """Audit a proposed least favorable law against every declared candidate.
 
     Finite slot families are checked against each member; interval families
     against the boundary plus interior probes.  The proposed law must itself
-    belong to the family.
+    belong to the family.  Each verdict is ``dominance_check``'s exact one,
+    so the report draws nothing and depends on no seed.
     """
-    _check_samples(samples)
     if pre.period != proposed.period or pre.period != family.period:
         raise ValueError("pre law, proposed law, and family must share one period")
     violations, checked = [], 0
@@ -216,12 +198,11 @@ def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily,
         rivals = (slot_family.candidates if isinstance(slot_family, FiniteSlotFamily)
                   else (slot_family.boundary,) + slot_family.probes(f))
         checked += len(rivals)
-        violations += [(i, g) for g in _violations(f, g_bar, rivals, samples, seed + 7919 * i)]
+        violations += [(i, g) for g in rivals if not dominance_check(f, g_bar, g)]
     return LflValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
-def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
-               *, samples: int = 100_000, seed: int = 0) -> IpidLaw:
+def select_lfl(pre: IpidLaw, family: UncertaintyFamily) -> IpidLaw:
     """Pick the least favorable member of each slot family.
 
     Interval families yield their boundary density, provided the interval
@@ -229,7 +210,6 @@ def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
     for a member dominated by all others; if none exists the family is not
     stochastically bounded and no least favorable law exists.
     """
-    _check_samples(samples)
     if pre.period != family.period:
         raise ValueError("pre law and family must share one period")
     slots = []
@@ -247,8 +227,7 @@ def select_lfl(pre: IpidLaw, family: UncertaintyFamily,
             slots.append(slot_family.boundary)
             continue
         cands = slot_family.candidates
-        chosen = next((c for c in cands
-                       if not _violations(pre_d, c, [g for g in cands if g != c], samples, seed + 7919 * i)), None)
+        chosen = next((c for c in cands if all(dominance_check(pre_d, c, g) for g in cands)), None)
         if chosen is None:
             raise NoLeastFavorableError(f"slot {i}: no candidate is dominated by all others")
         slots.append(chosen)

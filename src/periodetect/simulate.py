@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian, _json_object
+from .densities import Gaussian, _json_object, _required
 from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _candidate, _whole_number, prior_from_dict
 from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
@@ -586,9 +586,9 @@ def worst_case_delay(detector, pre: IpidLaw, post: IpidLaw, trials: int, horizon
 def change_from_dict(obj: dict) -> ChangeSpec:
     kind = _json_object(obj, "a change spec").get("type")
     if kind == "fixed":
-        return FixedChange(nu=obj["nu"])
+        return FixedChange(nu=_required(obj, "nu", "a change spec"))
     if kind == "drawn":
-        return DrawnChange(prior=prior_from_dict(obj["prior"]))
+        return DrawnChange(prior=prior_from_dict(_required(obj, "prior", "a change spec")))
     if kind == "nochange":
         return NoChange()
     raise ValueError(f"unknown change spec type {kind!r}")

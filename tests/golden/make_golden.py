@@ -221,7 +221,7 @@ LFL_FAMILY = {"period": 2, "slots": [
 
 
 def lfl_entry(action: str) -> dict:
-    """``lfl action``'s output without its config, at ``--samples 2000``."""
+    """``lfl action``'s output without its config."""
     pre = IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(3.0))).to_dict()
     proposed = IpidLaw(2, (Gaussian(0.6, 1.0), Poisson(5.0))).to_dict()  # past the nearest rate, 4.0
     with tempfile.TemporaryDirectory() as tmp:
@@ -229,8 +229,7 @@ def lfl_entry(action: str) -> dict:
         for name, obj in (("pre", pre), ("proposed", proposed), ("family", LFL_FAMILY)):
             (tmp / f"{name}.json").write_text(json.dumps(obj))
         _run(["lfl", action, "--model", str(tmp / "pre.json"), "--model2", str(tmp / "proposed.json"),
-              "--family", str(tmp / "family.json"), "--samples", "2000", "--seed", "5",
-              "--out", str(tmp / "out.json")])
+              "--family", str(tmp / "family.json"), "--out", str(tmp / "out.json")])
         out = json.loads((tmp / "out.json").read_text())
     del out["config"]
     return _reprs(out)

@@ -395,6 +395,13 @@ class TestInfoAndLfl:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ValueError", "message": message}
 
+    def test_a_model_without_a_required_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"slots": []}))
+        code, out, err = run_cli(["info", "--model", path, "--model2", path, "--out", "-"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ValueError", "message": "a law needs the key 'period'"}
+
     def test_lfl_select_and_validate(self, tmp_path, capsys):
         pre = gaussian_law_dict([0.0], variance=0.04)
         pre_path = tmp_path / "pre.json"
@@ -418,20 +425,6 @@ class TestInfoAndLfl:
              "--family", fam_path, "--out", "-"], capsys)
         assert code == 0, err
         assert json.loads(out)["ok"] is True
-
-    @pytest.mark.parametrize("action", ["select", "validate"])
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_lfl_samples_below_one_rejected(self, tmp_path, capsys, action, samples):
-        pre_path, fam_path = tmp_path / "pre.json", tmp_path / "family.json"
-        pre_path.write_text(json.dumps(gaussian_law_dict([0.0])))
-        fam_path.write_text(json.dumps({"period": 1, "slots": [{"type": "finite", "candidates": [
-            {"type": "poisson", "rate": 1.5}, {"type": "poisson", "rate": 2.0}]}]}))
-        out = tmp_path / "lfl.json"
-        code, _, err = run_cli(["lfl", action, "--model", pre_path, "--model2", pre_path, "--family", fam_path,
-                                "--samples", samples, "--out", out], capsys)
-        assert code == 1
-        assert json.loads(err) == {"error": "ValueError", "message": f"samples must be >= 1, got {samples}"}
-        assert not out.exists()
 
     def test_lfl_select_failure_is_machine_readable(self, tmp_path, capsys):
         pre_path = tmp_path / "pre.json"
@@ -867,6 +860,12 @@ def imported_modules(code: str) -> set[str]:
 class TestImportScope:
     """Each public name of the package loads its module on first use, so a run imports only what it uses."""
 
+    @staticmethod
+    def command_modules(argv):
+        """The package's modules loaded by a run of ``argv``, as `python -m periodetect ...` runs it."""
+        return imported_modules(f"import runpy, sys; sys.argv = {argv!r}\ntry: runpy.run_module('periodetect', "
+                                f"run_name='__main__', alter_sys=True)\nexcept SystemExit as exit: assert not exit.code")
+
     def test_a_bare_import_loads_no_submodule(self):
         assert imported_modules("import periodetect") == {"periodetect"}
 
@@ -874,12 +873,19 @@ class TestImportScope:
         write_observations_csv(tmp_path / "obs.csv", np.array([0.5, 1.5, 0.25]))
         argv = ["periodetect", "detect", "--detector", "cusum", "--model", str(models[0]), "--model2", str(models[1]),
                 "--threshold", "3.0", "--input", str(tmp_path / "obs.csv"), "--out", str(tmp_path / "summary.json")]
-        # as `python -m periodetect detect ...` runs it
-        ours = imported_modules(f"import runpy, sys; sys.argv = {argv!r}\ntry: runpy.run_module('periodetect', "
-                                f"run_name='__main__', alter_sys=True)\nexcept SystemExit as exit: assert not exit.code")
-        assert ours == {"periodetect", "periodetect.cli", "periodetect.densities",
-                        "periodetect.model", "periodetect.detectors", "periodetect.information"}
+        assert self.command_modules(argv) == {"periodetect", "periodetect.cli", "periodetect.densities",
+                                              "periodetect.model", "periodetect.detectors", "periodetect.information"}
         assert json.loads((tmp_path / "summary.json").read_text())["n_observations"] == 3
+
+    def test_lfl_select_loads_neither_the_detectors_nor_the_engine(self, tmp_path):
+        (tmp_path / "pre.json").write_text(json.dumps(gaussian_law_dict([0.0], variance=0.04)))
+        (tmp_path / "family.json").write_text(json.dumps({"period": 1, "slots": [{
+            "type": "finite", "candidates": [{"type": "gaussian", "mean": m, "variance": 0.04} for m in (0.3, 0.1)]}]}))
+        argv = ["periodetect", "lfl", "select", "--model", str(tmp_path / "pre.json"),
+                "--family", str(tmp_path / "family.json"), "--out", str(tmp_path / "lfl.json")]
+        assert self.command_modules(argv) == {"periodetect", "periodetect.cli", "periodetect.densities",
+                                              "periodetect.model", "periodetect.robust"}
+        assert IpidLaw.from_dict(json.loads((tmp_path / "lfl.json").read_text())).slots == (Gaussian(0.1, 0.04),)
 
     @pytest.mark.parametrize("name, module", sorted(periodetect._EXPORTS.items()))
     def test_every_public_name_is_its_modules_own_object(self, name, module):
@@ -1488,7 +1494,7 @@ def option_values(tmp_path):
     files["train"], files["obs"] = str(tmp_path / "train.csv"), str(tmp_path / "obs.csv")
     write_observations_csv(files["train"], np.tile([1.0, 5.0, 2.0, 4.0], 10))
     write_observations_csv(files["obs"], np.linspace(-1.0, 2.0, 30))
-    lfl = {"model": files["lpre"], "model2": files["lfl"], "family": files["lfam"], "samples": 500, "seed": 3}
+    lfl = {"model": files["lpre"], "model2": files["lfl"], "family": files["lfam"]}
     return {
         ("fit",): {"input": files["train"], "format": "long", "period": 2, "family": "poisson",
                    "smooth_window": 1, "label": "from config"},
@@ -1512,7 +1518,7 @@ class TestOptionsDeclaredOnce:
     EXTRA = {("fit",): {"cycles_used"}, ("detect",): {"threshold_used"}, ("evaluate",): {"metric", "detector"}}
     # the options whose declared default is not None
     DEFAULTS = {"fit": {"format": "long", "family": "gaussian", "label": ""}, "detect": {"reset_on_alarm": False},
-                "evaluate": {"workers": 1, "dump_trials": 0}, "lfl": {"samples": 100_000, "seed": 0}}
+                "evaluate": {"workers": 1, "dump_trials": 0}}
 
     def test_every_option_is_embedded_and_set_from_a_config_file(self, tmp_path, capsys):
         declared, values = declared_options(), option_values(tmp_path)

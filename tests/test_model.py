@@ -268,6 +268,10 @@ def streams_dict(candidates):
             "candidates": candidates, "weights": [1.0 / len(candidates)] * len(candidates)}
 
 
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
 def bank_dict(active_slots, period=2):
     return {"period": period, "laws": [law_dict([m, m + 1.0][:period]) for m in (0.0, 1.0, 3.0)],
             "active_slots": active_slots}
@@ -294,8 +298,39 @@ class TestJsonShapes:
         (UncertaintyFamily.from_dict, {"period": 1, "slots": [3]}, "a slot family must be a JSON object, got 3"),
         (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"candidates": []}]}, "unknown slot family type None"),
         (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"type": "finite", "candidates": 3}]},
-         "candidates must be a list of densities, got 3")])
+         "candidates must be a list of densities, got 3"),
+        (ClassBank.from_dict, bank_dict(5), "active_slots must be a list of indices, got 5"),
+        (lambda obj: post_change_law(MultislotFamily.from_dict(obj), 1), family_dict([[0], [1]]),
+         "changed slots must be a list of indices, got 1")])
     def test_rejected(self, parse, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse(obj)
+
+    @pytest.mark.parametrize("parse, obj, message", [
+        (IpidLaw.from_dict, {"slots": []}, "a law needs the key 'period'"),
+        (IpidLaw.from_dict, {"period": 1}, "a law needs the key 'slots'"),
+        (IpidLaw.from_dict, {"period": 1, "slots": [{"type": "gaussian", "mean": 0.0}]},
+         "a Gaussian density needs the key 'variance'"),
+        (IpidLaw.from_dict, {"period": 1, "slots": [{"type": "poisson"}]}, "a Poisson density needs the key 'rate'"),
+        (MultislotFamily.from_dict, without(family_dict([[0]]), "pre"), "a family needs the key 'pre'"),
+        (MultislotFamily.from_dict, without(family_dict([[0]]), "candidates"), "a family needs the key 'candidates'"),
+        (MultislotFamily.from_dict, without(family_dict([[0]]), "weights"), "a family needs the key 'weights'"),
+        (MultistreamConfig.from_dict, without(streams_dict([[0]]), "streams"), "a family needs the key 'streams'"),
+        (MultistreamConfig.from_dict, {**streams_dict([[0]]), "streams": [{"pre": law_dict([0.0])}]},
+         "a stream needs the key 'post'"),
+        (ClassBank.from_dict, without(bank_dict(None), "laws"), "a bank needs the key 'laws'"),
+        (prior_from_dict, {"type": "geometric"}, "a prior needs the key 'rho'"),
+        (prior_from_dict, {"type": "explicit"}, "a prior needs the key 'pmf'"),
+        (PeriodicThresholds.from_dict, {}, "a threshold set needs the key 'values'"),
+        (UncertaintyFamily.from_dict, {"slots": []}, "a family needs the key 'period'"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"type": "finite"}]},
+         "a slot family needs the key 'candidates'"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [{"type": "interval", "direction": "ge"}]},
+         "a slot family needs the key 'boundary'"),
+        (UncertaintyFamily.from_dict, {"period": 1, "slots": [
+            {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.1, "variance": 1.0}}]},
+         "direction must be 'ge' or 'le', got None")])
+    def test_a_missing_key_is_named(self, parse, obj, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse(obj)
 

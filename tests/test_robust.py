@@ -7,8 +7,6 @@ import pytest
 from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.model import IpidLaw
 from periodetect.robust import (
-    _GRID_QUANTILES,
-    GRID_POINTS,
     FiniteSlotFamily,
     IntervalSlotFamily,
     NoLeastFavorableError,
@@ -17,6 +15,11 @@ from periodetect.robust import (
     select_lfl,
     validate_lfl,
 )
+
+# the grid of the sampled audit that ``ref_dominance_check`` keeps as the oracle: 201 points inside the
+# 0.1-99.9% quantiles of gbar's scores
+GRID_POINTS = 201
+_GRID_QUANTILES = (0.001, 0.999)
 
 
 def gaussian_law(means, variance=1.0):
@@ -41,26 +44,42 @@ class TestDominance:
         assert dominance_check(f, gbar, Gaussian(-1.0, 1))
         assert not dominance_check(f, gbar, Gaussian(-0.25, 1))
 
-    def test_monte_carlo_path_poisson(self):
+    def test_poisson_rate_rule(self):
         f, gbar = Poisson(1.0), Poisson(1.2)
-        assert dominance_check(f, gbar, Poisson(1.5), samples=30_000)
-        assert not dominance_check(f, gbar, Poisson(1.05), samples=30_000)
+        assert dominance_check(f, gbar, Poisson(1.5))
+        assert not dominance_check(f, gbar, Poisson(1.05))
+        # below the baseline the score falls in x, so a smaller rate pushes it up
+        assert dominance_check(f, Poisson(0.8), Poisson(0.5))
+        assert not dominance_check(f, Poisson(0.8), Poisson(0.9))
 
-    def test_monte_carlo_verdict_deterministic(self):
-        f, gbar, g = Poisson(1.0), Poisson(1.2), Poisson(1.35)
-        first = dominance_check(f, gbar, g, samples=20_000, seed=5)
-        second = dominance_check(f, gbar, g, samples=20_000, seed=5)
-        assert first == second
+    def test_a_constant_score_is_pushed_up_by_every_rival(self):
+        assert dominance_check(Poisson(2.0), Poisson(2.0), Poisson(0.5))
+        assert dominance_check(Gaussian(0, 1), Gaussian(0, 1), Gaussian(-3.0, 0.2))
 
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_samples_below_one_rejected(self, samples):
-        pre, lfl = gaussian_law([0.0]), gaussian_law([0.5])
-        family = UncertaintyFamily(1, (FiniteSlotFamily((Gaussian(0.5, 1.0), Gaussian(1.0, 1.0))),))
-        for check in (lambda: dominance_check(Poisson(1.0), Poisson(1.2), Poisson(1.5), samples=samples),
-                      lambda: validate_lfl(pre, lfl, family, samples=samples),
-                      lambda: select_lfl(pre, family, samples=samples)):
-            with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
-                check()
+    def test_a_linear_score_fails_a_rival_of_another_variance(self):
+        # Z is linear in x, so its survival curves under two normals of unequal variances cross
+        f, gbar = Gaussian(0, 1), Gaussian(0.5, 1)
+        assert not dominance_check(f, gbar, Gaussian(3.0, 1.2))
+        assert not dominance_check(f, gbar, Gaussian(3.0, 0.8))
+
+    def test_a_quadratic_score_orders_by_spread_about_its_vertex(self):
+        # c2 > 0 and x0 = 0: Z >= t is |X| >= r, so a wider law centred at 0 pushes Z up
+        f, gbar = Gaussian(0, 1), Gaussian(0, 2)
+        assert dominance_check(f, gbar, Gaussian(0, 3))
+        assert not dominance_check(f, gbar, Gaussian(0, 1.5))
+        # c2 < 0 and x0 = 0: Z >= t is |X| <= r, so a narrower law pushes Z up
+        f, gbar = Gaussian(0, 2), Gaussian(0, 1)
+        assert dominance_check(f, gbar, Gaussian(0, 0.5))
+        assert not dominance_check(f, gbar, Gaussian(0, 1.5))
+
+    @pytest.mark.parametrize("f, g_bar, g", [
+        (Poisson(3.564), Poisson(0.84), Poisson(0.866)),
+        (Gaussian(-0.441, 1.124), Gaussian(-0.429, 0.595), Gaussian(-0.67, 0.539)),
+        (Gaussian(0, 1), Gaussian(0.5, 1), Gaussian(1.0, 1.2))])
+    def test_violations_that_sampling_passed(self, f, g_bar, g):
+        """A Poisson rival on the wrong side of gbar, a Gaussian one 0.0046 below it, and one whose lower
+        tail crosses gbar's beyond any sampled grid: each is a violation, with no sample size or seed."""
+        assert not dominance_check(f, g_bar, g)
 
     def test_cross_family_rejected(self):
         with pytest.raises(ValueError):
@@ -220,7 +239,8 @@ def ref_dominance_check(f, g_bar, g, samples, seed):
     return True
 
 
-def ref_validate(pre, proposed, family, samples, seed):
+def ref_validate(pre, proposed, family):
+    """``validate_lfl``'s report, one ``dominance_check`` per declared rival."""
     violations, checked = [], 0
     for i, slot_family in enumerate(family.slots):
         if isinstance(slot_family, FiniteSlotFamily):
@@ -229,12 +249,12 @@ def ref_validate(pre, proposed, family, samples, seed):
             rivals = (slot_family.boundary,) + slot_family.probes(pre.slots[i])
         for cand in rivals:
             checked += 1
-            if not ref_dominance_check(pre.slots[i], proposed.slots[i], cand, samples, seed + 7919 * i):
+            if not dominance_check(pre.slots[i], proposed.slots[i], cand):
                 violations.append((i, cand))
     return not violations, checked, tuple(violations)
 
 
-def ref_select(pre, family, samples, seed):
+def ref_select(pre, family):
     """The chosen density of each slot, None where no candidate is dominated by all others."""
     slots = []
     for i, slot_family in enumerate(family.slots):
@@ -242,8 +262,8 @@ def ref_select(pre, family, samples, seed):
             slots.append(slot_family.boundary)
             continue
         cands = slot_family.candidates
-        slots.append(next((c for c in cands if all(ref_dominance_check(pre.slots[i], c, g, samples, seed + 7919 * i)
-                                                   for g in cands if g != c)), None))
+        slots.append(next((c for c in cands if all(dominance_check(pre.slots[i], c, g) for g in cands if g != c)),
+                          None))
     return slots
 
 
@@ -283,52 +303,85 @@ def fuzz_family(rng, gaussian):
     return IpidLaw(period, tuple(pre)), UncertaintyFamily(period, tuple(slots))
 
 
-class TestOneAuditMatchesThePerSampleComparison:
-    """The audit scores through ``_SlotLlr``, whose closed form may differ from ``llr`` by an ulp, and counts
-    with sorted scores; its verdicts must still be the per-sample comparison's.  The fuzz seeds were fixed
-    before the first run."""
+def exact_deficit(f, g_bar, g):
+    """The largest ``P_gbar(Z >= t) - P_g(Z >= t)`` over ``t``, from scipy's distribution functions of ``X``:
+    where ``Z`` is monotone in ``x``, ``Z >= t`` is ``X >= x`` or ``X <= x``; where it is quadratic, it is
+    ``|X - x0| >= r`` or ``<= r``."""
+    from scipy.special import ndtr, pdtrc
 
-    def test_verdicts_on_a_fuzz_set(self):
-        rng = np.random.default_rng(2303_02826)
-        cases = [(*fuzz_triple(rng, gaussian=n % 2 == 1, near_tie=n % 3 == 0), int(rng.integers(0, 10_000)))
-                 for n in range(300)]
-        got = [dominance_check(f, g_bar, g, samples=500, seed=seed) for f, g_bar, g, seed in cases]
-        want = [ref_dominance_check(f, g_bar, g, 500, seed) for f, g_bar, g, seed in cases]
-        assert got == want
-        assert 0 < sum(got) < len(got)  # both verdicts occur
+    if isinstance(f, Poisson):
+        k = np.arange(1000.0)
+        return max(float((np.sign(g_bar.rate - f.rate) * (pdtrc(k, g_bar.rate) - pdtrc(k, g.rate))).max()), 0.0)
+
+    def below(x, d):  # P(X <= x)
+        return ndtr((x - d.mean) / math.sqrt(d.variance))
+
+    def above(x, d):  # P(X >= x)
+        return ndtr((d.mean - x) / math.sqrt(d.variance))
+
+    c2 = 0.5 * (1 / f.variance - 1 / g_bar.variance)
+    if c2 == 0:
+        x = np.linspace(-100.0, 100.0, 50_001)
+        gap = np.sign(g_bar.mean - f.mean) * (above(x, g_bar) - above(x, g))
+    else:
+        x0 = (f.mean / f.variance - g_bar.mean / g_bar.variance) / (2 * c2)
+        r = np.linspace(0.0, max(abs(d.mean - x0) + 20 * math.sqrt(d.variance) for d in (g_bar, g)), 50_001)
+        gap = np.sign(c2) * (below(x0 - r, g_bar) + above(x0 + r, g_bar) - below(x0 - r, g) - above(x0 + r, g))
+    return max(float(gap.max()), 0.0)
+
+
+class TestExactAuditMatchesItsOracles:
+    """The exact verdicts against scipy's survival functions, and against the sampled per-sample comparison
+    where a deficit is wide enough for 2*10^4 samples to resolve.  The fuzz seeds were fixed before the
+    first run."""
+
+    def test_verdicts_are_the_sign_of_scipys_deficit(self):
+        rng = np.random.default_rng(2812)
+        cases = [fuzz_triple(rng, gaussian=n % 2 == 1, near_tie=n % 3 == 0) for n in range(300)]
+        deficits = [exact_deficit(*case) for case in cases]
+        assert [dominance_check(*case) for case in cases] == [d <= 1e-12 for d in deficits]
+        assert any(0.0 < d < 1e-3 for d in deficits)  # small deficits occur, and are violations
+
+    def test_verdicts_match_the_sampled_oracle_where_it_resolves_them(self):
+        rng = np.random.default_rng(2811)
+        cases = [fuzz_triple(rng, gaussian=n % 2 == 1, near_tie=False) for n in range(36)]
+        cases = [case for case in cases if not 1e-12 < exact_deficit(*case) <= 0.02]
+        seeds = rng.integers(0, 10_000, len(cases))
+        got = [dominance_check(*case) for case in cases]
+        assert got == [ref_dominance_check(*case, 20_000, int(seed)) for case, seed in zip(cases, seeds)]
+        assert len(cases) >= 20 and 0 < sum(got) < len(got)  # both verdicts occur
 
     def test_validate_and_select_on_random_families(self):
         rng = np.random.default_rng(17)
         selections, reports = [], []
         for n in range(24):
             pre, family = fuzz_family(rng, gaussian=n % 2 == 1)
-            seed = int(rng.integers(0, 10_000))
-            want = ref_select(pre, family, 400, seed)
+            want = ref_select(pre, family)
             proposals = [IpidLaw(pre.period, tuple(
                 s.candidates[0] if isinstance(s, FiniteSlotFamily) else s.boundary for s in family.slots))]
             if None in want:
                 with pytest.raises(NoLeastFavorableError, match=f"^slot {want.index(None)}: "):
-                    select_lfl(pre, family, samples=400, seed=seed)
+                    select_lfl(pre, family)
             else:
-                proposals.append(select_lfl(pre, family, samples=400, seed=seed))
+                proposals.append(select_lfl(pre, family))
                 assert proposals[-1].slots == tuple(want)
             selections.append(None not in want)
             for proposed in proposals:
-                report = validate_lfl(pre, proposed, family, samples=400, seed=seed)
-                assert (report.ok, report.checked, report.violations) == ref_validate(pre, proposed, family, 400, seed)
+                report = validate_lfl(pre, proposed, family)
+                assert (report.ok, report.checked, report.violations) == ref_validate(pre, proposed, family)
                 reports.append(report.ok)
         assert set(selections) == set(reports) == {False, True}  # each outcome occurs
 
-    def test_validate_draws_each_proposed_slot_once(self, monkeypatch):
-        draws = []
-        real = Poisson.sample
-        monkeypatch.setattr(Poisson, "sample", lambda d, rng, size=None: draws.append(d) or real(d, rng, size))
-        rates = (1.0, 2.0, 3.0)
-        pre = IpidLaw(3, tuple(Poisson(r) for r in rates))
-        proposed = IpidLaw(3, tuple(Poisson(1.3 * r) for r in rates))
-        family = UncertaintyFamily(3, tuple(FiniteSlotFamily(tuple(Poisson(m * r) for m in (1.3, 1.5, 1.8)))
-                                            for r in rates))
-        assert validate_lfl(pre, proposed, family, samples=200).checked == 9
-        assert sorted(draws, key=lambda d: d.rate) == sorted(
-            [*proposed.slots, *(g for s in family.slots for g in s.candidates if g not in proposed.slots)],
-            key=lambda d: d.rate)
+    def test_validate_and_select_draw_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the audit drew a sample")
+
+        monkeypatch.setattr(Gaussian, "sample", no_draws)
+        monkeypatch.setattr(Poisson, "sample", no_draws)
+        pre = IpidLaw(3, (Poisson(2.0), Gaussian(0.0, 1.0), Gaussian(1.0, 0.5)))
+        family = UncertaintyFamily(3, (FiniteSlotFamily(tuple(map(Poisson, (2.6, 3.0, 4.0)))),
+                                       FiniteSlotFamily((Gaussian(0.8, 2.0), Gaussian(1.2, 2.5))),
+                                       IntervalSlotFamily(Gaussian(1.4, 0.7), "ge")))
+        chosen = select_lfl(pre, family)
+        report = validate_lfl(pre, chosen, family)
+        assert chosen.slots[0] == Poisson(2.6) and report.checked == 3 + 2 + 4

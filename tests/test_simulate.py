@@ -544,6 +544,11 @@ class TestTrialChecks:
     def test_change_from_dict(self, obj, want):
         assert change_from_dict(obj) == want
 
+    @pytest.mark.parametrize("obj, key", [({"type": "fixed"}, "nu"), ({"type": "drawn"}, "prior")])
+    def test_a_missing_key_is_named(self, obj, key):
+        with pytest.raises(ValueError, match=f"^a change spec needs the key '{key}'$"):
+            change_from_dict(obj)
+
     def test_an_unknown_change_type_raises(self):
         with pytest.raises(ValueError, match="^unknown change spec type 'sudden'$"):
             change_from_dict({"type": "sudden", "nu": 4})
