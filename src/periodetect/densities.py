@@ -10,6 +10,7 @@ domain so that products over hundreds of slots never underflow.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -25,9 +26,10 @@ FITTED_RATE_FLOOR = 1e-6
 
 
 def _real_number(value, name: str) -> float:
-    """``value`` as a float (``±inf`` too) unless a bool, a string or NaN; else a ValueError naming ``name``."""
-    if not isinstance(value, (bool, np.bool_, str, bytes)) and not math.isnan(number := float(value)):
-        return number
+    """``value`` as a float (``±inf`` too) if a number, not a bool or NaN; else a ValueError naming ``name``."""
+    with contextlib.suppress(TypeError):  # float() of None or a list
+        if not isinstance(value, (bool, np.bool_, str, bytes)) and not math.isnan(number := float(value)):
+            return number
     raise ValueError(f"{name} must be a number other than NaN, got {value!r}")
 
 

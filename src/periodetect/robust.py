@@ -14,6 +14,9 @@ ordered by rate, so a rate comparison settles it; so does a mean comparison
 for a Gaussian ``Z`` that is linear in ``x``.  Otherwise ``Z`` is quadratic
 in ``x``, ``Z >= t`` is a condition on ``|X - x0|``, and the two
 folded-normal survival curves of ``|X - x0|`` are compared on a fixed grid.
+
+``select_lfl`` and ``validate_lfl`` share one decision: a member is least
+favorable when each of its rivals (``_rivals``) dominates it.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ import numpy as np
 from .densities import Gaussian, Poisson, SlotDensity, _json_object, _required, density_from_dict, density_to_dict
 from .model import IpidLaw, _json_list, _whole_number
 
-# Interval families are certified at the boundary plus a few interior probes;
-# the monotone-likelihood-ratio structure of the Gaussian/Poisson families
-# makes the boundary the binding case, but the probes guard the wiring.
-_INTERVAL_PROBE_MULTIPLIERS = (1.0, 2.0, 4.0)
 # The folded-normal curves are compared at this many points over each law's +-10 sd; a deficit within _TIE is a tie.
 _GRID_POINTS, _TIE = 2001, 1e-12
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -74,32 +73,11 @@ class IntervalSlotFamily:
         if self.direction not in ("ge", "le"):
             raise ValueError(f"direction must be 'ge' or 'le', got {self.direction!r}")
 
-    def _param(self, d: SlotDensity) -> float:
-        return d.mean if isinstance(d, Gaussian) else d.rate
-
     def contains(self, d: SlotDensity) -> bool:
-        if type(d) is not type(self.boundary):
+        if type(d) is not type(self.boundary) or isinstance(d, Gaussian) and d.variance != self.boundary.variance:
             return False
-        if isinstance(d, Gaussian) and d.variance != self.boundary.variance:
-            return False
-        p, b = self._param(d), self._param(self.boundary)
+        p, b = (d.mean, self.boundary.mean) if isinstance(d, Gaussian) else (d.rate, self.boundary.rate)
         return p >= b if self.direction == "ge" else p <= b
-
-    def probes(self, pre: SlotDensity) -> tuple[SlotDensity, ...]:
-        """Interior members used to spot-check dominance of the boundary."""
-        b = self._param(self.boundary)
-        scale = max(abs(b - self._param(pre)), 1e-3)
-        sign = 1.0 if self.direction == "ge" else -1.0
-        out = []
-        for mult in _INTERVAL_PROBE_MULTIPLIERS:
-            p = b + sign * mult * scale
-            if isinstance(self.boundary, Gaussian):
-                out.append(Gaussian(mean=p, variance=self.boundary.variance))
-            else:
-                if p <= 0.0:
-                    continue
-                out.append(Poisson(rate=p))
-        return tuple(out)
 
     def to_dict(self) -> dict:
         return {"type": "interval", "boundary": density_to_dict(self.boundary), "direction": self.direction}
@@ -140,6 +118,13 @@ def _slot_family(obj: dict) -> SlotFamily:
     raise ValueError(f"unknown slot family type {kind!r}")
 
 
+def _vertex(f: Gaussian, g_bar: Gaussian) -> tuple[float, float]:
+    """``(c2, c)``: ``Z = log gbar(x)/f(x)`` is ``c2 * (x - c)**2`` plus a constant, or linear where
+    ``c2`` is 0, and then ``c`` is f's mean."""
+    c2 = 0.5 * (1.0 / f.variance - 1.0 / g_bar.variance)
+    return c2, (f.mean / f.variance - g_bar.mean / g_bar.variance) / (2.0 * c2) if c2 else f.mean
+
+
 def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity) -> bool:
     """True when ``g`` pushes the score ``Z = log gbar(X)/f(X)`` stochastically above ``gbar``."""
     if not (type(f) is type(g_bar) is type(g)):
@@ -148,12 +133,11 @@ def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity) -> bool:
         return True
     if isinstance(f, Poisson):  # Z is monotone in x
         return (g_bar.rate - f.rate) * (g.rate - g_bar.rate) >= 0.0
-    c2 = 0.5 * (1.0 / f.variance - 1.0 / g_bar.variance)
+    c2, x0 = _vertex(f, g_bar)
     if c2 == 0.0:  # Z is linear in x, and the tails of two normals of unequal variances cross
         slope = (g_bar.mean - f.mean) / f.variance
         return slope == 0.0 or g.variance == g_bar.variance and slope * (g.mean - g_bar.mean) >= 0.0
     # Z >= t is |X - x0| >= r for c2 > 0 and |X - x0| <= r for c2 < 0
-    x0 = (f.mean / f.variance - g_bar.mean / g_bar.variance) / (2.0 * c2)
     steps = np.linspace(-10.0, 10.0, _GRID_POINTS)
     r = np.maximum(np.concatenate([abs(d.mean - x0) + steps * math.sqrt(d.variance) for d in (g_bar, g)]), 0.0)
 
@@ -163,6 +147,27 @@ def dominance_check(f: SlotDensity, g_bar: SlotDensity, g: SlotDensity) -> bool:
 
     deficit = math.copysign(1.0, c2) * (survival(g_bar) - survival(g))
     return bool(deficit.max() <= _TIE)
+
+
+def _rivals(i: int, family: SlotFamily, f: SlotDensity, g_bar: SlotDensity) -> tuple[SlotDensity, ...]:
+    """The members of slot ``i``'s family that ``g_bar`` is audited against: a finite family's candidates, or
+    an interval's boundary, a far member beyond ``g_bar`` and, where ``Z`` is quadratic, the member nearest ``x0``.
+
+    These suffice.  A member ``m`` dominates a monotone ``Z`` exactly when it lies beyond ``g_bar`` from ``f``,
+    so the boundary or the far member fails if any member does.  At one variance ``P(|X - x0| >= r)`` grows
+    with ``|m - x0|``, so a quadratic ``Z`` fails at the nearest member or the far one if it fails anywhere.
+    """
+    if type(f) is not type(g_bar):
+        raise ValueError(f"slot {i}: the slot family and the pre-change density are different families")
+    if isinstance(family, FiniteSlotFamily):
+        return family.candidates
+    b, s = family.boundary, 1.0 if family.direction == "ge" else -1.0
+    if isinstance(b, Poisson):
+        return b, Poisson(2.0 * g_bar.rate + 1.0 if s > 0 else 0.5 * g_bar.rate)
+    c2, c = _vertex(f, g_bar)
+    nearest = (Gaussian(c, b.variance),) if c2 and s * (c - b.mean) > 0.0 else ()  # else the boundary is nearest
+    far = g_bar.mean + s * (2.0 * abs(g_bar.mean - c) + math.sqrt(b.variance))
+    return b, *nearest, Gaussian(far, b.variance)
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,11 @@ class LflValidationReport:
 
 
 def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily) -> LflValidationReport:
-    """Audit a proposed least favorable law against every declared candidate.
+    """Audit a proposed least favorable law against each slot's ``_rivals``.
 
-    Finite slot families are checked against each member; interval families
-    against the boundary plus interior probes.  The proposed law must itself
-    belong to the family.  Each verdict is ``dominance_check``'s exact one,
-    so the report draws nothing and depends on no seed.
+    The proposed law must itself belong to the family.  Each verdict is
+    ``dominance_check``'s exact one, so the report draws nothing and depends
+    on no seed.
     """
     if pre.period != proposed.period or pre.period != family.period:
         raise ValueError("pre law, proposed law, and family must share one period")
@@ -195,40 +199,27 @@ def validate_lfl(pre: IpidLaw, proposed: IpidLaw, family: UncertaintyFamily) -> 
     for i, (slot_family, f, g_bar) in enumerate(zip(family.slots, pre.slots, proposed.slots)):
         if not slot_family.contains(g_bar):
             raise ValueError(f"proposed slot {i} density is not a member of its declared family")
-        rivals = (slot_family.candidates if isinstance(slot_family, FiniteSlotFamily)
-                  else (slot_family.boundary,) + slot_family.probes(f))
+        rivals = _rivals(i, slot_family, f, g_bar)
         checked += len(rivals)
         violations += [(i, g) for g in rivals if not dominance_check(f, g_bar, g)]
     return LflValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
 def select_lfl(pre: IpidLaw, family: UncertaintyFamily) -> IpidLaw:
-    """Pick the least favorable member of each slot family.
+    """Pick, slot by slot, the first member that ``validate_lfl`` would pass.
 
-    Interval families yield their boundary density, provided the interval
-    points away from the pre-change parameter.  Finite families are scanned
-    for a member dominated by all others; if none exists the family is not
-    stochastically bounded and no least favorable law exists.
+    A finite family's candidates are tried in order; an interval offers its
+    boundary.  Where none passes, the family is not stochastically bounded
+    by a member on offer, and a ``NoLeastFavorableError`` names the slot.
     """
     if pre.period != family.period:
         raise ValueError("pre law and family must share one period")
     slots = []
-    for i, (slot_family, pre_d) in enumerate(zip(family.slots, pre.slots)):
-        if isinstance(slot_family, IntervalSlotFamily):
-            if type(slot_family.boundary) is not type(pre_d):
-                raise ValueError(f"slot {i}: interval family and pre-change density are different families")
-            b = slot_family._param(slot_family.boundary)
-            p0 = slot_family._param(pre_d)
-            outward = b > p0 if slot_family.direction == "ge" else b < p0
-            if not outward:
-                raise NoLeastFavorableError(
-                    f"slot {i}: interval family straddles the pre-change parameter; no minimal member"
-                )
-            slots.append(slot_family.boundary)
-            continue
-        cands = slot_family.candidates
-        chosen = next((c for c in cands if all(dominance_check(pre_d, c, g) for g in cands)), None)
+    for i, (slot_family, f) in enumerate(zip(family.slots, pre.slots)):
+        members = slot_family.candidates if isinstance(slot_family, FiniteSlotFamily) else (slot_family.boundary,)
+        chosen = next((g_bar for g_bar in members
+                       if all(dominance_check(f, g_bar, g) for g in _rivals(i, slot_family, f, g_bar))), None)
         if chosen is None:
-            raise NoLeastFavorableError(f"slot {i}: no candidate is dominated by all others")
+            raise NoLeastFavorableError(f"slot {i}: no member is dominated by all its rivals")
         slots.append(chosen)
     return IpidLaw(period=family.period, slots=tuple(slots))

@@ -18,8 +18,8 @@ from typing import Union
 
 import numpy as np
 
-from .densities import Gaussian, _json_object, _required
-from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _candidate, _whole_number, prior_from_dict
+from .densities import Gaussian, _json_object, _real_number, _required
+from .model import ChangePointPrior, IpidLaw, MultistreamConfig, _candidate, _json_list, _whole_number, prior_from_dict
 from .detectors import _SCAN_CHUNK, ClassifierBankDetector, MultistreamMixture
 
 _U64 = np.uint64
@@ -209,6 +209,10 @@ class MonteCarloReport:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", _whole_number(self.trials, "trials"))
+        object.__setattr__(self, "censored_trials", _whole_number(self.censored_trials, "censored_trials"))
+        object.__setattr__(self, "estimate", _real_number(self.estimate, "estimate"))
+        object.__setattr__(self, "std_error", _real_number(self.std_error, "std_error"))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.metric in ("pfa", "misclass") and not (0.0 <= self.estimate <= 1.0):
@@ -224,10 +228,10 @@ class MonteCarloReport:
     @classmethod
     def from_dict(cls, obj: dict) -> "MonteCarloReport":
         return cls(
-            metric=obj["metric"],
-            trials=obj["trials"],
-            estimate=obj["estimate"],
-            std_error=obj["std_error"],
+            metric=_required(obj, "metric", "a report"),
+            trials=_required(obj, "trials", "a report"),
+            estimate=_required(obj, "estimate", "a report"),
+            std_error=_required(obj, "std_error", "a report"),
             censored_trials=obj.get("censored_trials", 0),
             predicted=obj.get("predicted"),
             budget=obj.get("budget"),
@@ -331,10 +335,12 @@ def trial_plans(metric: str, detector, pre: IpidLaw | None, post: IpidLaw | None
         return [("", TrialPlan(law, law, FixedChange(1), horizon))]
     if metric != "worst_case":
         raise ValueError(f"unknown metric {metric!r}")
-    if change_points is not None and len(change_points) == 0:
+    if change_points is None:
+        change_points = range(1, pre.period + 1)
+    if not (change_points := _json_list(change_points, "change_points", "whole numbers")):
         raise ValueError("change_points must name at least one change point")
     plans = []
-    for nu in range(1, pre.period + 1) if change_points is None else change_points:
+    for nu in change_points:
         nu = _whole_number(nu, "change_points")
         if not (1 <= nu <= horizon):
             raise ValueError(f"change point {nu} outside 1..horizon")

@@ -11,7 +11,7 @@ estimators.  It also holds one ``evaluate`` scenario per metric, run through
 ``cli.main`` with ``--dump-trials 2``: its report without the config, and the
 sha256 of each dumped trajectory.  Then, through ``cli.main`` again: the
 sha256 of each ``simulate`` CSV with its summary, the outputs of ``lfl
-validate`` and ``lfl select``, for each class of observation file that
+validate`` and ``lfl select`` on two families, for each class of observation file that
 ``read_observations_csv`` reads its own way, the sha256 of the ``detect``
 trajectory with the summary, and the model ``fit`` writes from a long file
 and from a cycles file.  Outputs are kept without the ``config`` they
@@ -213,21 +213,34 @@ def simulate_entry(name: str) -> dict:
         return {"csv": _digest(tmp / "obs.csv"), "summary": _reprs(summary)}
 
 
-LFL_ACTIONS = ("validate", "select")
-# a Gaussian slot with an interval family and a Poisson slot with a finite one
-LFL_FAMILY = {"period": 2, "slots": [
-    {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.6, "variance": 1.0}, "direction": "ge"},
-    {"type": "finite", "candidates": [{"type": "poisson", "rate": r} for r in (5.0, 4.0, 6.5)]}]}
+# each lfl case: the pre-change law, the law that ``lfl validate`` audits and the family.  The first has a Gaussian
+# slot with an interval family of the pre-change variance (Z is linear) and a Poisson slot with a finite one; the
+# second has two Gaussian intervals wider than their pre-change slots (Z is quadratic).  In each, one slot of the
+# audited law fails: past the nearest rate, 4.0, in the first; in the second, inside its interval and farther
+# from x0 = -1.5 than the boundary
+LFL_CASES = {
+    "": (IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(3.0))), IpidLaw(2, (Gaussian(0.6, 1.0), Poisson(5.0))),
+         {"period": 2, "slots": [
+             {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.6, "variance": 1.0}, "direction": "ge"},
+             {"type": "finite", "candidates": [{"type": "poisson", "rate": r} for r in (5.0, 4.0, 6.5)]}]}),
+    "unequal_variance": (
+        IpidLaw(2, (Gaussian(0.0, 1.0), Gaussian(1.0, 0.5))), IpidLaw(2, (Gaussian(1.5, 2.0), Gaussian(0.6, 1.5))),
+        {"period": 2, "slots": [
+            {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.8, "variance": 2.0}, "direction": "ge"},
+            {"type": "interval", "boundary": {"type": "gaussian", "mean": 0.6, "variance": 1.5}, "direction": "le"}]}),
+}
+LFL_ENTRIES = tuple(f"{action}_{case}" if case else action for case in LFL_CASES for action in ("validate", "select"))
 
 
-def lfl_entry(action: str) -> dict:
-    """``lfl action``'s output without its config."""
-    pre = IpidLaw(2, (Gaussian(0.0, 1.0), Poisson(3.0))).to_dict()
-    proposed = IpidLaw(2, (Gaussian(0.6, 1.0), Poisson(5.0))).to_dict()  # past the nearest rate, 4.0
+def lfl_entry(name: str) -> dict:
+    """The output of ``lfl validate`` or ``lfl select`` on an lfl case, without its config: entry ``name`` is
+    the action, then ``_`` and the case unless it is the first."""
+    action, _, case = name.partition("_")
+    pre, proposed, family = LFL_CASES[case]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, obj in (("pre", pre), ("proposed", proposed), ("family", LFL_FAMILY)):
-            (tmp / f"{name}.json").write_text(json.dumps(obj))
+        for stem, obj in (("pre", pre.to_dict()), ("proposed", proposed.to_dict()), ("family", family)):
+            (tmp / f"{stem}.json").write_text(json.dumps(obj))
         _run(["lfl", action, "--model", str(tmp / "pre.json"), "--model2", str(tmp / "proposed.json"),
               "--family", str(tmp / "family.json"), "--out", str(tmp / "out.json")])
         out = json.loads((tmp / "out.json").read_text())
@@ -337,7 +350,7 @@ def compute(workers: int) -> dict:
         "library": {name: library_entry(name, workers) for name in library_names()},
         "cli": {metric: cli_entry(metric, workers) for metric in CLI_METRICS},
         "simulate": {name: simulate_entry(name) for name in SIMULATIONS},
-        "lfl": {action: lfl_entry(action) for action in LFL_ACTIONS},
+        "lfl": {name: lfl_entry(name) for name in LFL_ENTRIES},
         "detect": {name: detect_entry(name) for name in DETECT_INPUTS},
         "fit": {name: fit_entry(name) for name in FITS},
     }

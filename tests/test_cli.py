@@ -440,6 +440,18 @@ class TestInfoAndLfl:
         assert code == 1
         assert json.loads(err)["error"] == "NoLeastFavorableError"
 
+    def test_lfl_select_on_an_interval_of_another_variance_exits_1(self, tmp_path, capsys):
+        # Z = log gbar/f peaks at x0 = 1 (gbar is narrower than f), so members far from it push Z down
+        pre_path = tmp_path / "pre.json"
+        pre_path.write_text(json.dumps(gaussian_law_dict([0.0], variance=2.0)))
+        fam_path = tmp_path / "family.json"
+        fam_path.write_text(json.dumps({"period": 1, "slots": [{
+            "type": "interval", "boundary": {"type": "gaussian", "mean": 0.5, "variance": 1.0}, "direction": "ge"}]}))
+        code, out, err = run_cli(["lfl", "select", "--model", pre_path, "--family", fam_path, "--out", "-"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "NoLeastFavorableError",
+                                   "message": "slot 0: no member is dominated by all its rivals"}
+
 
 class TestTrafficStyleRun:
     def test_poisson_daily_cycle_cusum(self, tmp_path, capsys):
@@ -1126,7 +1138,9 @@ class TestEvaluateChecks:
 
     @pytest.mark.parametrize("points, message", [
         ([1.5], "change_points must be a whole number, got 1.5"),
-        ([], "change_points must name at least one change point")])
+        ([], "change_points must name at least one change point"),
+        (5, "change_points must be a list of whole numbers, got 5"),
+        ("12", "change_points must be a list of whole numbers, got '12'")])
     def test_invalid_change_points_rejected(self, tmp_path, models, capsys, points, message):
         sc = TestEvaluate().make_scenario(tmp_path, models, "worst_case", {
             "detector": {"kind": "cusum", "beta": 50.0}, "change_points": points, "trials": 5})

@@ -30,7 +30,7 @@ def test_the_grid_is_the_file():
     assert sorted(make_golden.library_names()) == sorted(GOLDEN["library"])
     assert sorted(make_golden.CLI_METRICS) == sorted(GOLDEN["cli"])
     assert sorted(make_golden.SIMULATIONS) == sorted(GOLDEN["simulate"])
-    assert sorted(make_golden.LFL_ACTIONS) == sorted(GOLDEN["lfl"])
+    assert sorted(make_golden.LFL_ENTRIES) == sorted(GOLDEN["lfl"])
     assert sorted(make_golden.DETECT_INPUTS) == sorted(GOLDEN["detect"])
     assert sorted(make_golden.FITS) == sorted(GOLDEN["fit"])
 
@@ -52,9 +52,9 @@ def test_simulate_csv_and_summary(name):
     assert make_golden.simulate_entry(name) == GOLDEN["simulate"][name]
 
 
-@pytest.mark.parametrize("action", make_golden.LFL_ACTIONS)
-def test_lfl_output(action):
-    assert make_golden.lfl_entry(action) == GOLDEN["lfl"][action]
+@pytest.mark.parametrize("name", make_golden.LFL_ENTRIES)
+def test_lfl_output(name):
+    assert make_golden.lfl_entry(name) == GOLDEN["lfl"][name]
 
 
 @pytest.mark.parametrize("name", make_golden.DETECT_INPUTS)

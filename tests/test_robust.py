@@ -114,7 +114,7 @@ class TestValidateLfl:
         ))
         report = validate_lfl(pre, boundary, family)
         assert report.ok
-        assert report.checked == period * 4  # boundary + three probes per slot
+        assert report.checked == period * 2  # Z is linear: the boundary and a far member per slot
 
     def test_intermediate_candidate_reported_as_violation(self):
         pre = gaussian_law([0.0])
@@ -174,8 +174,11 @@ class TestSelectLfl:
     def test_mixed_family_slot_rejected(self):
         pre = IpidLaw(1, (Poisson(1.0),))
         family = UncertaintyFamily(1, (IntervalSlotFamily(Gaussian(0.1, 1.0), "ge"),))
-        with pytest.raises(ValueError):
+        message = "^slot 0: the slot family and the pre-change density are different families$"
+        with pytest.raises(ValueError, match=message):
             select_lfl(pre, family)
+        with pytest.raises(ValueError, match=message):
+            validate_lfl(pre, IpidLaw(1, (Gaussian(0.1, 1.0),)), family)
 
 
 class TestFamilyJson:
@@ -239,27 +242,66 @@ def ref_dominance_check(f, g_bar, g, samples, seed):
     return True
 
 
+DENSE_MEMBERS = 200
+
+
+def dense_interval_verdict(f, g_bar, family):
+    """Whether every one of ``DENSE_MEMBERS`` members of the interval ``family`` dominates ``g_bar``: its
+    largest ``P_gbar(Z >= t) - P_m(Z >= t)``, from scipy's distribution functions, is at most 1e-9.
+
+    The members reach ``3|b - x0| + 20 sd`` past the boundary ``b``, half of them within ``3|b - x0|``
+    (``x0`` is f's parameter where ``Z`` is monotone); a Poisson "le" interval's reach down to
+    ``b / DENSE_MEMBERS``.  ``t`` runs over ``20 sd`` either side of gbar's ``Z`` threshold at its own mean.
+    """
+    from scipy.special import ndtr, pdtrc
+
+    b, s = family.boundary, 1.0 if family.direction == "ge" else -1.0
+    if isinstance(b, Poisson):
+        reach = 3 * abs(b.rate - f.rate) + 20 * math.sqrt(b.rate)
+        rates = np.linspace(b.rate, b.rate + reach if s > 0 else b.rate / DENSE_MEMBERS, DENSE_MEMBERS)
+        k = np.arange(rates.max() + 20 * math.sqrt(rates.max()) + 20)[:, None]  # past every member's bulk
+        gap = np.sign(g_bar.rate - f.rate) * (pdtrc(k, g_bar.rate) - pdtrc(k, rates))
+        return bool(gap.max() <= 1e-9)
+    sd, c2 = math.sqrt(b.variance), 0.5 * (1 / f.variance - 1 / g_bar.variance)
+    x0 = (f.mean / f.variance - g_bar.mean / g_bar.variance) / (2 * c2) if c2 else f.mean
+    near, far = 3 * abs(b.mean - x0), 3 * abs(b.mean - x0) + 20 * sd
+    means = b.mean + s * np.concatenate([np.linspace(0.0, near, DENSE_MEMBERS // 2),
+                                         np.linspace(0.0, far, DENSE_MEMBERS // 2)])
+    steps = sd * np.linspace(-20.0, 20.0, 1001)[:, None]
+    if c2 == 0:  # Z >= t is X >= x or X <= x
+        x = g_bar.mean + steps
+        gap = np.sign(g_bar.mean - f.mean) * (ndtr((g_bar.mean - x) / sd) - ndtr((means - x) / sd))
+    else:  # Z >= t is |X - x0| >= r or <= r
+        r = np.maximum(abs(g_bar.mean - x0) + steps, 0.0)
+
+        def survival(m):  # P(|X - x0| >= r)
+            return ndtr((x0 - r - m) / sd) + ndtr((m - x0 - r) / sd)
+
+        gap = np.sign(c2) * (survival(g_bar.mean) - survival(means))
+    return bool(gap.max() <= 1e-9)
+
+
 def ref_validate(pre, proposed, family):
-    """``validate_lfl``'s report, one ``dominance_check`` per declared rival."""
-    violations, checked = [], 0
-    for i, slot_family in enumerate(family.slots):
+    """``validate_lfl``'s verdict, the slots it fails and the violations of its finite slots: each candidate
+    that ``dominance_check`` fails; an interval slot fails where ``dense_interval_verdict`` does."""
+    violations, failed = [], set()
+    for i, (slot_family, f, g_bar) in enumerate(zip(family.slots, pre.slots, proposed.slots)):
         if isinstance(slot_family, FiniteSlotFamily):
-            rivals = slot_family.candidates
-        else:
-            rivals = (slot_family.boundary,) + slot_family.probes(pre.slots[i])
-        for cand in rivals:
-            checked += 1
-            if not dominance_check(pre.slots[i], proposed.slots[i], cand):
-                violations.append((i, cand))
-    return not violations, checked, tuple(violations)
+            bad = [(i, c) for c in slot_family.candidates if not dominance_check(f, g_bar, c)]
+            violations += bad
+            failed |= {i} if bad else set()
+        elif not dense_interval_verdict(f, g_bar, slot_family):
+            failed.add(i)
+    return not failed, failed, tuple(violations)
 
 
 def ref_select(pre, family):
-    """The chosen density of each slot, None where no candidate is dominated by all others."""
+    """The chosen density of each slot, None where no member on offer is dominated by all others."""
     slots = []
     for i, slot_family in enumerate(family.slots):
         if isinstance(slot_family, IntervalSlotFamily):
-            slots.append(slot_family.boundary)
+            b = slot_family.boundary
+            slots.append(b if dense_interval_verdict(pre.slots[i], b, slot_family) else None)
             continue
         cands = slot_family.candidates
         slots.append(next((c for c in cands if all(dominance_check(pre.slots[i], c, g) for g in cands if g != c)),
@@ -330,6 +372,73 @@ def exact_deficit(f, g_bar, g):
     return max(float(gap.max()), 0.0)
 
 
+def fuzz_interval(rng, kind, direction, interior):
+    """A pre-change density, an interval family of ``kind`` ("poisson", or a Gaussian of "equal" or "unequal"
+    variance to it) and a proposed member: the boundary, or an interior member up to 1.5 sd past it (a rate up
+    to 1.5 times the boundary's, or down to its 2/3)."""
+    s = 1.0 if direction == "ge" else -1.0
+    if kind == "poisson":
+        f = Poisson(rng.uniform(0.5, 8.0))
+        b = Poisson(f.rate * rng.uniform(0.5, 2.0))
+        return f, IntervalSlotFamily(b, direction), Poisson(b.rate * rng.uniform(1.0, 1.5) ** s) if interior else b
+    f = Gaussian(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+    b = Gaussian(f.mean + rng.uniform(-1.5, 1.5), f.variance * (1.0 if kind == "equal" else rng.uniform(0.4, 2.5)))
+    g_bar = Gaussian(b.mean + s * rng.uniform(0.0, 1.5) * math.sqrt(b.variance), b.variance) if interior else b
+    return f, IntervalSlotFamily(b, direction), g_bar
+
+
+INTERVAL_KINDS = [(kind, direction, interior) for kind in ("poisson", "equal", "unequal")
+                  for direction in ("ge", "le") for interior in (False, True)]
+
+
+class TestIntervalAuditIsExact:
+    """An interval's few rivals against a dense-member oracle.  The fuzz seeds were fixed before the first run."""
+
+    def test_interval_verdicts_match_the_dense_oracle(self):
+        rng = np.random.default_rng(2901)
+        cases = [(*fuzz_interval(rng, *kind), kind) for _ in range(20) for kind in INTERVAL_KINDS]
+        got = [validate_lfl(IpidLaw(1, (f,)), IpidLaw(1, (g_bar,)), UncertaintyFamily(1, (family,))).ok
+               for f, family, g_bar, _ in cases]
+        assert got == [dense_interval_verdict(f, g_bar, family) for f, family, g_bar, _ in cases]
+        for kind in INTERVAL_KINDS:  # a boundary passes or fails; an interior member fails unless it sits at x0
+            assert {ok for ok, case in zip(got, cases) if case[-1] == kind} == ({False} if kind[2] else {False, True})
+
+    def test_every_selected_law_passes_the_audit(self):
+        rng = np.random.default_rng(2902)
+        selected = []
+        for n in range(60):
+            pre, slots = [], []
+            for _ in range(int(rng.integers(1, 4))):
+                f, interval, _ = fuzz_interval(rng, ("poisson", "equal", "unequal")[n % 3], ("ge", "le")[n % 2], False)
+                pre.append(f)
+                members = [fuzz_interval(rng, ("poisson", "equal", "unequal")[n % 3], "ge", True)[2]
+                           for _ in range(int(rng.integers(1, 4)))]
+                slots.append(interval if rng.random() < 0.5 else FiniteSlotFamily(tuple(members)))
+            pre, family = IpidLaw(len(pre), tuple(pre)), UncertaintyFamily(len(slots), tuple(slots))
+            try:
+                law = select_lfl(pre, family)
+            except NoLeastFavorableError:
+                selected.append(False)
+                continue
+            assert validate_lfl(pre, law, family).ok and ref_validate(pre, law, family)[0]
+            selected.append(True)
+        assert set(selected) == {False, True}
+
+    @pytest.mark.parametrize("f, boundary, far", [
+        (Gaussian(0.0, 2.0), Gaussian(0.5, 1.0), 2.5),  # x0 = 1, and the far member is 0.5 + 2 * 0.5 + 1
+        (Gaussian(-1.8, 3.0), Gaussian(-1.6, 2.0), -0.8 + math.sqrt(2.0))])  # x0 = -1.2
+    def test_an_interval_of_another_variance_with_no_least_favorable_member(self, f, boundary, far):
+        """Z peaks at x0 (c2 < 0), so members far from x0 push it down: neither boundary is least favorable."""
+        pre, family = IpidLaw(1, (f,)), UncertaintyFamily(1, (IntervalSlotFamily(boundary, "ge"),))
+        with pytest.raises(NoLeastFavorableError, match="^slot 0: "):
+            select_lfl(pre, family)
+        report = validate_lfl(pre, IpidLaw(1, (boundary,)), family)
+        [(slot, member)] = report.violations
+        assert (slot, member.variance, member.mean) == (0, boundary.variance, pytest.approx(far))
+        assert report.checked == 3  # x0 lies inside the interval: the boundary, the member at x0 and the far one
+        assert not dominance_check(f, boundary, Gaussian(5.0, boundary.variance))
+
+
 class TestExactAuditMatchesItsOracles:
     """The exact verdicts against scipy's survival functions, and against the sampled per-sample comparison
     where a deficit is wide enough for 2*10^4 samples to resolve.  The fuzz seeds were fixed before the
@@ -368,7 +477,9 @@ class TestExactAuditMatchesItsOracles:
             selections.append(None not in want)
             for proposed in proposals:
                 report = validate_lfl(pre, proposed, family)
-                assert (report.ok, report.checked, report.violations) == ref_validate(pre, proposed, family)
+                ok, failed, finite = ref_validate(pre, proposed, family)
+                assert (report.ok, {i for i, _ in report.violations}) == (ok, failed)
+                assert tuple(v for v in report.violations if isinstance(family.slots[v[0]], FiniteSlotFamily)) == finite
                 reports.append(report.ok)
         assert set(selections) == set(reports) == {False, True}  # each outcome occurs
 
@@ -384,4 +495,5 @@ class TestExactAuditMatchesItsOracles:
                                        IntervalSlotFamily(Gaussian(1.4, 0.7), "ge")))
         chosen = select_lfl(pre, family)
         report = validate_lfl(pre, chosen, family)
-        assert chosen.slots[0] == Poisson(2.6) and report.checked == 3 + 2 + 4
+        # x0 = 0 lies outside the interval, so its rivals are the boundary and a far member
+        assert chosen.slots[0] == Poisson(2.6) and report.checked == 3 + 2 + 2

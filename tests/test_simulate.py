@@ -525,7 +525,9 @@ class TestTrialChecks:
 
     @pytest.mark.parametrize("change_points, message", [
         ([1.5], "change_points must be a whole number, got 1.5"),
-        ([], "change_points must name at least one change point")])
+        ([], "change_points must name at least one change point"),
+        (5, "change_points must be a list of whole numbers, got 5"),
+        ("12", "change_points must be a list of whole numbers, got '12'")])
     def test_invalid_change_points_raise(self, change_points, message):
         det = CusumDetector(PRE, POST, 2.5)
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -609,6 +611,27 @@ class TestMonteCarloReport:
     def test_the_message_names_the_fault(self, fields, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MonteCarloReport(**{"metric": "arl", "trials": 10, "estimate": 0.5, "std_error": 0.1, **fields})
+
+    @pytest.mark.parametrize("key", ["metric", "trials", "estimate", "std_error"])
+    def test_from_dict_names_a_missing_key(self, key):
+        obj = {"metric": "arl", "trials": 10, "estimate": 0.5, "std_error": 0.1}
+        del obj[key]
+        with pytest.raises(ValueError, match=f"^a report needs the key '{key}'$"):
+            MonteCarloReport.from_dict(obj)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"trials": "10"}, "trials must be a whole number, got '10'"),
+        ({"trials": [10]}, "trials must be a whole number, got [10]"),
+        ({"censored_trials": 1.5}, "censored_trials must be a whole number, got 1.5"),
+        ({"estimate": "0.5"}, "estimate must be a number other than NaN, got '0.5'"),
+        ({"estimate": [0.5]}, "estimate must be a number other than NaN, got [0.5]"),
+        ({"std_error": None}, "std_error must be a number other than NaN, got None")])
+    def test_a_count_or_estimate_of_the_wrong_type_is_named(self, fields, message):
+        obj = {"metric": "arl", "trials": 10, "estimate": 0.5, "std_error": 0.1, **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MonteCarloReport.from_dict(obj)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MonteCarloReport(**obj)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: FixedChange(0), "change points are 1-based"),
