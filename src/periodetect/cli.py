@@ -115,8 +115,8 @@ def write_observations_csv(path, obs: np.ndarray) -> None:
     names = ["value"] if obs.ndim == 1 else [f"value_{j}" for j in range(obs.shape[1])]
 
     def lines():
-        for lo in range(0, len(obs), detectors._ROW_BLOCK):
-            fields = detectors._value_fields(obs[lo:lo + detectors._ROW_BLOCK], ",")
+        for lo in range(0, len(obs), detectors._SCAN_CHUNK):
+            fields = detectors._value_fields(obs[lo:lo + detectors._SCAN_CHUNK], ",")
             yield "".join([f"{i},{values}\r\n" for i, values in enumerate(fields, start=lo + 1)])
 
     detectors._write_csv_blocks(path, ["time", *names], lines())
@@ -144,8 +144,7 @@ _DETECTORS = {
 }
 
 # a scenario's detector spec key -> the dest of the detect option whose declaration checks its value
-_SPEC_OPTIONS = {"threshold": "threshold", "alpha": "alpha", "beta": "beta", "rho": "prior_rho",
-                 "window": "window", "reset_on_alarm": "reset_on_alarm"}
+_SPEC_OPTIONS = {"threshold": "threshold", "alpha": "alpha", "beta": "beta", "rho": "prior_rho", "window": "window"}
 
 _MODEL_PARSERS = {"pre": IpidLaw.from_dict, "post": IpidLaw.from_dict, "family": MultislotFamily.from_dict,
                   "streams": MultistreamConfig.from_dict, "bank": ClassBank.from_dict}
@@ -349,6 +348,8 @@ def _cmd_evaluate(opts) -> int:
     metric = scenario.get("metric")
     det_spec = dict(_json_object(scenario.get("detector", {}), "detector"))
     kind = det_spec.get("kind")
+    if det_spec.get("reset_on_alarm") is not None:
+        raise ValueError("evaluate ends each trial at its first alarm, so a detector spec takes no reset_on_alarm")
     detect = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["detect"]
     declared = {a.dest: a for a in detect._actions}
     # the spec as the options it stands for, nulls left out

@@ -36,18 +36,11 @@ from .model import ClassBank, IpidLaw, MultislotFamily, MultistreamConfig, Perio
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Rows per block where run and the CSV writers turn numpy columns into Python
-# objects, which bounds the transient objects held at once.
-_ROW_BLOCK = 4096
-
-# Observations per block of each family's batch scan (and the trial engine's cap on scores
-# per component in one batch).  Cumulative sums restart at each block, so their magnitude,
-# and the closed forms' cancellation error, stays bounded on any stream.
+# Observations per block wherever a stream or batch is cut: each family's batch scan, whose cumsums
+# restart at each block so their magnitude and cancellation error stay bounded on any stream; the trial
+# engine's cap on scores per component in one batch; the pieces _SlotLlr.profile scores from its tables
+# (tiled to this length plus one period); and the rows run and the CSV writers format at once.
 _SCAN_CHUNK = 4096
-
-# Observations scored per piece by _SlotLlr.profile, which tiles its tables to
-# this length (plus one period) once, at construction.
-_PROFILE_RUN = 1024
 
 # Cap on the entries of each classifier difference tensor (float64, so 1 MiB).
 _BLOCK_ELEMENTS = 1 << 17
@@ -133,8 +126,8 @@ class _SlotLlr:
                     count[k, i] = True
                 else:
                     self._fallback.append((k, i))
-        # the tables tiled so that any slot can start a run of _PROFILE_RUN observations
-        reps = -(-(_PROFILE_RUN + self.period) // self.period)
+        # the tables tiled so that any slot can start a run of _SCAN_CHUNK observations
+        reps = -(-(_SCAN_CHUNK + self.period) // self.period)
         self._runs = [np.tile(c, reps) for c in (c0, c1, c2)]
         count = count.any(axis=0)
         self._any_count = bool(count.any())
@@ -165,7 +158,7 @@ class _SlotLlr:
         run starting in ``start_slot`` and scored as it would be alone.
 
         Each run's scores are contiguous, so a scan reads one component at a
-        time.  Pieces of up to ``_PROFILE_RUN`` observations are scored from
+        time.  Pieces of up to ``_SCAN_CHUNK`` observations are scored from
         contiguous slices of the tiled tables, with no gather by slot.
         """
         xs = np.asarray(xs, dtype=float)
@@ -176,8 +169,8 @@ class _SlotLlr:
         rows = xs.reshape(1, -1) if xs.ndim == 1 else xs
         z = np.empty((len(self._pairs), *rows.shape))
         c0, c1, c2 = self._runs
-        for lo in range(0, rows.shape[1], _PROFILE_RUN):
-            x = rows[:, lo:lo + _PROFILE_RUN]
+        for lo in range(0, rows.shape[1], _SCAN_CHUNK):
+            x = rows[:, lo:lo + _SCAN_CHUNK]
             a = (start_slot + lo) % self.period
             b = a + x.shape[1]
             if self._any_count:
@@ -712,7 +705,7 @@ class ClassifierBankDetector(_Detector):
 
 def _walk_blocks(detector, observations, stop_on_alarm: bool = False):
     """Score a whole input now (an invalid observation raises before any state changes), then return
-    an iterator that walks ``_ROW_BLOCK`` observations per block as it is taken, ending at the first
+    an iterator that walks ``_SCAN_CHUNK`` observations per block as it is taken, ending at the first
     alarm with ``stop_on_alarm``.  A block is ``(times, observations, statistics, alarms, decided)``:
     its time indices (a range), its rows of ``observations`` and its walked columns."""
     if not isinstance(observations, np.ndarray):
@@ -722,9 +715,9 @@ def _walk_blocks(detector, observations, stop_on_alarm: bool = False):
     z = detector._score_matrix(observations, detector.time % detector.period)
 
     def blocks():
-        for lo in range(0, z.shape[1], _ROW_BLOCK):
+        for lo in range(0, z.shape[1], _SCAN_CHUNK):
             first = detector.time + 1
-            stats, alarms, decided = detector._walk(z[:, lo:lo + _ROW_BLOCK].tolist(), stop_on_alarm)
+            stats, alarms, decided = detector._walk(z[:, lo:lo + _SCAN_CHUNK].tolist(), stop_on_alarm)
             yield range(first, first + len(stats)), observations[lo:lo + len(stats)], stats, alarms, decided
             if stop_on_alarm and alarms[-1]:
                 return
@@ -795,8 +788,8 @@ def write_trajectory_csv(path, trajectory: list[StepResult], observations, perio
     values = np.asarray(observations, dtype=float)
 
     def blocks():
-        for lo in range(0, len(trajectory), _ROW_BLOCK):
-            times, stats, alarms, decided = zip(*trajectory[lo:lo + _ROW_BLOCK])
-            yield times, values[lo:lo + _ROW_BLOCK], stats, map(int, alarms), decided
+        for lo in range(0, len(trajectory), _SCAN_CHUNK):
+            times, stats, alarms, decided = zip(*trajectory[lo:lo + _SCAN_CHUNK])
+            yield times, values[lo:lo + _SCAN_CHUNK], stats, map(int, alarms), decided
 
     _write_trajectory(path, blocks(), period)

@@ -120,7 +120,6 @@ def threshold(kind: DetectorKind, budget: float, num_classes: int | None = None)
         if num_classes is None or num_classes < 1:
             raise ValueError("classifier threshold needs the number of classes M >= 1")
         return math.log(4.0 * num_classes * budget)
-    raise ValueError(f"unhandled kind {kind}")
 
 
 def asymptotic_delay(kind: DetectorKind, budget: float, info: float, tail_exponent: float = 0.0) -> float:

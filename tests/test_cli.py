@@ -27,7 +27,7 @@ from periodetect.cli import (
 )
 from periodetect.densities import Gaussian
 from periodetect.detectors import (
-    _ROW_BLOCK,
+    _SCAN_CHUNK,
     ClassifierBankDetector,
     CusumDetector,
     MixtureShiryaev,
@@ -1048,6 +1048,29 @@ class TestPredictedFor:
         assert report["censored_trials"] < report["trials"]
 
 
+class TestRequiredOptions:
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--out", "-"], "fit needs --input and --out"),
+        (["fit", "--input", "{train}", "--out", "-"], "long-format input needs --period"),
+        (["detect", "--out", "-"], "detect needs --detector, --input, and --out"),
+        (["simulate", "--out", "-"], "simulate needs --scenario and --out"),
+        (["evaluate"], "evaluate needs --scenario"),
+        (["info", "--out", "-"], "info needs --model/--model2, --family, or --bank"),
+        (["lfl", "select", "--out", "-"], "lfl needs --model (pre-change law) and --family"),
+        (["lfl", "validate", "--model", "{lpre}", "--family", "{lfam}", "--out", "-"],
+         "lfl validate needs --model2 (the proposed law)")])
+    def test_a_missing_option_is_named(self, tmp_path, capsys, argv, message):
+        values = option_values(tmp_path)
+        files = {"train": values[("fit",)]["input"], "lpre": values[("lfl", "validate")]["model"],
+                 "lfam": values[("lfl", "validate")]["family"]}
+        code, out, err = run_cli([arg.format(**files) for arg in argv], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+NO_RESET_IN_EVALUATE = "evaluate ends each trial at its first alarm, so a detector spec takes no reset_on_alarm"
+
+
 class TestEvaluateChecks:
     @pytest.mark.parametrize("metric", ["add", "worst_case"])
     def test_a_delay_needs_a_post_change_law(self, tmp_path, capsys, metric):
@@ -1084,8 +1107,9 @@ class TestEvaluateChecks:
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "cusum", "beta": 50.0, "reset_on_alarm": "false"},
-         "detector reset_on_alarm must be true or false, got 'false'"),
+        # every trial ends at its first alarm, so reset_on_alarm would change no report and no dump
+        ({"kind": "cusum", "beta": 50.0, "reset_on_alarm": True}, NO_RESET_IN_EVALUATE),
+        ({"kind": "cusum", "beta": 50.0, "reset_on_alarm": False}, NO_RESET_IN_EVALUATE),
         ({"kind": "cusum", "beta": "50"}, "detector beta must be a number, got '50'"),
         ({"kind": "cusum", "threshold": "3.0"}, "detector threshold must be a number, got '3.0'"),
         ({"kind": "cusum", "threshold": True}, "detector threshold must be a number, got True"),
@@ -1267,7 +1291,8 @@ class TestEvaluateChecks:
 
     def test_a_null_rho_takes_the_priors(self, tmp_path, models, capsys):
         reports = []
-        for spec in ({"kind": "shiryaev", "alpha": 0.05}, {"kind": "shiryaev", "alpha": 0.05, "rho": None}):
+        for spec in ({"kind": "shiryaev", "alpha": 0.05}, {"kind": "shiryaev", "alpha": 0.05, "rho": None},
+                     {"kind": "shiryaev", "alpha": 0.05, "rho": None, "reset_on_alarm": None}):
             sc = TestEvaluate().make_scenario(tmp_path, models, "pfa", {"detector": spec, "trials": 200})
             out = tmp_path / f"report_{len(spec)}.json"
             code, _, err = run_cli(["evaluate", "--scenario", sc, "--out", out], capsys)
@@ -1275,7 +1300,7 @@ class TestEvaluateChecks:
             report = json.loads(out.read_text())
             assert report.pop("config")["detector"] == spec
             reports.append(report)
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
         assert reports[0]["trials"] == 200
 
     def test_a_prediction_that_raises_is_reported_as_null(self, tmp_path, models, capsys):
@@ -1300,7 +1325,7 @@ class TestEvaluateChecks:
 
 # ``detect`` against ``run`` plus the per-row csv.writer dump: five kinds, with and without
 # reset, on a stream of three trajectory blocks with alarms on both sides of a block edge.
-DETECT_ROWS = 2 * _ROW_BLOCK + 77
+DETECT_ROWS = 2 * _SCAN_CHUNK + 77
 DETECT_PRE, DETECT_POST = gaussian_law_dict([0.0, 0.4, -0.3]), gaussian_law_dict([0.8, 1.0, 0.5])
 DETECT_MODELS = {
     "pre": DETECT_PRE,
@@ -1351,12 +1376,12 @@ class TestDetectStreamsBlocks:
         rng = np.random.default_rng(21)
         xs = np.array([0.0, 0.4, -0.3])[np.arange(DETECT_ROWS) % 3, None] + 0.4 + rng.standard_normal(
             (DETECT_ROWS, 2))
-        xs[_ROW_BLOCK - 1:_ROW_BLOCK + 1] = 30.0  # the last row of a block and the first of the next
+        xs[_SCAN_CHUNK - 1:_SCAN_CHUNK + 1] = 30.0  # the last row of a block and the first of the next
         xs = xs if kind == "multistream" else xs[:, 0]
         obs_path = tmp_path / "obs.csv"
         write_observations_csv(obs_path, xs)
         want = run(make(parsed, reset_on_alarm), xs)
-        assert want[_ROW_BLOCK - 1].alarm and want[_ROW_BLOCK].alarm
+        assert want[_SCAN_CHUNK - 1].alarm and want[_SCAN_CHUNK].alarm
         oracle = tmp_path / "oracle.csv"
         csv_writer_trajectory(oracle, want, xs, 3)
 
@@ -1385,7 +1410,7 @@ class TestDetectStreamsBlocks:
         post_path.write_text(json.dumps({"period": 2, "slots": [{"type": "poisson", "rate": 4.0},
                                                                  {"type": "poisson", "rate": 1.5}]}))
         counts = np.random.default_rng(22).poisson(3.0, DETECT_ROWS).astype(float)
-        counts[2 * _ROW_BLOCK + 50] = 1.5
+        counts[2 * _SCAN_CHUNK + 50] = 1.5
         obs_path = tmp_path / "counts.csv"
         write_observations_csv(obs_path, counts)
         out, traj = tmp_path / "summary.json", tmp_path / "traj.csv"

@@ -112,6 +112,11 @@ class TestSample:
         draws = sample(d, np.random.default_rng(1), size=10_000)
         assert abs(draws.mean() - 3.0) < 5 * math.sqrt(1e-8 / 10_000)
 
+    def test_a_draw_without_a_size_is_a_float(self):
+        draw = Poisson(3.0).sample(np.random.default_rng(5))
+        assert type(draw) is float
+        assert draw == float(np.random.default_rng(5).poisson(3.0))
+
     def test_poisson_mean_matches_rate(self):
         d = Poisson(4.0)
         draws = sample(d, np.random.default_rng(2), size=100_000)
@@ -185,6 +190,10 @@ class TestJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             density_from_dict({"type": "cauchy"})
+
+    def test_a_non_density_has_no_encoding(self):
+        with pytest.raises(TypeError, match=r"^not a slot density: 3\.0$"):
+            density_to_dict(3.0)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: Gaussian(math.inf, 1.0), "Gaussian mean must be finite"),

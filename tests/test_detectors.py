@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from periodetect.densities import Gaussian, Poisson, llr
 from periodetect.detectors import (
-    _PROFILE_RUN,
-    _ROW_BLOCK,
     _SCAN_CHUNK,
     ClassifierBankDetector,
     CusumDetector,
@@ -850,7 +848,7 @@ def test_profile_rows_equal_scalar_values():
         ((Gaussian(1.0, 1.0), Gaussian(3.0, 2.0), Poisson(2.0)), (Poisson(2.0), Poisson(3.0), Gaussian(0.0, 1.0))),
     ]
     table = _SlotLlr(pairs)
-    n = 2 * _PROFILE_RUN + 57  # three pieces
+    n = 2 * _SCAN_CHUNK + 57  # three pieces
     xs = np.random.default_rng(8).poisson(3.0, n).astype(float)
     for start_slot in (0, 2):
         got = table.profile(xs, start_slot)
@@ -868,7 +866,7 @@ def test_profile_of_a_batch_equals_its_rows():
         ((Poisson(2.0), Poisson(5.0), Poisson(1.5)), (Poisson(1.0), Poisson(3.0), Poisson(2.5))),
         ((Gaussian(1.0, 1.0), Gaussian(3.0, 2.0), Poisson(2.0)), (Poisson(2.0), Poisson(3.0), Gaussian(0.0, 1.0))),
     ])
-    xs = np.random.default_rng(9).poisson(3.0, (5, _PROFILE_RUN + 37)).astype(float)
+    xs = np.random.default_rng(9).poisson(3.0, (5, _SCAN_CHUNK + 37)).astype(float)
     for start_slot in (0, 1):
         got = table.profile(xs, start_slot)
         assert got.shape == (3, 5, xs.shape[1])
@@ -1187,7 +1185,7 @@ class TestRunEqualsStepping:
         make, stream = RUN_CASES[case]
         carry = stream(25, 11)
         # long enough to cross a block of run's walk over the score columns
-        xs = stream(900 if stop_on_alarm else _ROW_BLOCK + 200, 12)
+        xs = stream(900 if stop_on_alarm else _SCAN_CHUNK + 200, 12)
         ran = make(reset_on_alarm=reset_on_alarm, start_time=5)
         stepped = make(reset_on_alarm=reset_on_alarm, start_time=5)
         run(ran, carry)
@@ -1257,8 +1255,32 @@ def test_rejected_run_leaves_state_unchanged(kind, bad):
     time, statistic = det.time, current_statistic(det)
     with pytest.raises(ValueError):
         run(det, [obs(2.0), obs(7.0), obs(bad)])
+    message = ("observation must be finite, got nan" if math.isnan(bad)
+               else f"Poisson support is the nonnegative integers, got {bad}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        det.step(obs(bad))
     assert det.time == time
     assert current_statistic(det) == statistic
+
+
+def test_slot_vectors_of_unequal_length_are_rejected():
+    one, two = (Gaussian(0.0, 1.0),), (Gaussian(0.0, 1.0), Gaussian(1.0, 1.0))
+    for pairs in ([(one, two)], [(two, two), (one, one)]):
+        with pytest.raises(ValueError, match="^slot vectors must have equal length$"):
+            _SlotLlr(pairs)
+
+
+def test_scores_that_overflow_saturate_the_statistics():
+    # unequal variances put x^2 in the score: +inf at x = 1e200 when the post-change law is wider
+    det = ShiryaevDetector(gaussian_law([0.0]), gaussian_law([0.0], variance=2.0), 0.05, 0.9)
+    assert det.step(1e200) == (1, 1.0, True, None)
+    # -inf where it is narrower: candidate {0} scores -inf in slot 0 and candidate {1} scores 0
+    family = MultislotFamily(2, gaussian_law([0.0, 0.0]), gaussian_law([0.0, 0.0], variance=0.5),
+                             (frozenset({1}), frozenset({0})), (0.5, 0.5))
+    det = MixtureShiryaev(family, 0.05, 20.0)
+    first = det.step(1e200)
+    assert first.statistic == pytest.approx(0.5 * 0.05 / 0.95, rel=1e-12) and not first.alarm
+    assert math.isfinite(det.step(0.0).statistic)
 
 
 def csv_writer_trajectory(path, trajectory, observations, period):
@@ -1285,7 +1307,7 @@ def csv_writer_trajectory(path, trajectory, observations, period):
 
 @pytest.mark.parametrize("kind", ["cusum", "multistream", "classifier"])
 def test_trajectory_csv_bytes_equal_the_csv_writer_dump(tmp_path, kind):
-    xs = odds_stream(kind, 2 * _ROW_BLOCK + 77, 14, shift=0.4)
+    xs = odds_stream(kind, 2 * _SCAN_CHUNK + 77, 14, shift=0.4)
     xs.flat[:3] = -0.0, 1e-300, 12345678.9  # signed zero, tiny and wide reprs
     det = FIVE_DETECTORS[kind](reset_on_alarm=True, start_time=2)
     trajectory = run(det, xs)

@@ -33,6 +33,16 @@ def test_a_target_period_that_is_no_whole_number_is_rejected(period):
         CycleSet(((1.0, 2.0),), period)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: CycleSet(cycles=(), target_period=2), "need at least one cycle"),
+    (lambda: CycleSet(cycles=((1.0, 2.0), ()), target_period=2), "cycles must be nonempty"),
+    (lambda: CycleSet(cycles=((1.0, 2.0),), target_period=1), "target period must be >= 2"),
+    (lambda: resample_cycle([1.0, 2.0], 1), "target period must be >= 2")])
+def test_a_cycle_set_or_a_resample_names_the_fault(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 class TestResample:
     def test_same_length_is_identity(self):
         np.testing.assert_array_equal(resample_cycle([3.0, 1.0, 4.0], 3), [3.0, 1.0, 4.0])
@@ -223,3 +233,13 @@ class TestCsvIngestion:
         path.write_text("time,value\n0,1.0\n")
         with pytest.raises(ValueError):
             read_long_csv(path, period=4)
+
+    @pytest.mark.parametrize("read, period, text, message", [
+        (read_long_csv, 1, "time,value\n0,1.0\n1,2.0\n", "period must be >= 2"),
+        (read_long_csv, 2, "time,count\n0,1.0\n1,2.0\n", "expected a header containing 'value'"),
+        (read_cycles_csv, None, "\n , \n", "no cycles found")])
+    def test_a_file_without_the_input_is_named(self, tmp_path, read, period, text, message):
+        path = tmp_path / "train.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read(path, period)

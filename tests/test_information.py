@@ -160,6 +160,10 @@ class TestAsymptoticDelay:
         with pytest.raises(ValueError):
             asymptotic_delay(DetectorKind.SHIRYAEV, 0.01, 0.0)
 
+    def test_a_negative_tail_exponent_is_rejected(self):
+        with pytest.raises(ValueError, match="^tail exponent must be >= 0$"):
+            asymptotic_delay(DetectorKind.SHIRYAEV, 0.01, 1.0, -0.5)
+
     @pytest.mark.parametrize("bad", [math.nan, True])
     def test_a_tail_exponent_that_is_nan_or_a_bool_is_rejected(self, bad):
         with pytest.raises(ValueError, match=f"^tail exponent must be a number other than NaN, got {bad!r}$"):

@@ -475,7 +475,15 @@ class TestModelInputChecks:
         (lambda: MultistreamConfig(((gaussian_law([0.0]), gaussian_law([1.0, 2.0])),), (frozenset({0}),), (1.0,)),
          "all stream laws must share one period"),
         (lambda: ClassBank(1, (gaussian_law([0.0]), gaussian_law([1.0, 2.0]))), "all bank laws must share one period"),
-        (lambda: PeriodicThresholds((0.5, 1.5)), "belief thresholds must lie in [0, 1], got 1.5")])
+        (lambda: PeriodicThresholds((0.5, 1.5)), "belief thresholds must lie in [0, 1], got 1.5"),
+        (lambda: GeometricPrior(0.1).mass(0), "prior mass is defined for n >= 1"),
+        (lambda: GeometricPrior(0.1).survival(-1), "survival is defined for n >= 0"),
+        (lambda: ExplicitPrior((0.5, 0.5)).mass(0), "prior mass is defined for n >= 1"),
+        (lambda: ExplicitPrior((0.5, 0.5)).survival(-1), "survival is defined for n >= 0"),
+        (lambda: MultislotFamily(1, gaussian_law([0.0]), gaussian_law([1.0]), (), ()),
+         "need at least one slot candidate"),
+        (lambda: MultislotFamily(1, gaussian_law([0.0]), gaussian_law([1.0]), (frozenset({0}),), (0.5, 0.5)),
+         "expected 1 weights, got 2")])
     def test_the_message_names_the_fault(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()

@@ -181,6 +181,14 @@ class TestSelectLfl:
             validate_lfl(pre, IpidLaw(1, (Gaussian(0.1, 1.0),)), family)
 
 
+def test_an_interval_holds_only_its_own_family_and_variance():
+    family = IntervalSlotFamily(Gaussian(0.0, 1.0), "ge")
+    assert family.contains(Gaussian(1.0, 1.0))
+    assert not family.contains(Gaussian(1.0, 2.0))
+    assert not family.contains(Poisson(1.0))
+    assert not IntervalSlotFamily(Poisson(1.0), "le").contains(Gaussian(0.5, 1.0))
+
+
 class TestFamilyJson:
     def test_round_trip(self):
         family = UncertaintyFamily(2, (

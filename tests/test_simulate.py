@@ -346,6 +346,10 @@ class TestEstimateArl:
         with pytest.raises(ValueError, match="^trials and workers must be >= 1$"):
             estimate_arl(det, PRE, 0, 50, master_seed=41)
 
+    def test_one_trial_has_no_spread(self):
+        rep = estimate_arl(CusumDetector(PRE, POST, 3.0), PRE, 1, 100, master_seed=42)
+        assert rep.trials == 1 and rep.std_error == 0.0
+
     def test_unattainable_threshold_reports_cap_and_censoring(self):
         det = CusumDetector(PRE, POST, 1e6)
         rep = estimate_arl(det, PRE, 50, 1000, master_seed=41)
